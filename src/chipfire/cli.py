@@ -49,7 +49,7 @@ from .graph import (
     is_stable,
     valence,
 )
-from .rank import clifford_check, rank, riemann_roch_check
+from .rank import RankReport, rank
 from .reduction import effectivize, is_reduced, reduce_to, reduce_to_set
 from .reps import (
     NotCovered,
@@ -354,9 +354,7 @@ def _cmd_info(args, g: WeightedMultigraph) -> _Report:
 def _cmd_rank(args, g: WeightedMultigraph) -> _Report:
     (d,) = _require_divisors(args, g, 1)
     rep = _Report("rank", _base_inputs(args, g, [d]))
-    report = rank(
-        g, d, shortcuts=not args.no_shortcuts, budget=args.budget, threads=args.threads
-    )
+    report = rank(g, d, shortcuts=not args.no_shortcuts, budget=args.budget)
     rep.result = {
         "rank": report.rank,
         "method": report.method,
@@ -409,14 +407,21 @@ def _cmd_effectivize(args, g: WeightedMultigraph) -> _Report:
     return rep
 
 
+def _rank_and_residual(
+    args, g: WeightedMultigraph, d: Divisor
+) -> tuple[RankReport, RankReport, bool]:
+    """rank(d) and rank(K - d) under the command's options, and whether they
+    satisfy Riemann-Roch: rank(d) - rank(K - d) = deg d - genus + 1."""
+    r_d = rank(g, d, shortcuts=not args.no_shortcuts, budget=args.budget)
+    r_res = rank(g, residual(g, d), shortcuts=not args.no_shortcuts, budget=args.budget)
+    return r_d, r_res, r_d.rank - r_res.rank == d.degree - g.genus + 1
+
+
 def _cmd_rr_check(args, g: WeightedMultigraph) -> _Report:
     (d,) = _require_divisors(args, g, 1)
     rep = _Report("rr-check", _base_inputs(args, g, [d]))
-    r_d = rank(g, d, shortcuts=not args.no_shortcuts, budget=args.budget, threads=args.threads)
-    res = residual(g, d)
-    r_res = rank(g, res, shortcuts=not args.no_shortcuts, budget=args.budget, threads=args.threads)
+    r_d, r_res, holds = _rank_and_residual(args, g, d)
     deg, gen = d.degree, genus(g)
-    holds = r_d.rank - r_res.rank == deg - gen + 1
     rep.result = {
         "rank": r_d.rank,
         "residual_rank": r_res.rank,
@@ -522,11 +527,10 @@ def _cmd_report(args, g: WeightedMultigraph) -> _Report:
     base = args.base or g.base_vertex()
     c = class_of(g, d, base)
     deg, gen = d.degree, genus(g)
-    r = rank(g, d, shortcuts=not args.no_shortcuts, budget=args.budget, threads=args.threads)
-    rr = riemann_roch_check(g, d, shortcuts=not args.no_shortcuts, budget=args.budget)
+    r, _, rr = _rank_and_residual(args, g, d)
     special = is_special_class(g, c)
     in_range = 0 <= deg <= 2 * gen - 2
-    clifford_ok = clifford_check(g, d, budget=args.budget) if in_range else None
+    clifford_ok = 2 * r.rank <= deg if in_range else None
     semi = is_semistable(g)
     result: dict = {
         "genus": gen,
@@ -610,7 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", help="comma-separated vertex set")
         p.add_argument("--json", action="store_true", help="emit a single JSON object")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for scans")
         p.add_argument(
             "--no-shortcuts",
             action="store_true",
@@ -631,8 +634,6 @@ def main(argv=None) -> int:
         doc = parse_graph(text)
         if args.base is not None and args.base not in set(doc.graph.vertices):
             raise ParseError(f"unknown vertex {args.base!r} for --base")
-        if args.threads < 1:
-            raise DomainError("--threads must be >= 1")
         report = _HANDLERS[args.command](args, doc.graph)
         return report.emit(args.json)
     except ParseError as exc:

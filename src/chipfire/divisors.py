@@ -9,11 +9,20 @@ are arbitrary precision, so chip counts never overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from .enumeration import DEFAULT_BUDGET, check_budget, compositions, count_compositions
 from .errors import DomainError
 from .graph import WeightedMultigraph
+
+
+def _chip_counts(xs: Iterable) -> tuple[int, ...]:
+    """The values as a tuple of ints; floats, strings and the like are rejected."""
+    try:
+        return tuple(map(index, xs))
+    except TypeError as exc:
+        raise DomainError(f"chip counts must be integers: {exc}") from None
 
 
 class Divisor:
@@ -33,9 +42,9 @@ class Divisor:
         elif isinstance(values, Mapping):
             for v in values:
                 graph.vertex_index(v)  # raises on unknown vertex
-            vals = tuple(int(values.get(v, 0)) for v in graph.vertices)
+            vals = _chip_counts(values.get(v, 0) for v in graph.vertices)
         else:
-            vals = tuple(int(x) for x in values)
+            vals = _chip_counts(values)
             if len(vals) != n:
                 raise DomainError(
                     f"expected {n} values in declaration order, got {len(vals)}"
@@ -140,6 +149,11 @@ def t_set(g: WeightedMultigraph, zone: Iterable[str]) -> Divisor:
     member = [False] * g._n
     for v in zone:
         member[g.vertex_index(v)] = True
+    return Divisor(g, _firing_vector(g, member))
+
+
+def _firing_vector(g: WeightedMultigraph, member: list[bool]) -> list[int]:
+    """Chip movement of firing the member set once, as an index-aligned list."""
     t = [0] * g._n
     for i, j, m in g._nonloop_pairs:
         if member[i] != member[j]:
@@ -149,7 +163,7 @@ def t_set(g: WeightedMultigraph, zone: Iterable[str]) -> Divisor:
             else:
                 t[j] -= m
                 t[i] += m
-    return Divisor(g, t)
+    return t
 
 
 def intersection(g: WeightedMultigraph, d1: Divisor, d2: Divisor) -> int:

@@ -5,7 +5,9 @@ makes "first hit" equal to "lexicographically smallest hit" everywhere else
 in the package.
 """
 
+from itertools import combinations_with_replacement
 from math import comb
+from operator import sub
 
 from .errors import BudgetExceededError
 
@@ -27,19 +29,21 @@ def count_compositions(total: int, length: int) -> int:
 
 
 def compositions(total: int, length: int):
-    """Yield all nonnegative integer tuples of the given length summing to total."""
+    """Yield all nonnegative integer tuples of the given length summing to total.
+
+    Stars and bars: the length - 1 cut points run through the nondecreasing
+    tuples in [0, total] in lex order, and the parts are the gaps between
+    consecutive cuts.  The cuts are the parts' prefix sums, so the parts
+    come in lex order too.
+    """
     if total < 0:
         return
     if length == 0:
         if total == 0:
             yield ()
         return
-    if length == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, length - 1):
-            yield (first,) + rest
+    for cuts in combinations_with_replacement(range(total + 1), length - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def count_box_vectors(lows, highs, total: int) -> int:

@@ -8,6 +8,7 @@ naming, enumeration order).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -19,8 +20,7 @@ class WeightedMultigraph:
 
     The edge multiset keeps one entry per parallel copy; an edge's identity
     is its index into :attr:`edges`.  A pair ``(v, v)`` is a loop.
-    Instances are immutable after construction and may be shared freely
-    between threads.
+    Instances are immutable after construction.
     """
 
     def __init__(
@@ -40,6 +40,10 @@ class WeightedMultigraph:
         for v, w in weights.items():
             if v not in index:
                 raise GraphError(f"weight given for unknown vertex {v!r}")
+            try:
+                w = weights[v] = operator.index(w)
+            except TypeError:
+                raise GraphError(f"weight {w!r} at vertex {v!r} is not an integer") from None
             if w < 0:
                 raise GraphError(f"negative weight at vertex {v!r}")
         weight_list = tuple(weights.get(v, 0) for v in verts)
@@ -93,23 +97,11 @@ class WeightedMultigraph:
         )
         self._genus = len(edge_pairs) - n + 1 + sum(weight_list)
 
-        if not self._is_connected():
+        if len(_bfs_order(self, [0])) != n:
             raise GraphError("graph is disconnected")
 
         self._key = (verts, weight_list, tuple(sorted(edge_pairs)))
         self._hash = hash(self._key)
-
-    def _is_connected(self) -> bool:
-        seen = [False] * self._n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w, _ in self._rows[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return all(seen)
 
     # -- public views ------------------------------------------------------
 
@@ -197,6 +189,25 @@ class StabilityVerdict:
 
     def __bool__(self) -> bool:
         return self.value
+
+
+def _bfs_order(g: WeightedMultigraph, sources: Sequence[int]) -> tuple[int, ...]:
+    """Vertex indices reachable from distinct sources, in breadth-first order.
+
+    The sources come first, in the given order; neighbors are visited in
+    canonical (lexicographic) order, so the order is deterministic.
+    """
+    seen = [False] * g._n
+    for s in sources:
+        seen[s] = True
+    out = list(sources)
+    rows = g._rows
+    for v in out:  # out grows while we walk it: a queue without pops
+        for w, _ in rows[v]:
+            if not seen[w]:
+                seen[w] = True
+                out.append(w)
+    return tuple(out)
 
 
 def genus(g: WeightedMultigraph) -> int:

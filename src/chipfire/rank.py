@@ -29,7 +29,7 @@ from .enumeration import (
 )
 from .errors import DomainError
 from .graph import WeightedMultigraph, bullet_model
-from .reduction import _reduce_tuple, effectivize
+from .reduction import _reduce_tuple
 
 METHOD_DEFINITION = "definition"
 METHOD_SHORTCUT = "regime_shortcut"
@@ -60,42 +60,19 @@ def _model_values(g: WeightedMultigraph, d: Divisor) -> tuple[WeightedMultigraph
     return gb, tuple(by_name.get(v, 0) for v in gb.vertices)
 
 
-def _scan_level(gb, base_vals, u, k, threads):
+def _scan_level(gb, base_vals, u, k):
     """First effective degree-k divisor (lex order) the class fails to cover."""
     nb = gb._n
     lex = gb._lex_indices
-
-    def check(combo):
+    for combo in compositions(k, nb):
         target = list(base_vals)
         for pos, x in zip(lex, combo):
             target[pos] -= x
-        reduced = _reduce_tuple(gb, tuple(target), u)
-        if reduced[u] < 0:
+        if _reduce_tuple(gb, tuple(target), u)[u] < 0:
             vals = [0] * nb
             for pos, x in zip(lex, combo):
                 vals[pos] = x
             return tuple(vals)
-        return None
-
-    combos = compositions(k, nb)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        from itertools import islice
-
-        # bounded windows keep memory flat; in-order scanning keeps the
-        # first (lexicographically smallest) failure identical to sequential
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            while True:
-                window = list(islice(combos, 4096))
-                if not window:
-                    return None
-                for hit in ex.map(check, window):
-                    if hit is not None:
-                        return hit
-    for combo in combos:
-        hit = check(combo)
-        if hit is not None:
-            return hit
     return None
 
 
@@ -105,7 +82,6 @@ def rank(
     *,
     shortcuts: bool = True,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> RankReport:
     """Exact rank of the class of d.
 
@@ -129,7 +105,7 @@ def rank(
     k = 0
     while True:
         check_budget(count_compositions(k, gb._n), budget)
-        witness = _scan_level(gb, base_vals, u, k, threads)
+        witness = _scan_level(gb, base_vals, u, k)
         if witness is not None:
             return RankReport(rank=k - 1, witness=Divisor(gb, witness), method=METHOD_DEFINITION)
         k += 1
@@ -273,10 +249,12 @@ def rank_lower_bound_edeg(
     if s < 0:
         raise DomainError("s must be nonnegative")
     n = g._n
+    u = g.vertex_index(g.base_vertex())
     check_budget(count_compositions(s, n), budget)
     for combo in compositions(s, n):
         e = Divisor(g, combo)
-        if effectivize(g, d - e_deg(g, e)) is None:
+        # the class is effective iff its reduced form at u is
+        if _reduce_tuple(g, (d - e_deg(g, e)).values, u)[u] < 0:
             return False
     return True
 

@@ -13,9 +13,9 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
-from .divisors import Divisor
+from .divisors import Divisor, _firing_vector
 from .errors import DomainError
-from .graph import WeightedMultigraph
+from .graph import WeightedMultigraph, _bfs_order
 
 # Per-graph memo of BFS orders and reduced forms.  Keyed weakly so caches
 # die with their graphs; value-equal graphs may share entries, which is
@@ -43,20 +43,6 @@ class DharResult:
     fixed_set: frozenset[str]
     dhar_set: frozenset[str]
     chain: tuple[frozenset[str], ...]
-
-
-def _t_vector(g: WeightedMultigraph, member: list[bool]) -> list[int]:
-    """Chip movement of firing the member set once, as an index-aligned list."""
-    t = [0] * g._n
-    for i, j, m in g._nonloop_pairs:
-        if member[i] != member[j]:
-            if member[i]:
-                t[i] -= m
-                t[j] += m
-            else:
-                t[j] -= m
-                t[i] += m
-    return t
 
 
 def _burn(
@@ -145,47 +131,6 @@ def is_reduced(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> bool:
     return all(burnt)
 
 
-def _bfs_order(g: WeightedMultigraph, start: int) -> tuple[int, ...]:
-    cache = _graph_cache(g)["bfs"]
-    order = cache.get(start)
-    if order is not None:
-        return order
-    seen = [False] * g._n
-    seen[start] = True
-    out = [start]
-    head = 0
-    while head < len(out):
-        v = out[head]
-        head += 1
-        for w, _ in g._rows[v]:  # rows are in canonical order: deterministic BFS
-            if not seen[w]:
-                seen[w] = True
-                out.append(w)
-    order = tuple(out)
-    cache[start] = order
-    return order
-
-
-def _multi_source_order(g: WeightedMultigraph, seeds: list[int]) -> tuple[tuple[int, ...], int]:
-    seen = [False] * g._n
-    out = []
-    for s in sorted(seeds, key=lambda i: g._vertices[i]):
-        if not seen[s]:
-            seen[s] = True
-            out.append(s)
-    head = 0
-    n_seeds = len(out)
-    while head < len(out):
-        v = out[head]
-        head += 1
-        for w, _ in g._rows[v]:
-            if not seen[w]:
-                seen[w] = True
-                out.append(w)
-    assert len(out) == g._n
-    return tuple(out), n_seeds
-
-
 def _make_effective_off(g, vals: list[int], order, keep: int) -> None:
     """Clear negatives outside the first ``keep`` positions of the order.
 
@@ -204,7 +149,7 @@ def _make_effective_off(g, vals: list[int], order, keep: int) -> None:
         cross = sum(mult[vi][order[p]] for p in range(i))
         # BFS order guarantees a neighbor among earlier vertices
         k = (-vals[vi] + cross - 1) // cross
-        t = _t_vector(g, in_prefix)
+        t = _firing_vector(g, in_prefix)
         for v in range(n):
             vals[v] += k * t[v]
 
@@ -234,7 +179,7 @@ def _superstabilize(g, vals: list[int], seed: list[int]) -> None:
         k = min(multiples)
         assert k >= 1
         member = [not b for b in burnt]
-        t = _t_vector(g, member)
+        t = _firing_vector(g, member)
         for v in range(g._n):
             vals[v] += k * t[v]
         rounds += 1
@@ -248,7 +193,10 @@ def _reduce_tuple(g: WeightedMultigraph, vals: tuple[int, ...], u: int) -> tuple
     hit = cache.get(key)
     if hit is not None:
         return hit
-    order = _bfs_order(g, u)
+    orders = _graph_cache(g)["bfs"]
+    order = orders.get(u)
+    if order is None:
+        order = orders[u] = _bfs_order(g, [u])
     work = list(vals)
     _make_effective_off(g, work, order, 1)
     _superstabilize(g, work, [u])
@@ -280,14 +228,15 @@ def reduce_to_set(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> Div
     """
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")
-    seeds = sorted({g.vertex_index(v) for v in zone})
+    # canonical (name) order of the seeds keeps the output deterministic
+    seeds = sorted({g.vertex_index(v) for v in zone}, key=g._vertices.__getitem__)
     if not seeds:
         raise DomainError("seed set must be nonempty")
     if len(seeds) == g._n:
         return d
-    order, keep = _multi_source_order(g, seeds)
+    order = _bfs_order(g, seeds)
     work = list(d.values)
-    _make_effective_off(g, work, order, keep)
+    _make_effective_off(g, work, order, len(seeds))
     _superstabilize(g, work, seeds)
     return Divisor(g, work)
 
@@ -318,7 +267,7 @@ def effectivize(g: WeightedMultigraph, d: Divisor) -> Divisor | None:
         if all(burnt):
             raise AssertionError("empty unburnt set on an effective class")
         member = [not b for b in burnt]
-        t = _t_vector(g, member)
+        t = _firing_vector(g, member)
         for v in range(g._n):
             work[v] += t[v]
         rounds += 1

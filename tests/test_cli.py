@@ -296,13 +296,6 @@ class TestCommands:
     def test_clifford_rep_out_of_range_exits_1(self, golden_file, capsys):
         assert main(["clifford-rep", golden_file, "--divisor", "v1=-1"]) == 1
 
-    def test_threads_flag(self, golden_file, capsys):
-        code = main(
-            ["rank", golden_file, "--divisor", "v2=3,v3=2", "--threads", "4", "--json"]
-        )
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["result"]["rank"] == 2
-
     def test_huge_chip_counts_survive_json(self, golden_file, capsys):
         big = str(2 ** 60)
         code = main(["reduce", golden_file, "--divisor", f"v2={big}", "--json"])

@@ -40,6 +40,11 @@ class TestDivisorBasics:
         with pytest.raises(DomainError):
             Divisor(g, [1, 2])
 
+    @pytest.mark.parametrize("values", [{"v1": 2.7}, {"v1": "3"}, [0, 1.5, 0], [0, "1", 0]])
+    def test_non_integer_values_rejected(self, g, values):
+        with pytest.raises(DomainError, match="integers"):
+            Divisor(g, values)
+
     def test_arithmetic(self, g):
         d = Divisor(g, [1, 2, 3])
         e = Divisor(g, [0, 1, 0])

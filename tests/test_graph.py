@@ -48,6 +48,11 @@ class TestConstruction:
         with pytest.raises(GraphError):
             WeightedMultigraph(["a"], {"a": -1}, [])
 
+    @pytest.mark.parametrize("w", [1.5, "2"])
+    def test_rejects_non_integer_weight(self, w):
+        with pytest.raises(GraphError, match="not an integer"):
+            WeightedMultigraph(["a"], {"a": w}, [])
+
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(GraphError):
             WeightedMultigraph(["a"], {}, [("a", "b")])

@@ -223,9 +223,3 @@ class TestBudget:
         with pytest.raises(BudgetExceededError) as excinfo:
             rank(g, d, budget=5)
         assert excinfo.value.count > 5
-
-    def test_threads_match_sequential(self, g):
-        d = Divisor(g, [0, 3, 2])
-        seq = rank(g, d)
-        par = rank(g, d, threads=4)
-        assert (seq.rank, seq.witness, seq.method) == (par.rank, par.witness, par.method)
