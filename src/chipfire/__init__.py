@@ -19,7 +19,7 @@ from .divisors import (
     t_set,
 )
 from .enumeration import DEFAULT_BUDGET
-from .errors import BudgetExceededError, DomainError, GraphError, ParseError
+from .errors import BudgetExceededError, DomainError, GraphError, InternalError, ParseError
 from .graph import (
     EdgeCut,
     StabilityVerdict,
@@ -74,6 +74,7 @@ __all__ = [
     "DomainError",
     "EdgeCut",
     "GraphError",
+    "InternalError",
     "NotCovered",
     "ParseError",
     "RankReport",

@@ -18,7 +18,7 @@ strings to protect downstream readers.
 
 Exit codes: 0 success (including NotCovered), 1 domain errors or negative
 results (NotEffective, NotFound, failed identity), 2 parse and resource
-errors.
+errors, 3 an internal invariant failure (a defect in chipfire).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .divisors import (
     residual,
 )
 from .enumeration import DEFAULT_BUDGET
-from .errors import BudgetExceededError, DomainError, GraphError, ParseError
+from .errors import BudgetExceededError, DomainError, GraphError, InternalError, ParseError
 from .graph import (
     WeightedMultigraph,
     bridges,
@@ -375,7 +375,8 @@ def _cmd_reduce(args, g: WeightedMultigraph) -> _Report:
         rep.inputs["set"] = zone
         rep.result = {"reduced": _divisor_dict(out), "set": zone}
         rep.line(f"reduced with respect to {{{', '.join(zone)}}}: {_divisor_text(out)}")
-        assert is_reduced(g, out, zone)
+        if not is_reduced(g, out, zone):
+            raise InternalError(f"reduce_to_set gave a divisor not reduced with respect to {zone}")
     else:
         base = args.base or g.base_vertex()
         out = reduce_to(g, d, base)
@@ -645,6 +646,9 @@ def main(argv=None) -> int:
     except (DomainError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ are arbitrary precision, so chip counts never overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import index
 from typing import Iterable, Mapping, Sequence
 
@@ -149,21 +150,25 @@ def t_set(g: WeightedMultigraph, zone: Iterable[str]) -> Divisor:
     member = [False] * g._n
     for v in zone:
         member[g.vertex_index(v)] = True
-    return Divisor(g, _firing_vector(g, member))
+    vals = [0] * g._n
+    _fire(g, vals, member)
+    return Divisor(g, vals)
 
 
-def _firing_vector(g: WeightedMultigraph, member: list[bool]) -> list[int]:
-    """Chip movement of firing the member set once, as an index-aligned list."""
-    t = [0] * g._n
-    for i, j, m in g._nonloop_pairs:
-        if member[i] != member[j]:
-            if member[i]:
-                t[i] -= m
-                t[j] += m
-            else:
-                t[j] -= m
-                t[i] += m
-    return t
+def _fire(g: WeightedMultigraph, vals: list[int], member: list[bool], k: int = 1) -> None:
+    """Fire the member set k times in place.
+
+    Only cut edges move chips: each edge from a member to a non-member
+    carries k chips out of the set.  Cost is O(n + volume of the set).
+    """
+    rows = g._rows
+    for v in compress(range(g._n), member):
+        out = 0
+        for w, m in rows[v]:
+            if not member[w]:
+                out += m
+                vals[w] += k * m
+        vals[v] -= k * out
 
 
 def intersection(g: WeightedMultigraph, d1: Divisor, d2: Divisor) -> int:

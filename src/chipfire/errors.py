@@ -31,3 +31,10 @@ class BudgetExceededError(RuntimeError):
         self.count = count
         self.budget = budget
         super().__init__(f"enumeration of {count} candidates exceeds budget {budget}")
+
+
+class InternalError(RuntimeError):
+    """An internal invariant failed: a defect in chipfire, not in the input.
+
+    Raised instead of ``assert`` so the check also runs under ``python -O``.
+    """

@@ -102,6 +102,11 @@ class WeightedMultigraph:
 
         self._key = (verts, weight_list, tuple(sorted(edge_pairs)))
         self._hash = hash(self._key)
+        # per-instance memos: the loopless weightless model (see bullet_model),
+        # and reduction's single-source BFS orders and reduced forms
+        self._model: WeightedMultigraph | None = None
+        self._bfs: dict[int, tuple[int, ...]] = {}
+        self._reduced: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
 
     # -- public views ------------------------------------------------------
 
@@ -358,9 +363,14 @@ def bullet_model(
     satellite joined to the vertex by two parallel edges.  Pre-existing
     loops are subdivided the same way, so the result has no loops at all.
     Returns the model and the (injective) embedding of original vertices.
+    The model is built once per graph instance and then reused, so its
+    reduce cache stays warm from call to call.
     """
+    embed = {v: v for v in g._vertices}
     if all(w == 0 for w in g._weights) and all(l == 0 for l in g._loops):
-        return g, {v: v for v in g._vertices}
+        return g, embed
+    if g._model is not None:
+        return g._model, embed
 
     used = set(g._vertices)
     verts = list(g._vertices)
@@ -378,5 +388,5 @@ def bullet_model(
             verts.append(s)
             edges.append((v, s))
             edges.append((v, s))
-    gb = WeightedMultigraph(verts, {}, edges)
-    return gb, {v: v for v in g._vertices}
+    g._model = WeightedMultigraph(verts, {}, edges)
+    return g._model, embed

@@ -27,7 +27,7 @@ from .enumeration import (
     compositions,
     count_compositions,
 )
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, bullet_model
 from .reduction import _reduce_tuple
 
@@ -132,7 +132,7 @@ def _det_and_adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
                 piv = r
                 break
         if piv is None:
-            raise AssertionError("reduced Laplacian of a connected graph is nonsingular")
+            raise InternalError("singular reduced Laplacian on a connected graph")
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             inv[col], inv[piv] = inv[piv], inv[col]
@@ -151,7 +151,8 @@ def _det_and_adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
     for row in adj:
         ints = []
         for x in row:
-            assert x.denominator == 1
+            if x.denominator != 1:
+                raise InternalError(f"adjugate entry {x} is not an integer")
             ints.append(int(x))
         out.append(tuple(ints))
     return int(det), out
@@ -181,7 +182,8 @@ def _lattice_data(g: WeightedMultigraph):
         for i in rest
     ]
     det, adj = _det_and_adjugate(lap)
-    assert det > 0
+    if det <= 0:
+        raise InternalError(f"reduced Laplacian determinant {det} is not positive")
     data = (u, rest, adj, det)
     cache["lattice"] = data
     return data

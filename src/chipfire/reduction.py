@@ -9,26 +9,16 @@ class, which the rest of the package uses as a canonical form.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
-from .divisors import Divisor, _firing_vector
-from .errors import DomainError
+from .divisors import Divisor, _fire
+from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, _bfs_order
 
-# Per-graph memo of BFS orders and reduced forms.  Keyed weakly so caches
-# die with their graphs; value-equal graphs may share entries, which is
-# sound because reduction depends only on graph content.
-_CACHES: "weakref.WeakKeyDictionary[WeightedMultigraph, dict]" = weakref.WeakKeyDictionary()
-
-
-def _graph_cache(g: WeightedMultigraph) -> dict:
-    cache = _CACHES.get(g)
-    if cache is None:
-        cache = {"bfs": {}, "reduced": {}}
-        _CACHES[g] = cache
-    return cache
+# Entries a graph's reduced-form cache may hold before it is emptied; at
+# about 210 B an entry this keeps one graph's cache near 55 MB.
+_CACHE_LIMIT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -51,11 +41,14 @@ def _burn(
     """Run the burning iteration; returns (burnt mask, inflow, chain or None).
 
     ``inflow[v]`` ends as the edge count from v into the final burnt set,
-    which callers reuse as the cut degree of the unburnt side.
+    which callers reuse as the cut degree of the unburnt side.  Requires
+    vals nonnegative off the seed, so only a vertex whose inflow just grew
+    can catch fire: each round burns the vertices pushed past their chips
+    by the previous round's frontier, and every edge is pushed at most
+    twice, O(n + m) per burn.
     """
-    n = g._n
-    burnt = [False] * n
-    inflow = [0] * n
+    burnt = [False] * g._n
+    inflow = [0] * g._n
     rows = g._rows
     frontier = []
     for s in seed:
@@ -63,24 +56,17 @@ def _burn(
             burnt[s] = True
             frontier.append(s)
     chain = [frozenset(frontier)] if want_chain else None
-    current = list(frontier)
-    for v in current:
-        for w, m in rows[v]:
-            inflow[w] += m
-    burnt_set = set(current)
-    while True:
-        newly = [
-            v for v in range(n) if not burnt[v] and inflow[v] > vals[v]
-        ]
-        if not newly:
-            break
-        for v in newly:
-            burnt[v] = True
+    while frontier:
+        newly = []
+        for v in frontier:
             for w, m in rows[v]:
                 inflow[w] += m
-        if want_chain:
-            burnt_set.update(newly)
-            chain.append(frozenset(burnt_set))
+                if not burnt[w] and inflow[w] > vals[w]:
+                    burnt[w] = True
+                    newly.append(w)
+        if want_chain and newly:
+            chain.append(chain[-1].union(newly))
+        frontier = newly
     return burnt, inflow, chain
 
 
@@ -138,20 +124,17 @@ def _make_effective_off(g, vals: list[int], order, keep: int) -> None:
     just enough times; prefix firing only pushes chips outward, so already
     cleared positions stay nonnegative.
     """
-    n = g._n
-    in_prefix = [True] * n
-    mult = g._mult
-    for i in range(n - 1, keep - 1, -1):
+    in_prefix = [True] * g._n
+    rows = g._rows
+    for i in range(g._n - 1, keep - 1, -1):
         vi = order[i]
         in_prefix[vi] = False
         if vals[vi] >= 0:
             continue
-        cross = sum(mult[vi][order[p]] for p in range(i))
+        cross = sum(m for w, m in rows[vi] if in_prefix[w])
         # BFS order guarantees a neighbor among earlier vertices
         k = (-vals[vi] + cross - 1) // cross
-        t = _firing_vector(g, in_prefix)
-        for v in range(n):
-            vals[v] += k * t[v]
+        _fire(g, vals, in_prefix, k)
 
 
 def _round_guard(g, vals) -> int:
@@ -170,37 +153,37 @@ def _superstabilize(g, vals: list[int], seed: list[int]) -> None:
     rounds = 0
     while True:
         burnt, inflow, _ = _burn(g, vals, seed)
-        unburnt = [v for v in range(g._n) if not burnt[v]]
-        if not unburnt:
+        if all(burnt):
             return
-        multiples = [vals[w] // inflow[w] for w in unburnt if inflow[w] > 0]
+        multiples = [
+            vals[w] // inflow[w] for w in range(g._n) if not burnt[w] and inflow[w] > 0
+        ]
         if not multiples:
-            raise AssertionError("unburnt set with empty cut on a connected graph")
+            raise InternalError("unburnt set with empty cut on a connected graph")
         k = min(multiples)
-        assert k >= 1
-        member = [not b for b in burnt]
-        t = _firing_vector(g, member)
-        for v in range(g._n):
-            vals[v] += k * t[v]
+        if k < 1:
+            raise InternalError(f"unburnt set fires {k} times")
+        _fire(g, vals, [not b for b in burnt], k)
         rounds += 1
         if rounds > guard:
-            raise AssertionError("reduction failed to stabilize within the guard")
+            raise InternalError("reduction failed to stabilize within the guard")
 
 
 def _reduce_tuple(g: WeightedMultigraph, vals: tuple[int, ...], u: int) -> tuple[int, ...]:
-    cache = _graph_cache(g)["reduced"]
+    cache = g._reduced
     key = (vals, u)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    orders = _graph_cache(g)["bfs"]
-    order = orders.get(u)
+    order = g._bfs.get(u)
     if order is None:
-        order = orders[u] = _bfs_order(g, [u])
+        order = g._bfs[u] = _bfs_order(g, [u])
     work = list(vals)
     _make_effective_off(g, work, order, 1)
     _superstabilize(g, work, [u])
     out = tuple(work)
+    if len(cache) + 2 > _CACHE_LIMIT:
+        cache.clear()
     cache[key] = out
     cache[(out, u)] = out  # reduced forms are fixed points
     return out
@@ -265,12 +248,9 @@ def effectivize(g: WeightedMultigraph, d: Divisor) -> Divisor | None:
         seed = [i for i, x in enumerate(work) if x < 0]
         burnt, _, _ = _burn(g, work, seed)
         if all(burnt):
-            raise AssertionError("empty unburnt set on an effective class")
-        member = [not b for b in burnt]
-        t = _firing_vector(g, member)
-        for v in range(g._n):
-            work[v] += t[v]
+            raise InternalError("empty unburnt set on an effective class")
+        _fire(g, work, [not b for b in burnt])
         rounds += 1
         if rounds > guard:
-            raise AssertionError("effectivization failed to terminate within the guard")
+            raise InternalError("effectivization failed to terminate within the guard")
     return Divisor(g, work)

@@ -28,7 +28,7 @@ from .enumeration import (
     check_budget,
     count_box_vectors,
 )
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, is_chain_of_2ec, is_semistable
 from .reduction import is_reduced, reduce_to
 
@@ -147,7 +147,7 @@ def semibalanced_representative(
             continue
         if is_semibalanced(g, cand, budget=budget):
             return cand
-    raise AssertionError("semistable graphs always admit a semibalanced representative")
+    raise InternalError("semistable graphs always admit a semibalanced representative")
 
 
 def is_uniform(g: WeightedMultigraph, d: Divisor) -> bool:
@@ -252,7 +252,7 @@ def clifford_representative(
     if chain and loops_ok:
         rep = uniform_representative(g, c, budget=budget)
         if rep is None:
-            raise AssertionError(
+            raise InternalError(
                 "special class under the loop hypothesis must have a uniform representative"
             )
         k = canonical_divisor(g)

@@ -9,6 +9,7 @@ search over integer combinations of single-vertex firings.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 from chipfire import Divisor, WeightedMultigraph, t_set
@@ -171,3 +172,76 @@ def brute_equivalent(g: WeightedMultigraph, d1: Divisor, d2: Divisor, bound: int
         if vec == diff:
             return True
     return False
+
+
+def reference_burn(g: WeightedMultigraph, vals, seed):
+    """Round-synchronous Dhar burning that rescans every vertex each round.
+
+    The O(n * rounds) form of the package's burning kernel, kept as its
+    reference: returns (burnt mask, inflow, chain of burnt index sets),
+    where inflow[v] counts the edges from v into the final burnt set.
+    """
+    n = len(g.vertices)
+    burnt = [False] * n
+    inflow = [0] * n
+    current = []
+    for s in seed:
+        if not burnt[s]:
+            burnt[s] = True
+            current.append(s)
+    for v in current:
+        for w, m in g._rows[v]:
+            inflow[w] += m
+    chain = [frozenset(current)]
+    while True:
+        newly = [v for v in range(n) if not burnt[v] and inflow[v] > vals[v]]
+        if not newly:
+            return burnt, inflow, chain
+        for v in newly:
+            burnt[v] = True
+            for w, m in g._rows[v]:
+                inflow[w] += m
+        chain.append(chain[-1] | frozenset(newly))
+
+
+def reduced_laplacian_inverse(g: WeightedMultigraph):
+    """Exact inverse of the Laplacian with the first vertex's row and column
+    deleted, by Fraction Gauss-Jordan elimination (loops do not enter)."""
+    n = len(g.vertices)
+    idx = g.vertex_index
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for a, b in g.edges:
+        i, j = idx(a), idx(b)
+        if i != j:
+            lap[i][i] += 1
+            lap[j][j] += 1
+            lap[i][j] -= 1
+            lap[j][i] -= 1
+    m = n - 1
+    a = [row[1:] for row in lap[1:]]
+    inv = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
+    for col in range(m):
+        piv = next(r for r in range(col, m) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(m):
+            f = a[r][col]
+            if r != col and f != 0:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def rational_equivalent(inv, d1: Divisor, d2: Divisor) -> bool:
+    """d1 ~ d2 iff they have equal degree and the reduced Laplacian system
+    L' x = (d2 - d1) off the first vertex has an integer solution x (the
+    firing counts); ``inv`` comes from :func:`reduced_laplacian_inverse`."""
+    if d1.degree != d2.degree:
+        return False
+    rhs = [b - a for a, b in zip(d1.values[1:], d2.values[1:])]
+    return all(
+        sum(c * y for c, y in zip(row, rhs) if y).denominator == 1 for row in inv
+    )

@@ -296,6 +296,12 @@ class TestCommands:
     def test_clifford_rep_out_of_range_exits_1(self, golden_file, capsys):
         assert main(["clifford-rep", golden_file, "--divisor", "v1=-1"]) == 1
 
+    def test_internal_error_exits_3(self, golden_file, capsys, monkeypatch):
+        # v2=5 reduces at v1 in exactly one firing round; a guard of 0 trips on it
+        monkeypatch.setattr("chipfire.reduction._round_guard", lambda g, vals: 0)
+        assert main(["reduce", golden_file, "--divisor", "v2=5"]) == 3
+        assert "internal error: reduction failed to stabilize" in capsys.readouterr().err
+
     def test_huge_chip_counts_survive_json(self, golden_file, capsys):
         big = str(2 ** 60)
         code = main(["reduce", golden_file, "--divisor", f"v2={big}", "--json"])

@@ -1,0 +1,95 @@
+"""Reduction on sparse, long graphs against test-only references.
+
+Cycles, theta graphs and ladders with 16 to 24 vertices carry signed chips;
+every reduced form is checked by the rescanning reference burn (reduced,
+same burning chain and inflow as the package's kernel) and for equivalence
+by an exact rational solve of the reduced Laplacian, which never calls
+``reduce_to``.
+"""
+
+import random
+
+import pytest
+
+from chipfire import Divisor, WeightedMultigraph, dhar, reduce_to
+from chipfire.reduction import _burn
+from helpers import rational_equivalent, reduced_laplacian_inverse, reference_burn
+
+
+def _named(prefix, n, pairs):
+    verts = [f"{prefix}{i:02d}" for i in range(n)]
+    return WeightedMultigraph(verts, {}, [(verts[i], verts[j]) for i, j in pairs])
+
+
+def cycle(n):
+    return _named("c", n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def theta(n):
+    """Two hubs, 0 and 1, joined by three internally disjoint paths."""
+    rest = list(range(2, n))
+    k = len(rest)
+    pairs = []
+    for part in (rest[: k // 3], rest[k // 3: 2 * k // 3], rest[2 * k // 3:]):
+        path = [0] + part + [1]
+        pairs += zip(path, path[1:])
+    return _named("t", n, pairs)
+
+
+def ladder(n):
+    """Two rails of n // 2 vertices joined by rungs."""
+    m = n // 2
+    rails = [(i, i + 1) for i in range(m - 1)] + [(m + i, m + i + 1) for i in range(m - 1)]
+    return _named("l", 2 * m, rails + [(i, m + i) for i in range(m)])
+
+
+# Sizes stop where phase 1 of reduce_to blows up: reducing a 24-vertex
+# theta graph at every vertex costs about 80 times as much as an 18-vertex
+# one, which would make this module the slowest in the suite.
+GRAPHS = {
+    f"{make.__name__}{n}": make(n)
+    for make, sizes in ((cycle, (16, 20, 24)), (theta, (16, 18)), (ladder, (16, 20, 22)))
+    for n in sizes
+}
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_reduce_everywhere_matches_references(name):
+    g = GRAPHS[name]
+    rng = random.Random(name)
+    d = Divisor(g, [rng.randint(-2, 2) for _ in g.vertices])
+    inv = reduced_laplacian_inverse(g)
+    names = g.vertices
+    for ui, u in enumerate(names):
+        r = reduce_to(g, d, u)
+        vals = r.values
+        assert all(x >= 0 for i, x in enumerate(vals) if i != ui)
+        burnt, inflow, chain = reference_burn(g, vals, [ui])
+        assert all(burnt), f"not reduced at {u}"
+        assert _burn(g, vals, [ui], want_chain=True) == (burnt, inflow, chain)
+        assert dhar(g, r, [u]).chain == tuple(
+            frozenset(names[i] for i in part) for part in chain
+        )
+        assert rational_equivalent(inv, d, r)
+
+
+@pytest.mark.parametrize("name", ["cycle20", "theta18", "ladder22"])
+def test_burn_matches_reference_on_unreduced_divisors(name):
+    """Burns that stop short, from random seed sets, as the firing loops see them."""
+    g = GRAPHS[name]
+    rng = random.Random(name)
+    n = len(g.vertices)
+    for _ in range(40):
+        seed = rng.sample(range(n), rng.randint(1, 3))
+        vals = [rng.randint(-2, 2) if i in seed else rng.randint(0, 2) for i in range(n)]
+        burnt, inflow, chain = reference_burn(g, vals, seed)
+        assert _burn(g, vals, seed, want_chain=True) == (burnt, inflow, chain)
+        assert _burn(g, vals, seed)[:2] == (burnt, inflow)
+
+
+def test_rational_equivalence_rejects_a_shifted_chip():
+    g = cycle(16)
+    d = Divisor(g, [1] + [0] * 15)
+    moved = Divisor(g, [0, 1] + [0] * 14)
+    assert not rational_equivalent(reduced_laplacian_inverse(g), d, moved)
+    assert rational_equivalent(reduced_laplacian_inverse(g), d, d)
