@@ -82,16 +82,14 @@ class GraphDocument:
 
     graph: WeightedMultigraph
     vertex_lines: dict[str, int]
-    edge_lines: tuple[int, ...]
 
 
 def parse_graph(text: str) -> GraphDocument:
     """Parse the line-oriented graph format; diagnostics carry line/column."""
     vertices: list[str] = []
     weights: dict[str, int] = {}
-    edges: list[tuple[str, str]] = []
+    edges: list[tuple[str, str, int]] = []
     vertex_lines: dict[str, int] = {}
-    edge_lines: list[int] = []
     seen_header = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -161,10 +159,7 @@ def parse_graph(text: str) -> GraphDocument:
                     raise ParseError(
                         f"multiplicity must be >= 1, got {count}", line=lineno, column=col
                     )
-            pair = (ends[0], ends[1]) if kind == "edge" else (ends[0], ends[0])
-            for _ in range(count):
-                edges.append(pair)
-                edge_lines.append(lineno)
+            edges.append((ends[0], ends[-1], count))  # a loop line names one end
         else:
             raise ParseError(f"unknown directive {kind!r}", line=lineno, column=first_col)
 
@@ -176,7 +171,7 @@ def parse_graph(text: str) -> GraphDocument:
         g = WeightedMultigraph(vertices, weights, edges)
     except GraphError as exc:
         raise ParseError(str(exc)) from None
-    return GraphDocument(graph=g, vertex_lines=vertex_lines, edge_lines=tuple(edge_lines))
+    return GraphDocument(graph=g, vertex_lines=vertex_lines)
 
 
 def serialize_graph(g: WeightedMultigraph) -> str:
@@ -184,17 +179,14 @@ def serialize_graph(g: WeightedMultigraph) -> str:
     lines = ["graph"]
     for v in g.vertices:
         lines.append(f"vertex {v} weight {g.weight(v)}")
-    pair_counts: dict[tuple[str, str], int] = {}
-    loop_counts: dict[str, int] = {}
-    for a, b in g.edges:
+    names = g.vertices
+    pairs = sorted((names[i], names[j], m) for i, j, m in g._pairs)
+    for a, b, m in pairs:
+        if a != b:
+            lines.append(f"edge {a} {b}" + (f" x{m}" if m > 1 else ""))
+    for a, b, m in pairs:
         if a == b:
-            loop_counts[a] = loop_counts.get(a, 0) + 1
-        else:
-            pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
-    for (a, b), m in sorted(pair_counts.items()):
-        lines.append(f"edge {a} {b}" + (f" x{m}" if m > 1 else ""))
-    for v, m in sorted(loop_counts.items()):
-        lines.append(f"loop {v}" + (f" x{m}" if m > 1 else ""))
+            lines.append(f"loop {a}" + (f" x{m}" if m > 1 else ""))
     return "\n".join(lines) + "\n"
 
 
@@ -259,10 +251,6 @@ def _jsonable(obj):
     return obj
 
 
-def _divisor_dict(d: Divisor) -> dict[str, int]:
-    return d.as_dict()
-
-
 def _divisor_text(d: Divisor) -> str:
     return ", ".join(f"{v}={x}" for v, x in zip(d.graph.vertices, d.values))
 
@@ -300,10 +288,10 @@ def _base_inputs(args, g: WeightedMultigraph, divisors: list[Divisor] | None = N
         inputs["base"] = base
         for i, d in enumerate(divisors):
             key = "divisor" if i == 0 else f"divisor{i + 1}"
-            inputs[key] = _divisor_dict(d)
+            inputs[key] = d.as_dict()
         for i, d in enumerate(divisors):
             key = "canonical_form" if i == 0 else f"canonical_form{i + 1}"
-            inputs[key] = _divisor_dict(reduce_to(g, d, args.base or g.base_vertex()))
+            inputs[key] = reduce_to(g, d, args.base or g.base_vertex()).as_dict()
     return inputs
 
 
@@ -321,7 +309,8 @@ def _require_divisors(args, g: WeightedMultigraph, count: int) -> list[Divisor]:
 
 def _cmd_info(args, g: WeightedMultigraph) -> _Report:
     rep = _Report("info", {"graph_file": args.graph})
-    cut = bridges(g)
+    bridge_list = bridges(g).bridges
+    chain = is_chain_of_2ec(g)
     semi = is_semistable(g)
     stab = is_stable(g)
     gb, _ = bullet_model(g)
@@ -329,25 +318,25 @@ def _cmd_info(args, g: WeightedMultigraph) -> _Report:
     rep.result = {
         "vertices": list(g.vertices),
         "weights": g.weights,
-        "edge_count": len(g.edges),
+        "edge_count": g._edge_count,
         "genus": genus(g),
         "valences": {v: valence(g, v) for v in g.vertices},
-        "canonical_divisor": _divisor_dict(k),
+        "canonical_divisor": k.as_dict(),
         "semistable": {"value": semi.value, "applicable": semi.applicable},
         "stable": {"value": stab.value, "applicable": stab.applicable},
-        "bridges": [list(e) for e in cut.bridges],
-        "chain_of_2ec": is_chain_of_2ec(g),
-        "bullet_model": {"vertices": len(gb.vertices), "edges": len(gb.edges)},
+        "bridges": [list(e) for e in bridge_list],
+        "chain_of_2ec": chain,
+        "bullet_model": {"vertices": len(gb.vertices), "edges": gb._edge_count},
     }
     rep.line(f"vertices: {', '.join(g.vertices)}")
     rep.line(f"weights: {_divisor_text(Divisor(g, g.weights))}")
-    rep.line(f"edges: {len(g.edges)}")
+    rep.line(f"edges: {g._edge_count}")
     rep.line(f"genus: {genus(g)}")
     rep.line(f"canonical divisor: {_divisor_text(k)} (degree {k.degree})")
     rep.line(f"semistable: {semi.value}" + ("" if semi.applicable else " (not applicable: genus < 2)"))
     rep.line(f"stable: {stab.value}" + ("" if stab.applicable else " (not applicable: genus < 2)"))
-    rep.line(f"bridges: {', '.join('-'.join(e) for e in cut.bridges) or 'none'}")
-    rep.line(f"chain of 2-edge-connected components: {is_chain_of_2ec(g)}")
+    rep.line(f"bridges: {', '.join('-'.join(e) for e in bridge_list) or 'none'}")
+    rep.line(f"chain of 2-edge-connected components: {chain}")
     return rep
 
 
@@ -358,7 +347,7 @@ def _cmd_rank(args, g: WeightedMultigraph) -> _Report:
     rep.result = {
         "rank": report.rank,
         "method": report.method,
-        "witness": _divisor_dict(report.witness) if report.witness else None,
+        "witness": report.witness.as_dict() if report.witness else None,
     }
     rep.line(f"rank: {report.rank} (method: {report.method})")
     if report.witness is not None:
@@ -373,14 +362,14 @@ def _cmd_reduce(args, g: WeightedMultigraph) -> _Report:
         zone = _parse_vertex_set(args.set, g)
         out = reduce_to_set(g, d, zone)
         rep.inputs["set"] = zone
-        rep.result = {"reduced": _divisor_dict(out), "set": zone}
+        rep.result = {"reduced": out.as_dict(), "set": zone}
         rep.line(f"reduced with respect to {{{', '.join(zone)}}}: {_divisor_text(out)}")
         if not is_reduced(g, out, zone):
             raise InternalError(f"reduce_to_set gave a divisor not reduced with respect to {zone}")
     else:
         base = args.base or g.base_vertex()
         out = reduce_to(g, d, base)
-        rep.result = {"reduced": _divisor_dict(out), "base": base}
+        rep.result = {"reduced": out.as_dict(), "base": base}
         rep.line(f"reduced at {base}: {_divisor_text(out)}")
     return rep
 
@@ -403,7 +392,7 @@ def _cmd_effectivize(args, g: WeightedMultigraph) -> _Report:
         rep.line("NotEffective: the class contains no effective divisor")
         rep.exit_code = 1
     else:
-        rep.result = {"status": "Effective", "divisor": _divisor_dict(out)}
+        rep.result = {"status": "Effective", "divisor": out.as_dict()}
         rep.line(f"effective representative: {_divisor_text(out)}")
     return rep
 
@@ -446,14 +435,14 @@ def _certificate_json(cert) -> dict:
     evidence: dict = {}
     for key, value in cert.evidence.items():
         if isinstance(value, Divisor):
-            evidence[key] = _divisor_dict(value)
+            evidence[key] = value.as_dict()
         elif isinstance(value, dict):
             evidence[key] = {k: list(v) if isinstance(v, tuple) else v for k, v in value.items()}
         else:
             evidence[key] = value
     return {
         "branch": cert.branch,
-        "representative": _divisor_dict(cert.representative),
+        "representative": cert.representative.as_dict(),
         "evidence": evidence,
     }
 
@@ -480,7 +469,7 @@ def _cmd_clifford_rep(args, g: WeightedMultigraph) -> _Report:
         rep.result = {
             "status": "Found",
             "branch": cert.branch,
-            "representative": _divisor_dict(found),
+            "representative": found.as_dict(),
             "verified": verified,
         }
         rep.certificate = _certificate_json(cert)
@@ -499,7 +488,7 @@ def _cmd_semibalanced(args, g: WeightedMultigraph) -> _Report:
     c = class_of(g, d, base)
     out = semibalanced_representative(g, c, budget=args.budget)
     rep.result = {
-        "representative": _divisor_dict(out),
+        "representative": out.as_dict(),
         "is_semibalanced": is_semibalanced(g, out, budget=args.budget),
     }
     rep.line(f"semibalanced representative: {_divisor_text(out)}")
@@ -517,7 +506,7 @@ def _cmd_uniform(args, g: WeightedMultigraph) -> _Report:
         rep.line("NotFound: the class contains no uniform divisor")
         rep.exit_code = 1
     else:
-        rep.result = {"status": "Found", "representative": _divisor_dict(out)}
+        rep.result = {"status": "Found", "representative": out.as_dict()}
         rep.line(f"uniform representative: {_divisor_text(out)}")
     return rep
 
@@ -536,7 +525,7 @@ def _cmd_report(args, g: WeightedMultigraph) -> _Report:
     result: dict = {
         "genus": gen,
         "degree": deg,
-        "canonical_class_form": _divisor_dict(c.canonical),
+        "canonical_class_form": c.canonical.as_dict(),
         "rank": r.rank,
         "rank_method": r.method,
         "riemann_roch_holds": rr,
@@ -552,7 +541,7 @@ def _cmd_report(args, g: WeightedMultigraph) -> _Report:
     rep.line(f"special class: {special}")
     if semi.value:
         sb = semibalanced_representative(g, c, budget=args.budget)
-        result["semibalanced_representative"] = _divisor_dict(sb)
+        result["semibalanced_representative"] = sb.as_dict()
         rep.line(f"semibalanced representative: {_divisor_text(sb)}")
     else:
         result["semibalanced_representative"] = None
@@ -570,7 +559,7 @@ def _cmd_report(args, g: WeightedMultigraph) -> _Report:
             result["clifford_representative"] = {
                 "status": "Found",
                 "branch": cert.branch,
-                "representative": _divisor_dict(found),
+                "representative": found.as_dict(),
                 "verified": verify_certificate(g, cert),
             }
             rep.certificate = _certificate_json(cert)

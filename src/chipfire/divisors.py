@@ -177,7 +177,7 @@ def intersection(g: WeightedMultigraph, d1: Divisor, d2: Divisor) -> int:
     if d1.graph != g or d2.graph != g:
         raise DomainError("divisors live on different graphs")
     a, b = d1._values, d2._values
-    return -sum(m * (a[i] - a[j]) * (b[i] - b[j]) for i, j, m in g._nonloop_pairs)
+    return -sum(m * (a[i] - a[j]) * (b[i] - b[j]) for i, j, m in g._pairs)
 
 
 def residual(g: WeightedMultigraph, d: Divisor) -> Divisor:

@@ -1,6 +1,8 @@
 """Finite vertex-weighted multigraphs and their structural invariants.
 
-Vertices are opaque strings; parallel edges and loops are allowed.  The
+Vertices are opaque strings; parallel edges and loops are allowed.  A
+graph stores one multiplicity per vertex pair, so memory and the structural
+algorithms grow with the number of pairs, not of parallel copies.  The
 lexicographic order on vertex names is the canonical order used for every
 deterministic tie-break in the package (base-vertex choices, component
 naming, enumeration order).
@@ -15,19 +17,34 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DomainError, GraphError
 
 
+def _count(x, least: int, what: str) -> int:
+    """x as an int of at least ``least``, else a GraphError naming ``what``."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise GraphError(f"{what} {x!r} is not an integer") from None
+    if x < least:
+        raise GraphError(f"{what} {x} is below {least}")
+    return x
+
+
 class WeightedMultigraph:
     """Connected multigraph with nonnegative integer vertex weights.
 
-    The edge multiset keeps one entry per parallel copy; an edge's identity
-    is its index into :attr:`edges`.  A pair ``(v, v)`` is a loop.
-    Instances are immutable after construction.
+    Edges are stored once per vertex pair with their multiplicity, in order
+    of first appearance; a pair ``(v, v)`` counts loops.  An item of
+    ``edges`` is ``(a, b)`` or ``(a, b, multiplicity)``.  The :attr:`edges`
+    view expands each pair into one entry per parallel copy, the copies of
+    a pair next to each other at the pair's first appearance; an edge's
+    identity is its index into that view.  Instances are immutable after
+    construction.
     """
 
     def __init__(
         self,
         vertices: Iterable[str],
         weights: Mapping[str, int] | None = None,
-        edges: Iterable[Sequence[str]] = (),
+        edges: Iterable[Sequence] = (),
     ):
         verts = tuple(vertices)
         if not verts:
@@ -40,73 +57,61 @@ class WeightedMultigraph:
         for v, w in weights.items():
             if v not in index:
                 raise GraphError(f"weight given for unknown vertex {v!r}")
-            try:
-                w = weights[v] = operator.index(w)
-            except TypeError:
-                raise GraphError(f"weight {w!r} at vertex {v!r} is not an integer") from None
-            if w < 0:
-                raise GraphError(f"negative weight at vertex {v!r}")
+            weights[v] = _count(w, 0, f"vertex {v!r} weight")
         weight_list = tuple(weights.get(v, 0) for v in verts)
 
-        edge_pairs = []
+        counts: dict[tuple[int, int], int] = {}
         for e in edges:
-            a, b = e
+            if len(e) not in (2, 3):
+                raise GraphError(f"edge {e!r} is not (a, b) or (a, b, multiplicity)")
+            a, b = e[0], e[1]
             if a not in index:
                 raise GraphError(f"edge endpoint {a!r} is not a declared vertex")
             if b not in index:
                 raise GraphError(f"edge endpoint {b!r} is not a declared vertex")
-            i, j = index[a], index[b]
-            edge_pairs.append((i, j) if i <= j else (j, i))
-        edge_pairs = tuple(edge_pairs)
+            m = _count(e[2], 1, f"edge {a!r}-{b!r} multiplicity") if len(e) == 3 else 1
+            i, j = sorted((index[a], index[b]))
+            counts[i, j] = counts.get((i, j), 0) + m
+        pairs = tuple((i, j, m) for (i, j), m in counts.items())
 
         n = len(verts)
-        mult = [[0] * n for _ in range(n)]
-        loops = [0] * n
-        for i, j in edge_pairs:
-            if i == j:
-                loops[i] += 1
-            else:
-                mult[i][j] += 1
-                mult[j][i] += 1
-
         lex_indices = tuple(sorted(range(n), key=lambda i: verts[i]))
-        lex_rank = [0] * n
-        for r, i in enumerate(lex_indices):
-            lex_rank[i] = r
 
         # neighbor rows sorted in canonical (lexicographic) order
-        rows = []
-        for i in range(n):
-            row = [(j, mult[i][j]) for j in lex_indices if mult[i][j] > 0]
-            rows.append(tuple(row))
+        adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        loops = [0] * n
+        for i, j, m in pairs:
+            if i == j:
+                loops[i] = m
+            else:
+                adjacent[i].append((j, m))
+                adjacent[j].append((i, m))
+        rows = [tuple(sorted(row, key=lambda jm: verts[jm[0]])) for row in adjacent]
 
         self._vertices = verts
         self._index = index
         self._weights = weight_list
-        self._edges = edge_pairs
+        self._pairs = pairs
         self._n = n
-        self._mult = mult
         self._loops = loops
         self._rows = rows
         self._lex_indices = lex_indices
-        self._nonloop_pairs = tuple(
-            (i, j, mult[i][j]) for i in range(n) for j in range(i + 1, n) if mult[i][j] > 0
-        )
-        self._valence = tuple(
-            sum(mult[i][j] for j in range(n)) + 2 * loops[i] for i in range(n)
-        )
-        self._genus = len(edge_pairs) - n + 1 + sum(weight_list)
+        self._valence = tuple(sum(m for _, m in row) + 2 * l for row, l in zip(rows, loops))
+        self._edge_count = sum(m for _, _, m in pairs)
+        self._genus = self._edge_count - n + 1 + sum(weight_list)
 
         if len(_bfs_order(self, [0])) != n:
             raise GraphError("graph is disconnected")
 
-        self._key = (verts, weight_list, tuple(sorted(edge_pairs)))
+        self._key = (verts, weight_list, tuple(sorted(pairs)))
         self._hash = hash(self._key)
         # per-instance memos: the loopless weightless model (see bullet_model),
-        # and reduction's single-source BFS orders and reduced forms
+        # reduction's single-source BFS orders and reduced forms, and the
+        # oracle's lattice data and key sets (kept apart from the reduced forms)
         self._model: WeightedMultigraph | None = None
         self._bfs: dict[int, tuple[int, ...]] = {}
         self._reduced: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+        self._oracle: dict = {}
 
     # -- public views ------------------------------------------------------
 
@@ -126,8 +131,9 @@ class WeightedMultigraph:
 
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
-        """Edge multiset, one entry per parallel copy."""
-        return tuple((self._vertices[i], self._vertices[j]) for i, j in self._edges)
+        """Edge multiset, one entry per parallel copy, built on each call."""
+        names = self._vertices
+        return tuple(e for i, j, m in self._pairs for e in [(names[i], names[j])] * m)
 
     @property
     def genus(self) -> int:
@@ -160,7 +166,7 @@ class WeightedMultigraph:
     def __repr__(self) -> str:
         return (
             f"WeightedMultigraph({len(self._vertices)} vertices, "
-            f"{len(self._edges)} edges, genus {self._genus})"
+            f"{self._edge_count} edges, genus {self._genus})"
         )
 
 
@@ -176,8 +182,12 @@ class EdgeCut:
 
     @property
     def bridges(self) -> tuple[tuple[str, str], ...]:
-        edges = self.graph.edges
-        return tuple(edges[i] for i in sorted(self.bridge_indices))
+        names = self.graph._vertices
+        return tuple(
+            (names[i], names[j])
+            for at, i, j, _ in _pair_offsets(self.graph)
+            if at in self.bridge_indices
+        )
 
     @property
     def non_bridges(self) -> tuple[tuple[str, str], ...]:
@@ -244,19 +254,27 @@ def is_stable(g: WeightedMultigraph) -> StabilityVerdict:
     return _stability(g, 3)
 
 
-def bridges(g: WeightedMultigraph) -> EdgeCut:
-    """Exact bridge classification via low-link DFS.
+def _pair_offsets(g: WeightedMultigraph):
+    """(index of the pair's first copy in ``g.edges``, i, j, multiplicity) per pair."""
+    at = 0
+    for i, j, m in g._pairs:
+        yield at, i, j, m
+        at += m
 
-    Parallel edges and loops are never bridges: a parallel copy acts as a
-    back edge, and removing a loop never disconnects anything.
+
+def bridges(g: WeightedMultigraph) -> EdgeCut:
+    """Exact bridge classification via low-link DFS over vertex pairs.
+
+    Only a pair of multiplicity 1 can be a bridge: a second parallel copy
+    acts as a back edge, and removing a loop never disconnects anything.
     """
     n = g._n
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for ei, (i, j) in enumerate(g._edges):
+    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for at, i, j, m in _pair_offsets(g):
         if i == j:
             continue  # loops never participate
-        incident[i].append((j, ei))
-        incident[j].append((i, ei))
+        incident[i].append((j, at, m))
+        incident[j].append((i, at, m))
 
     disc = [-1] * n
     low = [0] * n
@@ -264,20 +282,20 @@ def bridges(g: WeightedMultigraph) -> EdgeCut:
     root = 0
     disc[root] = low[root] = 0
     time = 1
-    stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # vertex, entry edge, next incident slot
+    stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # vertex, entry pair, next incident slot
     while stack:
         v, pe, slot = stack[-1]
         advanced = False
         while slot < len(incident[v]):
-            w, ei = incident[v][slot]
+            w, at, m = incident[v][slot]
             slot += 1
-            if ei == pe:
-                continue  # only the copy we entered on; other parallels are back edges
+            if at == pe and m == 1:
+                continue  # the edge we entered on; a parallel copy is a back edge
             if disc[w] == -1:
                 disc[w] = low[w] = time
                 time += 1
                 stack[-1] = (v, pe, slot)
-                stack.append((w, ei, 0))
+                stack.append((w, at, 0))
                 advanced = True
                 break
             if disc[w] < low[v]:
@@ -305,37 +323,34 @@ def contract_non_bridges(
     """
     cut = bridges(g)
     n = g._n
+    inside: list[list[int]] = [[] for _ in range(n)]
+    bridge_pairs = []
+    for at, i, j, _ in _pair_offsets(g):
+        if at in cut.bridge_indices:
+            bridge_pairs.append((i, j))
+        elif i != j:
+            inside[i].append(j)
+            inside[j].append(i)
+
     comp = [-1] * n
-    comp_members: list[list[int]] = []
+    names: list[str] = []
     for start in range(n):
         if comp[start] != -1:
             continue
-        cid = len(comp_members)
+        cid = len(names)
         comp[start] = cid
-        members = [start]
+        name = g._vertices[start]
         stack = [start]
         while stack:
-            v = stack.pop()
-            for ei, (i, j) in enumerate(g._edges):
-                if ei in cut.bridge_indices or i == j:
-                    continue
-                if i == v and comp[j] == -1:
-                    comp[j] = cid
-                    members.append(j)
-                    stack.append(j)
-                elif j == v and comp[i] == -1:
-                    comp[i] = cid
-                    members.append(i)
-                    stack.append(i)
-        comp_members.append(members)
+            for w in inside[stack.pop()]:
+                if comp[w] == -1:
+                    comp[w] = cid
+                    name = min(name, g._vertices[w])
+                    stack.append(w)
+        names.append(name)
 
-    names = [min(g._vertices[i] for i in members) for members in comp_members]
-    tree_vertices = sorted(names)
-    tree_edges = []
-    for ei in sorted(cut.bridge_indices):
-        i, j = g._edges[ei]
-        tree_edges.append((names[comp[i]], names[comp[j]]))
-    tree = WeightedMultigraph(tree_vertices, {}, tree_edges)
+    links = [(names[comp[i]], names[comp[j]]) for i, j in bridge_pairs]
+    tree = WeightedMultigraph(sorted(names), {}, links)
     vertex_map = {g._vertices[i]: names[comp[i]] for i in range(n)}
     return tree, vertex_map
 
@@ -374,19 +389,12 @@ def bullet_model(
 
     used = set(g._vertices)
     verts = list(g._vertices)
-    edges: list[tuple[str, str]] = [
-        (g._vertices[i], g._vertices[j]) for i, j in g._edges if i != j
-    ]
+    edges = [(g._vertices[i], g._vertices[j], m) for i, j, m in g._pairs if i != j]
     for i, v in enumerate(g._vertices):
-        for j in range(g._loops[i]):
-            s = _fresh_name(f"{v}#l{j}", used)
+        tags = [f"l{j}" for j in range(g._loops[i])] + [f"w{t}" for t in range(g._weights[i])]
+        for tag in tags:
+            s = _fresh_name(f"{v}#{tag}", used)
             verts.append(s)
-            edges.append((v, s))
-            edges.append((v, s))
-        for t in range(g._weights[i]):
-            s = _fresh_name(f"{v}#w{t}", used)
-            verts.append(s)
-            edges.append((v, s))
-            edges.append((v, s))
+            edges.append((v, s, 2))
     g._model = WeightedMultigraph(verts, {}, edges)
     return g._model, embed

@@ -16,7 +16,6 @@ self-check.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,7 +112,9 @@ def rank(
 
 # -- independent oracle ----------------------------------------------------
 
-_ORACLE_CACHES: "weakref.WeakKeyDictionary[WeightedMultigraph, dict]" = weakref.WeakKeyDictionary()
+# Class keys a graph's oracle key sets may hold together before they are
+# emptied (each key is a tuple of n - 1 residues).
+_KEYS_LIMIT = 1 << 18
 
 
 def _det_and_adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -165,23 +166,19 @@ def _lattice_data(g: WeightedMultigraph):
     its off-base restriction vanishes mod the determinant (the determinant
     is the spanning tree count, positive for connected graphs).
     """
-    cache = _ORACLE_CACHES.get(g)
-    if cache is None:
-        cache = {}
-        _ORACLE_CACHES[g] = cache
+    cache = g._oracle
     if "lattice" in cache:
         return cache["lattice"]
-    n = g._n
     u = g.vertex_index(g.base_vertex())
-    rest = [i for i in range(n) if i != u]
-    lap = [
-        [
-            (sum(g._mult[i][t] for t in range(n)) if i == j else -g._mult[i][j])
-            for j in rest
-        ]
-        for i in rest
-    ]
-    det, adj = _det_and_adjugate(lap)
+    rest = [i for i in range(g._n) if i != u]
+    lap = [[0] * g._n for _ in range(g._n)]
+    for i, j, m in g._pairs:
+        if i != j:  # loops do not enter the Laplacian
+            lap[i][i] += m
+            lap[j][j] += m
+            lap[i][j] -= m
+            lap[j][i] -= m
+    det, adj = _det_and_adjugate([[lap[i][j] for j in rest] for i in rest])
     if det <= 0:
         raise InternalError(f"reduced Laplacian determinant {det} is not positive")
     data = (u, rest, adj, det)
@@ -197,7 +194,7 @@ def _class_key(data, vals) -> tuple[int, ...]:
 
 def _effective_keys(g: WeightedMultigraph, m: int, budget: int) -> frozenset:
     """Class keys of every effective divisor of degree m on g."""
-    cache = _ORACLE_CACHES[g]
+    cache = g._oracle
     keysets = cache.setdefault("keys", {})
     hit = keysets.get(m)
     if hit is not None:
@@ -205,6 +202,8 @@ def _effective_keys(g: WeightedMultigraph, m: int, budget: int) -> frozenset:
     check_budget(count_compositions(m, g._n), budget)
     data = cache["lattice"]
     keys = frozenset(_class_key(data, combo) for combo in compositions(m, g._n))
+    if sum(map(len, keysets.values())) + len(keys) > _KEYS_LIMIT:
+        keysets.clear()
     keysets[m] = keys
     return keys
 

@@ -82,7 +82,7 @@ def balance_bounds(
         member[g.vertex_index(v)] = True
     k = canonical_divisor(g)
     k_zone = sum(x for x, inside in zip(k.values, member) if inside)
-    cross = sum(m for i, j, m in g._nonloop_pairs if member[i] != member[j])
+    cross = sum(m for i, j, m in g._pairs if member[i] != member[j])
     center = Fraction(d_total * k_zone, 2 * gen - 2)
     half = Fraction(cross, 2)
     return center - half, center + half

@@ -141,7 +141,7 @@ def brute_is_reduced(g: WeightedMultigraph, d: Divisor, zone) -> bool:
             for v in sub:
                 outward = sum(
                     m
-                    for i, j, m in g._nonloop_pairs
+                    for i, j, m in g._pairs
                     if (i == idx[v] and j not in inside) or (j == idx[v] and i not in inside)
                 )
                 if d.value(v) < outward:

@@ -1,9 +1,18 @@
-"""Lifetime and size of the per-graph loopless model and reduce cache."""
+"""Lifetime and size of the per-graph loopless model, reduce cache and oracle cache."""
 
+import importlib
 import random
 from itertools import combinations
 
-from chipfire import Divisor, WeightedMultigraph, bullet_model, canonical_divisor, rank, reduce_to
+from chipfire import (
+    Divisor,
+    WeightedMultigraph,
+    bullet_model,
+    canonical_divisor,
+    rank,
+    rank_oracle,
+    reduce_to,
+)
 from helpers import golden_graph
 
 
@@ -36,6 +45,14 @@ class TestLifetime:
         rank(g2, canonical_divisor(g2))
         assert bullet_model(g1)[0] is not bullet_model(g2)[0]
         assert bullet_model(g1)[0]._reduced is not bullet_model(g2)[0]._reduced
+
+    def test_oracle_cache_is_per_instance_and_apart_from_rank(self):
+        g1, g2 = golden_graph(), golden_graph()
+        rank_oracle(g1, canonical_divisor(g1))
+        model = bullet_model(g1)[0]
+        assert set(model._oracle) == {"lattice", "keys"}
+        assert len(model._reduced) == 0
+        assert bullet_model(g2)[0]._oracle == {}
 
 
 class _Watched(dict):
@@ -71,3 +88,27 @@ def test_cache_bound_keeps_answers(monkeypatch):
     ]
     assert watched.inserts > 2 * limit
     assert watched.peak <= limit
+
+
+def test_oracle_key_bound_keeps_answers(monkeypatch):
+    verts = [f"k{i}" for i in range(4)]
+
+    def k4():
+        return WeightedMultigraph(verts, {}, list(combinations(verts, 2)))
+
+    rng = random.Random(4)
+    divisors = [[rng.randint(-1, 2) for _ in verts] for _ in range(12)]
+    ref = k4()
+    expected = [rank_oracle(ref, Divisor(ref, vals)) for vals in divisors]
+
+    limit = 20
+    # the package's ``rank`` function shadows its module as a package attribute
+    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "_KEYS_LIMIT", limit)
+    g = k4()
+    got = []
+    for vals in divisors:
+        got.append(rank_oracle(g, Divisor(g, vals)))
+        keysets = g._oracle["keys"]
+        assert sum(map(len, keysets.values())) <= limit or len(keysets) == 1
+    assert got == expected
+    assert len(keysets) == 1

@@ -38,7 +38,6 @@ class TestParseGraph:
         assert len(g.edges) == 4
         assert g.weights == {"v1": 0, "v2": 3, "v3": 1}
         assert doc.vertex_lines["v2"] == 4
-        assert doc.edge_lines == (6, 6, 6, 7)
 
     def test_duplicate_edge_lines_accumulate(self):
         text = "graph\nvertex a weight 0\nvertex b weight 0\nedge a b\nedge a b\n"

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from chipfire import (
     is_stable,
     valence,
 )
+from chipfire.cli import parse_graph
 from helpers import chain_blob_graph, golden_graph, star_blob_graph
 
 
@@ -251,3 +254,48 @@ class TestBulletModel:
         assert all(w == 0 for w in gb.weights.values())
         assert all(a != b for a, b in gb.edges)
         assert len(set(embed.values())) == len(g.vertices)
+
+
+class TestPairStore:
+    @given(small_graphs())
+    @settings(deadline=None)
+    def test_triples_match_expanded_copies(self, g):
+        triples = [(a, b, m) for (a, b), m in Counter(g.edges).items()]
+        g3 = WeightedMultigraph(g.vertices, g.weights, triples)
+        g1 = WeightedMultigraph(g.vertices, g.weights, g.edges)
+        assert g3 == g1 and hash(g3) == hash(g1)
+        assert g3._rows == g1._rows
+        assert [valence(g3, v) for v in g.vertices] == [valence(g1, v) for v in g.vertices]
+        assert bridges(g3).bridges == bridges(g1).bridges
+        t3, map3 = contract_non_bridges(g3)
+        t1, map1 = contract_non_bridges(g1)
+        assert (t3.vertices, t3.edges, map3) == (t1.vertices, t1.edges, map1)
+        b3, b1 = bullet_model(g3)[0], bullet_model(g1)[0]
+        assert (b3.vertices, b3._rows) == (b1.vertices, b1._rows)
+
+    @pytest.mark.parametrize(
+        "edge", [("a", "b", 0), ("a", "b", -1), ("a", "b", 1.5), ("a", "b", "2"), ("a", "b", 2, 1)]
+    )
+    def test_rejects_bad_multiplicity(self, edge):
+        with pytest.raises(GraphError):
+            WeightedMultigraph(["a", "b"], {}, [edge])
+
+    def test_copies_declared_apart_are_grouped(self):
+        apart = WeightedMultigraph(["a", "b", "c"], {}, [("a", "b"), ("b", "c"), ("b", "a")])
+        grouped = WeightedMultigraph(["a", "b", "c"], {}, [("a", "b", 2), ("b", "c")])
+        assert apart.edges == grouped.edges == (("a", "b"), ("a", "b"), ("b", "c"))
+        assert bridges(apart).bridge_indices == bridges(grouped).bridge_indices == {2}
+        assert bridges(apart).bridges == (("b", "c"),)
+
+    def test_large_multiplicity_and_weight_stay_compact(self):
+        text = (
+            "graph\nvertex a weight 2000\nvertex b weight 0\nvertex c weight 0\n"
+            "edge a b x1000000\nedge b c\nloop c x2\n"
+        )
+        g = parse_graph(text).graph
+        assert len(g._pairs) == 3
+        assert genus(g) == 1_000_003 - 3 + 1 + 2000
+        assert is_chain_of_2ec(g) is True
+        gb, _ = bullet_model(g)
+        assert len(gb.vertices) == 3 + 2 + 2000
+        assert genus(gb) == genus(g)
