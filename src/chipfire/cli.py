@@ -28,7 +28,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .divisors import (
     Divisor,
@@ -76,8 +76,7 @@ _COMMANDS = (
 )
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(NamedTuple):
     """A parsed graph plus source locations for diagnostics."""
 
     graph: WeightedMultigraph
@@ -591,24 +590,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chipfire",
         description="Divisor theory on vertex-weighted multigraphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("graph", help="path to a graph file")
-        p.add_argument(
-            "--divisor",
-            action="append",
-            help="divisor literal 'v=int,...' (omitted vertices are 0; '0' is the zero divisor)",
-        )
-        p.add_argument("--base", help="base vertex (default: lexicographically smallest)")
-        p.add_argument("--set", help="comma-separated vertex set")
-        p.add_argument("--json", action="store_true", help="emit a single JSON object")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget")
-        p.add_argument(
-            "--no-shortcuts",
-            action="store_true",
-            help="force the definitional rank scan even in shortcut degree regimes",
-        )
+    parser.add_argument("command", choices=_COMMANDS, help="operation to run")
+    parser.add_argument("graph", help="path to a graph file")
+    parser.add_argument(
+        "--divisor",
+        action="append",
+        help="divisor literal 'v=int,...' (omitted vertices are 0; '0' is the zero divisor)",
+    )
+    parser.add_argument("--base", help="base vertex (default: lexicographically smallest)")
+    parser.add_argument("--set", help="comma-separated vertex set")
+    parser.add_argument("--json", action="store_true", help="emit a single JSON object")
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget")
+    parser.add_argument(
+        "--no-shortcuts",
+        action="store_true",
+        help="force the definitional rank scan even in shortcut degree regimes",
+    )
     return parser
 
 

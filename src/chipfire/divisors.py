@@ -8,10 +8,9 @@ are arbitrary precision, so chip counts never overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import index
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .enumeration import DEFAULT_BUDGET, check_budget, compositions, count_compositions
 from .errors import DomainError
@@ -118,8 +117,7 @@ class Divisor:
         return f"Divisor({inner})"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """A linear-equivalence class, held by its reduced form at a base vertex.
 
     Two classes are equal iff their canonical forms agree vertex-wise, which

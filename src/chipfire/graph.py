@@ -11,8 +11,7 @@ naming, enumeration order).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, GraphError
 
@@ -170,8 +169,7 @@ class WeightedMultigraph:
         )
 
 
-@dataclass(frozen=True)
-class EdgeCut:
+class EdgeCut(NamedTuple):
     """Classification of a graph's edge multiset into bridges and non-bridges."""
 
     graph: WeightedMultigraph
@@ -195,8 +193,7 @@ class EdgeCut:
         return tuple(e for i, e in enumerate(edges) if i not in self.bridge_indices)
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Boolean verdict plus an applicability diagnostic for genus < 2 inputs."""
 
     value: bool

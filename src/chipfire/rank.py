@@ -16,8 +16,8 @@ self-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .divisors import Divisor, e_deg, residual
 from .enumeration import (
@@ -35,8 +35,7 @@ METHOD_SHORTCUT = "regime_shortcut"
 METHOD_ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Rank value with the evidence that pinned it down.
 
     ``witness`` is an effective divisor of degree rank + 1 that the class

@@ -9,8 +9,7 @@ class, which the rest of the package uses as a canonical form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .divisors import Divisor, _fire
 from .errors import DomainError, InternalError
@@ -21,8 +20,7 @@ from .graph import WeightedMultigraph, _bfs_order
 _CACHE_LIMIT = 1 << 18
 
 
-@dataclass(frozen=True)
-class DharResult:
+class DharResult(NamedTuple):
     """Outcome of the burning iteration from a seed set.
 
     ``chain`` is the strictly increasing sequence of burnt sets, starting

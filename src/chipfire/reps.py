@@ -10,10 +10,9 @@ and its residual are effective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .divisors import (
     Divisor,
@@ -37,8 +36,7 @@ BRANCH_V_REDUCED = "VReducedNonEffective"
 BRANCH_RESIDUAL = "ResidualVReduced"
 
 
-@dataclass(frozen=True)
-class CliffordCertificate:
+class CliffordCertificate(NamedTuple):
     """Machine-checkable evidence for which branch produced a representative.
 
     ``evidence`` is branch-specific: per-vertex bound checks for the
@@ -53,14 +51,27 @@ class CliffordCertificate:
     evidence: dict
 
 
-@dataclass(frozen=True)
-class NotCovered:
+class NotCovered(NamedTuple):
     """Constructive outcome unavailable: the class is special but the graph
     misses a hypothesis of the uniform-representative construction."""
 
     special: bool
     chain_of_2ec: bool
     loop_hypothesis: bool
+
+
+def _zone_sums(g: WeightedMultigraph, k_values, member) -> tuple[int, int]:
+    """The canonical divisor summed over a vertex set (given by its membership
+    mask) and the number of edges between the set and its complement."""
+    k_zone = sum(x for x, inside in zip(k_values, member) if inside)
+    cross = sum(m for i, j, m in g._pairs if member[i] != member[j])
+    return k_zone, cross
+
+
+def _within_window(top: int, deg: int, d_zone: int, k_zone: int, cross: int) -> bool:
+    """Whether d_zone lies within cross / 2 of deg * k_zone / top, in integers;
+    top = 2 * genus - 2 must be positive."""
+    return 2 * abs(d_zone * top - deg * k_zone) <= cross * top
 
 
 def balance_bounds(
@@ -80,9 +91,7 @@ def balance_bounds(
     member = [False] * g._n
     for v in zone:
         member[g.vertex_index(v)] = True
-    k = canonical_divisor(g)
-    k_zone = sum(x for x, inside in zip(k.values, member) if inside)
-    cross = sum(m for i, j, m in g._pairs if member[i] != member[j])
+    k_zone, cross = _zone_sums(g, canonical_divisor(g).values, member)
     center = Fraction(d_total * k_zone, 2 * gen - 2)
     half = Fraction(cross, 2)
     return center - half, center + half
@@ -99,19 +108,24 @@ def _require_semistable(g: WeightedMultigraph) -> None:
 def is_semibalanced(
     g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDGET
 ) -> bool:
-    """Exhaustive check of the balance window over all proper vertex subsets."""
+    """Exhaustive check of the balance window over all proper vertex subsets,
+    in integer arithmetic."""
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")
     _require_semistable(g)
     n = g._n
     check_budget(2 ** n - 2, budget)
     deg = d.degree
-    names = g.vertices_sorted
+    top = 2 * g.genus - 2
+    k_values = canonical_divisor(g).values
+    vals = d.values
     for size in range(1, n):
-        for zone in combinations(names, size):
-            lo, hi = balance_bounds(g, deg, zone)
-            d_zone = sum(d.value(v) for v in zone)
-            if not lo <= d_zone <= hi:
+        for zone in combinations(range(n), size):
+            member = [False] * n
+            for i in zone:
+                member[i] = True
+            k_zone, cross = _zone_sums(g, k_values, member)
+            if not _within_window(top, deg, sum(vals[i] for i in zone), k_zone, cross):
                 return False
     return True
 

@@ -4,7 +4,9 @@ import pytest
 
 from chipfire import ParseError
 from chipfire.cli import (
+    _COMMANDS,
     _jsonable,
+    build_parser,
     main,
     parse_divisor_literal,
     parse_graph,
@@ -315,3 +317,58 @@ class TestJsonEncoding:
         assert _jsonable(2 ** 53 + 1) == str(2 ** 53 + 1)
         assert _jsonable(-(2 ** 60)) == str(-(2 ** 60))
         assert _jsonable({"a": [True, 2 ** 54]}) == {"a": [True, str(2 ** 54)]}
+
+
+class TestGrammar:
+    """One parser: ``chipfire COMMAND GRAPH [options]``, options anywhere
+    after the command."""
+
+    OPTIONS = [
+        "--divisor", "v2=3,v3=2",
+        "--base", "v1",
+        "--set", "v1,v2",
+        "--json",
+        "--budget", "100000",
+        "--no-shortcuts",
+    ]
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_every_command_takes_every_option(self, command):
+        args = build_parser().parse_args([command, "g.graph"] + self.OPTIONS)
+        assert (args.command, args.graph) == (command, "g.graph")
+        assert args.divisor == ["v2=3,v3=2"]
+        assert (args.base, args.set, args.budget) == ("v1", "v1,v2", 100000)
+        assert args.json is True and args.no_shortcuts is True
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_options_before_or_after_the_graph(self, command, golden_file, capsys):
+        divisors = self.OPTIONS[:2] * (2 if command == "equivalent" else 1)
+        after = [command, golden_file] + divisors + self.OPTIONS[2:]
+        before = [command] + divisors + self.OPTIONS[2:] + [golden_file]
+        assert main(after) in (0, 1)
+        first = json.loads(capsys.readouterr().out)
+        assert main(before) in (0, 1)
+        second = json.loads(capsys.readouterr().out)
+        assert first["command"] == command
+        first.pop("timing")
+        second.pop("timing")
+        assert first == second
+
+    def test_unknown_command_exits_2(self, golden_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bogus", golden_file])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_missing_graph_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["info"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["--help"], ["rank", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in _COMMANDS)

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +18,7 @@ from chipfire import (
     equivalent,
     genus,
     is_semibalanced,
+    is_semistable,
     is_special_class,
     is_uniform,
     rank,
@@ -23,7 +26,14 @@ from chipfire import (
     uniform_representative,
     verify_certificate,
 )
-from chipfire.reps import BRANCH_RESIDUAL, BRANCH_UNIFORM, BRANCH_V_REDUCED, CliffordCertificate
+from chipfire.reps import (
+    BRANCH_RESIDUAL,
+    BRANCH_UNIFORM,
+    BRANCH_V_REDUCED,
+    CliffordCertificate,
+    _within_window,
+    _zone_sums,
+)
 from helpers import golden_graph, random_connected_graph, random_principal_shift
 
 
@@ -95,6 +105,55 @@ class TestIsSemibalanced:
         assert genus(g) == 2
         with pytest.raises(BudgetExceededError):
             is_semibalanced(g, Divisor.zero(g))
+
+    def test_integer_window_matches_the_fraction_window(self):
+        """On every proper subset of random semistable graphs, the subset sums
+        match a count over the edge list, balance_bounds matches the exact
+        window built from them, and the integer test agrees with that window
+        at and around both of its ends."""
+        rng = random.Random(2406)
+        graphs = 0
+        while graphs < 40:
+            graph = random_connected_graph(rng, max_vertices=6, max_genus=6, max_model_vertices=40)
+            if not is_semistable(graph):
+                continue
+            graphs += 1
+            top = 2 * genus(graph) - 2
+            k = canonical_divisor(graph)
+            for size in range(1, len(graph.vertices)):
+                for zone in combinations(graph.vertices, size):
+                    member = [v in zone for v in graph.vertices]
+                    k_zone = sum(k.value(v) for v in zone)
+                    cross = sum((a in zone) != (b in zone) for a, b in graph.edges)
+                    assert _zone_sums(graph, k.values, member) == (k_zone, cross)
+                    for deg in (0, top, rng.randint(-top, 3 * top)):
+                        lo = Fraction(deg * k_zone, top) - Fraction(cross, 2)
+                        hi = lo + cross
+                        assert balance_bounds(graph, deg, zone) == (lo, hi)
+                        for d_zone in range(math.floor(lo) - 1, math.ceil(hi) + 2):
+                            inside = lo <= d_zone <= hi
+                            assert _within_window(top, deg, d_zone, k_zone, cross) is inside
+
+    def test_matches_the_fraction_windows_on_random_divisors(self):
+        rng = random.Random(2407)
+        graphs = verdicts = 0
+        while graphs < 40:
+            graph = random_connected_graph(rng, max_vertices=6, max_genus=6, max_model_vertices=40)
+            if not is_semistable(graph) or len(graph.vertices) < 2:
+                continue
+            graphs += 1
+            k = canonical_divisor(graph).values
+            for _ in range(8):
+                d = Divisor(graph, [x + rng.randint(-1, 1) for x in k])
+                expected = all(
+                    lo <= sum(d.value(v) for v in zone) <= hi
+                    for size in range(1, len(graph.vertices))
+                    for zone in combinations(graph.vertices, size)
+                    for lo, hi in [balance_bounds(graph, d.degree, zone)]
+                )
+                assert is_semibalanced(graph, d) is expected
+                verdicts += expected
+        assert 0 < verdicts < 8 * graphs  # both verdicts occur
 
 
 class TestSemibalancedRepresentative:
