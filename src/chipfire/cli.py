@@ -42,7 +42,7 @@ from .errors import BudgetExceededError, DomainError, GraphError, InternalError,
 from .graph import (
     WeightedMultigraph,
     bridges,
-    bullet_model,
+    bullet_model_size,
     genus,
     is_chain_of_2ec,
     is_semistable,
@@ -312,7 +312,7 @@ def _cmd_info(args, g: WeightedMultigraph) -> _Report:
     chain = is_chain_of_2ec(g)
     semi = is_semistable(g)
     stab = is_stable(g)
-    gb, _ = bullet_model(g)
+    model_vertices, model_edges = bullet_model_size(g)
     k = canonical_divisor(g)
     rep.result = {
         "vertices": list(g.vertices),
@@ -325,7 +325,7 @@ def _cmd_info(args, g: WeightedMultigraph) -> _Report:
         "stable": {"value": stab.value, "applicable": stab.applicable},
         "bridges": [list(e) for e in bridge_list],
         "chain_of_2ec": chain,
-        "bullet_model": {"vertices": len(gb.vertices), "edges": gb._edge_count},
+        "bullet_model": {"vertices": model_vertices, "edges": model_edges},
     }
     rep.line(f"vertices: {', '.join(g.vertices)}")
     rep.line(f"weights: {_divisor_text(Divisor(g, g.weights))}")

@@ -226,7 +226,7 @@ def effective_representatives(
     if deg < 0:
         return []
     n = g._n
-    check_budget(count_compositions(deg, n), budget)
+    check_budget(count_compositions(deg, n), budget, "effective_representatives")
     lex = g._lex_indices
     target = c.canonical.values
     u = c.base_vertex

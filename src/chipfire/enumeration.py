@@ -14,9 +14,10 @@ from .errors import BudgetExceededError
 DEFAULT_BUDGET = 10_000_000
 
 
-def check_budget(count: int, budget: int) -> None:
+def check_budget(count: int, budget: int, stage: str | None = None, level: int | None = None) -> None:
+    """Raise BudgetExceededError, naming the stage and level, if count > budget."""
     if count > budget:
-        raise BudgetExceededError(count, budget)
+        raise BudgetExceededError(count, budget, stage, level)
 
 
 def count_compositions(total: int, length: int) -> int:

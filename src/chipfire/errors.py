@@ -25,12 +25,23 @@ class ParseError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would visit more candidates than the configured budget."""
+    """An enumeration would visit more candidates than the configured budget.
 
-    def __init__(self, count: int, budget: int):
+    ``stage`` names the search that tripped (for instance ``"rank"``) and
+    ``level`` the scan level it was about to enumerate; either is None
+    where it does not apply.
+    """
+
+    def __init__(self, count: int, budget: int, stage: str | None = None, level: int | None = None):
         self.count = count
         self.budget = budget
-        super().__init__(f"enumeration of {count} candidates exceeds budget {budget}")
+        self.stage = stage
+        self.level = level
+        where = [stage] if stage else []
+        if level is not None:
+            where.append(f"level {level}")
+        prefix = f"{' '.join(where)}: " if where else ""
+        super().__init__(f"{prefix}enumeration of {count} candidates exceeds budget {budget}")
 
 
 class InternalError(RuntimeError):

@@ -104,10 +104,12 @@ class WeightedMultigraph:
 
         self._key = (verts, weight_list, tuple(sorted(pairs)))
         self._hash = hash(self._key)
-        # per-instance memos: the loopless weightless model (see bullet_model),
-        # reduction's single-source BFS orders and reduced forms, and the
-        # oracle's lattice data and key sets (kept apart from the reduced forms)
+        # per-instance memos: the loopless weightless model and the host index
+        # of each of its satellites (see bullet_model), reduction's
+        # single-source BFS orders and reduced forms, and the oracle's lattice
+        # data and key sets (kept apart from the reduced forms)
         self._model: WeightedMultigraph | None = None
+        self._hosts: tuple[int, ...] = ()
         self._bfs: dict[int, tuple[int, ...]] = {}
         self._reduced: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         self._oracle: dict = {}
@@ -366,6 +368,16 @@ def _fresh_name(base: str, used: set[str]) -> str:
     return name
 
 
+def bullet_model_size(g: WeightedMultigraph) -> tuple[int, int]:
+    """Vertex and edge counts of :func:`bullet_model`'s model, without building it.
+
+    Each unit of weight and each loop becomes one satellite joined to its
+    vertex by two edges; the non-loop edges are kept.
+    """
+    satellites = sum(g._weights) + sum(g._loops)
+    return g._n + satellites, g._edge_count - sum(g._loops) + 2 * satellites
+
+
 def bullet_model(
     g: WeightedMultigraph,
 ) -> tuple[WeightedMultigraph, dict[str, str]]:
@@ -374,9 +386,11 @@ def bullet_model(
     Each unit of vertex weight becomes a subdivided loop: a fresh degree-2
     satellite joined to the vertex by two parallel edges.  Pre-existing
     loops are subdivided the same way, so the result has no loops at all.
-    Returns the model and the (injective) embedding of original vertices.
-    The model is built once per graph instance and then reused, so its
-    reduce cache stays warm from call to call.
+    The model's vertices are g's, in g's order, then the satellites; the
+    host of the model vertex ``g._n + t`` is ``g._hosts[t]``.  Returns the
+    model and the (injective) embedding of original vertices.  The model
+    is built once per graph instance and then reused, so its reduce cache
+    stays warm from call to call.
     """
     embed = {v: v for v in g._vertices}
     if all(w == 0 for w in g._weights) and all(l == 0 for l in g._loops):
@@ -387,11 +401,14 @@ def bullet_model(
     used = set(g._vertices)
     verts = list(g._vertices)
     edges = [(g._vertices[i], g._vertices[j], m) for i, j, m in g._pairs if i != j]
+    hosts = []
     for i, v in enumerate(g._vertices):
         tags = [f"l{j}" for j in range(g._loops[i])] + [f"w{t}" for t in range(g._weights[i])]
         for tag in tags:
             s = _fresh_name(f"{v}#{tag}", used)
             verts.append(s)
             edges.append((v, s, 2))
+            hosts.append(i)
     g._model = WeightedMultigraph(verts, {}, edges)
+    g._hosts = tuple(hosts)
     return g._model, embed

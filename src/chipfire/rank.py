@@ -1,14 +1,20 @@
 """Divisor class rank, degree-regime shortcuts, and an independent oracle.
 
 The rank of a divisor is the largest k such that subtracting any effective
-degree-k divisor leaves an effective class, computed on the loopless and
-weightless model of the graph.  Two fully separate deciders are provided:
+degree-k divisor leaves an effective class.  On a weighted graph, or one
+with loops, the effective divisors range over the loopless weightless
+model of the graph (:func:`.graph.bullet_model`).  Two fully separate
+deciders are provided:
 
-* :func:`rank` scans k upward and tests coverage through reduced forms
-  (the burning machinery in :mod:`.reduction`);
-* :func:`rank_oracle` shares none of that code: it decides equivalence by
-  exact integer lattice membership (adjugate and determinant of the reduced
-  Laplacian) and enumerates effective divisors outright.
+* :func:`rank` scans k upward on the graph itself, testing coverage through
+  reduced forms (the burning machinery in :mod:`.reduction`) of the
+  weight-aware inflation of each candidate, which is exact (see
+  :func:`rank_lower_bound_edeg`); the model is built only to state the
+  witness;
+* :func:`rank_oracle` shares none of that code: it works on the model,
+  decides equivalence by exact integer lattice membership (adjugate and
+  determinant of the reduced Laplacian) and enumerates effective divisors
+  outright.
 
 Agreement between the two on shared inputs is the package's strongest
 self-check.
@@ -16,10 +22,9 @@ self-check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .divisors import Divisor, e_deg, residual
+from .divisors import Divisor, residual
 from .enumeration import (
     DEFAULT_BUDGET,
     check_budget,
@@ -27,7 +32,7 @@ from .enumeration import (
     count_compositions,
 )
 from .errors import DomainError, InternalError
-from .graph import WeightedMultigraph, bullet_model
+from .graph import WeightedMultigraph, bullet_model, bullet_model_size
 from .reduction import _reduce_tuple
 
 METHOD_DEFINITION = "definition"
@@ -39,9 +44,9 @@ class RankReport(NamedTuple):
     """Rank value with the evidence that pinned it down.
 
     ``witness`` is an effective divisor of degree rank + 1 that the class
-    cannot cover; it lives on the loopless weightless model used for the
-    scan (the graph itself when no model was needed) and is None when a
-    degree-regime shortcut answered without scanning.
+    cannot cover: the lexicographically first one on the loopless
+    weightless model (the graph itself when it has no weights or loops).
+    It is None when a degree-regime shortcut answered without scanning.
     """
 
     rank: int
@@ -58,20 +63,70 @@ def _model_values(g: WeightedMultigraph, d: Divisor) -> tuple[WeightedMultigraph
     return gb, tuple(by_name.get(v, 0) for v in gb.vertices)
 
 
-def _scan_level(gb, base_vals, u, k):
-    """First effective degree-k divisor (lex order) the class fails to cover."""
-    nb = gb._n
-    lex = gb._lex_indices
-    for combo in compositions(k, nb):
-        target = list(base_vals)
+def _placed(lex, combo, n) -> tuple[int, ...]:
+    """A composition listed in lex order, put back in declaration order."""
+    vals = [0] * n
+    for pos, x in zip(lex, combo):
+        vals[pos] = x
+    return tuple(vals)
+
+
+def _scan_level(g, vals, u, k):
+    """First composition of k over g (lex order) that the class fails to
+    cover, on a weightless, loopless graph (its own model); None when
+    every candidate is covered."""
+    lex = g._lex_indices
+    for combo in compositions(k, g._n):
+        target = list(vals)
         for pos, x in zip(lex, combo):
             target[pos] -= x
-        if _reduce_tuple(gb, tuple(target), u)[u] < 0:
-            vals = [0] * nb
-            for pos, x in zip(lex, combo):
-                vals[pos] = x
-            return tuple(vals)
+        if _reduce_tuple(g, tuple(target), u)[u] < 0:
+            return combo
     return None
+
+
+def _edeg_level(g, vals, u, k):
+    """First composition c of k over g (lex order) that the class fails to
+    cover once inflated: vals - c - min(c, weight + loops) is not effective
+    after reduction at u.  None when every inflated candidate is covered.
+
+    On a weightless, loopless graph the inflation is the identity and this
+    is :func:`_scan_level`, which skips the inflation.
+    """
+    lex = g._lex_indices
+    caps = [g._weights[i] + g._loops[i] for i in lex]
+    for combo in compositions(k, g._n):
+        target = list(vals)
+        for pos, cap, x in zip(lex, caps, combo):
+            if x:
+                target[pos] -= x + (x if x < cap else cap)
+        if _reduce_tuple(g, tuple(target), u)[u] < 0:
+            return combo
+    return None
+
+
+def _model_witness(g, vals, u, k) -> Divisor:
+    """Lex-first effective degree-k divisor on the model whose class fails.
+
+    Each model candidate E is tested on g: E(v) comes off each vertex v,
+    and E(s) + E(s) mod 2 off the host of each satellite s (s can pass
+    pairs of chips across its double edge, and keeps E(s) mod 2 < 2 chips,
+    so it burns right after its host).
+    """
+    gb, _ = bullet_model(g)
+    n = g._n
+    lex = gb._lex_indices
+    # where each model coordinate's chips come off, and 1 for a satellite
+    dest = [pos if pos < n else g._hosts[pos - n] for pos in lex]
+    odd = [int(pos >= n) for pos in lex]
+    for combo in compositions(k, gb._n):
+        target = list(vals)
+        for to, sat, x in zip(dest, odd, combo):
+            if x:
+                target[to] -= x + (x & sat)
+        if _reduce_tuple(g, tuple(target), u)[u] < 0:
+            return Divisor(gb, _placed(lex, combo, gb._n))
+    raise InternalError(f"level {k} fails on the graph but on no model candidate")
 
 
 def rank(
@@ -85,9 +140,15 @@ def rank(
 
     With shortcuts enabled, negative degree returns -1 and degree beyond
     2*genus - 2 returns degree - genus without scanning.  Otherwise k is
-    scanned upward; coverage at k fails as soon as one effective degree-k
-    divisor leaves a non-effective class, and monotonicity of coverage
-    justifies stopping at the first failing level.
+    scanned upward on g itself (see :func:`rank_lower_bound_edeg` for why
+    that is exact on weighted graphs); coverage at k fails as soon as one
+    inflated effective degree-k divisor leaves a non-effective class, and
+    monotonicity of coverage justifies stopping at the first failing level.
+    Only then is the loopless weightless model built, to find the witness.
+
+    The budget counts the model's candidates, C(k + N - 1, N - 1) at level
+    k with N the model's vertex count, as the scan on the model would;
+    N itself is checked against it before the model is built.
     """
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")
@@ -98,15 +159,24 @@ def rank(
             return RankReport(rank=-1, witness=None, method=METHOD_SHORTCUT)
         if deg > 2 * gen - 2:
             return RankReport(rank=deg - gen, witness=None, method=METHOD_SHORTCUT)
-    gb, base_vals = _model_values(g, d)
-    u = gb.vertex_index(gb.base_vertex())
+    n_model, _ = bullet_model_size(g)
+    own_model = n_model == g._n  # no weights and no loops
+    scan = _scan_level if own_model else _edeg_level
+    u = g.vertex_index(g.base_vertex())
+    vals = d.values
     k = 0
     while True:
-        check_budget(count_compositions(k, gb._n), budget)
-        witness = _scan_level(gb, base_vals, u, k)
-        if witness is not None:
-            return RankReport(rank=k - 1, witness=Divisor(gb, witness), method=METHOD_DEFINITION)
+        check_budget(count_compositions(k, n_model), budget, "rank", k)
+        failed = scan(g, vals, u, k)
+        if failed is not None:
+            break
         k += 1
+    if own_model:
+        witness = Divisor(g, _placed(g._lex_indices, failed, g._n))
+    else:
+        check_budget(n_model, budget, "witness", k)
+        witness = _model_witness(g, vals, u, k)
+    return RankReport(rank=k - 1, witness=witness, method=METHOD_DEFINITION)
 
 
 # -- independent oracle ----------------------------------------------------
@@ -119,6 +189,9 @@ _KEYS_LIMIT = 1 << 18
 def _det_and_adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
     """Exact determinant and adjugate of an integer matrix via Fraction
     Gauss-Jordan elimination."""
+    # imported here: fractions loads decimal, which no other path needs
+    from fractions import Fraction
+
     m = len(mat)
     if m == 0:
         return 1, []
@@ -191,14 +264,15 @@ def _class_key(data, vals) -> tuple[int, ...]:
     return tuple(sum(row[c] * z[c] for c in range(len(z))) % det for row in adj)
 
 
-def _effective_keys(g: WeightedMultigraph, m: int, budget: int) -> frozenset:
-    """Class keys of every effective divisor of degree m on g."""
+def _effective_keys(g: WeightedMultigraph, m: int, budget: int, level: int) -> frozenset:
+    """Class keys of every effective divisor of degree m on g (needed at
+    the oracle's scan level ``level``)."""
     cache = g._oracle
     keysets = cache.setdefault("keys", {})
     hit = keysets.get(m)
     if hit is not None:
         return hit
-    check_budget(count_compositions(m, g._n), budget)
+    check_budget(count_compositions(m, g._n), budget, "oracle", level)
     data = cache["lattice"]
     keys = frozenset(_class_key(data, combo) for combo in compositions(m, g._n))
     if sum(map(len, keysets.values())) + len(keys) > _KEYS_LIMIT:
@@ -223,11 +297,11 @@ def rank_oracle(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDG
     nb = gb._n
     k = 0
     while True:
-        check_budget(count_compositions(k, nb), budget)
+        check_budget(count_compositions(k, nb), budget, "oracle", k)
         m = deg - k
         if m < 0:
             return k - 1  # nothing effective has negative degree
-        keys = _effective_keys(gb, m, budget)
+        keys = _effective_keys(gb, m, budget, k)
         for combo in compositions(k, nb):
             target = [a - b for a, b in zip(base_vals, combo)]
             if _class_key(data, target) not in keys:
@@ -238,25 +312,28 @@ def rank_oracle(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDG
 def rank_lower_bound_edeg(
     g: WeightedMultigraph, d: Divisor, s: int, *, budget: int = DEFAULT_BUDGET
 ) -> bool:
-    """Sufficient test for rank >= s through weight-aware inflation.
+    """Exact test of rank(g, d) >= s through weight-aware inflation.
 
     True iff for every effective divisor e of degree s on g itself (not on
-    the loopless model), d minus the inflated e is equivalent to an
-    effective divisor.  A True answer implies rank(g, d) >= s.
+    the loopless model), d - e_deg(e) is equivalent to an effective
+    divisor, where e_deg(e)(v) = e(v) + min(e(v), weight(v) + loops(v)).
+
+    This is the model's level-s test.  A satellite s of the model has two
+    edges, both to its host v, so it burns only after v and its edges never
+    cross a cut of the reduction at the base vertex; firing it moves chips
+    two at a time.  So the model class of d - E is effective iff the class
+    on g is, of d minus E(v) at each vertex v and E(s) + E(s) mod 2 at the
+    host of each satellite s.  With t chips of E in the star of v, that
+    takes at most t + min(t, weight(v) + loops(v)) from v, one chip per
+    satellite first, and coverage is monotone in what is subtracted.
     """
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")
     if s < 0:
         raise DomainError("s must be nonnegative")
-    n = g._n
     u = g.vertex_index(g.base_vertex())
-    check_budget(count_compositions(s, n), budget)
-    for combo in compositions(s, n):
-        e = Divisor(g, combo)
-        # the class is effective iff its reduced form at u is
-        if _reduce_tuple(g, (d - e_deg(g, e)).values, u)[u] < 0:
-            return False
-    return True
+    check_budget(count_compositions(s, g._n), budget, "rank_lower_bound_edeg", s)
+    return _edeg_level(g, d.values, u, s) is None
 
 
 def riemann_roch_check(

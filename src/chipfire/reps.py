@@ -10,9 +10,8 @@ and its residual are effective.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .divisors import (
     Divisor,
@@ -30,6 +29,9 @@ from .enumeration import (
 from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, is_chain_of_2ec, is_semistable
 from .reduction import is_reduced, reduce_to
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 BRANCH_UNIFORM = "Uniform"
 BRANCH_V_REDUCED = "VReducedNonEffective"
@@ -82,6 +84,9 @@ def balance_bounds(
     The center is the degree share proportional to the set's canonical
     weight; the half-width is half the edge cut to the complement.
     """
+    # imported here: fractions loads decimal, which no other path needs
+    from fractions import Fraction
+
     zone = set(zone)
     if not zone or len(zone) >= g._n:
         raise DomainError("set must be a nonempty proper subset of the vertices")
@@ -114,7 +119,7 @@ def is_semibalanced(
         raise DomainError("divisor lives on a different graph")
     _require_semistable(g)
     n = g._n
-    check_budget(2 ** n - 2, budget)
+    check_budget(2 ** n - 2, budget, "semibalanced")
     deg = d.degree
     top = 2 * g.genus - 2
     k_values = canonical_divisor(g).values
@@ -153,7 +158,7 @@ def semibalanced_representative(
         # smallest/largest integers inside the rational window
         lows.append(-((-lo.numerator) // lo.denominator))
         highs.append(hi.numerator // hi.denominator)
-    check_budget(count_box_vectors(lows, highs, deg), budget)
+    check_budget(count_box_vectors(lows, highs, deg), budget, "box")
     target = c.canonical.values
     for combo in box_vectors(lows, highs, deg):
         cand = Divisor(g, dict(zip(names, combo)))
@@ -202,7 +207,7 @@ def uniform_representative(
     if any(h < 0 for h in highs):
         return None
     lows = [0] * g._n
-    check_budget(count_box_vectors(lows, highs, deg), budget)
+    check_budget(count_box_vectors(lows, highs, deg), budget, "box")
     target = c.canonical.values
     for combo in box_vectors(lows, highs, deg):
         cand = Divisor(g, dict(zip(names, combo)))

@@ -3,7 +3,9 @@
 The brute-force routines here intentionally avoid the package's burning
 machinery so they can serve as independent cross-checks: reducedness is
 checked against the raw subset definition, and equivalence by bounded
-search over integer combinations of single-vertex firings.
+search over integer combinations of single-vertex firings.  The exception
+is ``reference_model_rank``, the rank scan on the loopless weightless
+model, kept as the reference for ``rank``'s scan on the graph itself.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from chipfire import Divisor, WeightedMultigraph, t_set
+from chipfire import Divisor, WeightedMultigraph, bullet_model, t_set
+from chipfire.enumeration import DEFAULT_BUDGET, check_budget, compositions, count_compositions
+from chipfire.rank import METHOD_DEFINITION, METHOD_SHORTCUT, RankReport
+from chipfire.reduction import _reduce_tuple
 
 
 def golden_graph() -> WeightedMultigraph:
@@ -202,6 +207,43 @@ def reference_burn(g: WeightedMultigraph, vals, seed):
             for w, m in g._rows[v]:
                 inflow[w] += m
         chain.append(chain[-1] | frozenset(newly))
+
+
+def reference_model_rank(
+    g: WeightedMultigraph, d: Divisor, *, shortcuts: bool = True, budget: int = DEFAULT_BUDGET
+) -> RankReport:
+    """Rank by the definitional scan on the loopless weightless model.
+
+    Level k tests every effective degree-k divisor of the model in lex
+    order, reducing on the model itself, so the first failure is the
+    witness; the budget is checked against the model's composition count
+    before each level.  ``rank`` scans g instead and must agree with this
+    on value, witness and method, and raise where this raises.
+    """
+    deg = d.degree
+    if shortcuts:
+        if deg < 0:
+            return RankReport(-1, None, METHOD_SHORTCUT)
+        if deg > 2 * g.genus - 2:
+            return RankReport(deg - g.genus, None, METHOD_SHORTCUT)
+    gb, _ = bullet_model(g)
+    by_name = d.as_dict()
+    base_vals = [by_name.get(v, 0) for v in gb.vertices]
+    u = gb.vertex_index(gb.base_vertex())
+    lex = gb._lex_indices
+    k = 0
+    while True:
+        check_budget(count_compositions(k, gb._n), budget)
+        for combo in compositions(k, gb._n):
+            target = list(base_vals)
+            for pos, x in zip(lex, combo):
+                target[pos] -= x
+            if _reduce_tuple(gb, tuple(target), u)[u] < 0:
+                witness = [0] * gb._n
+                for pos, x in zip(lex, combo):
+                    witness[pos] = x
+                return RankReport(k - 1, Divisor(gb, witness), METHOD_DEFINITION)
+        k += 1
 
 
 def reduced_laplacian_inverse(g: WeightedMultigraph):

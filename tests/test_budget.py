@@ -1,0 +1,53 @@
+"""A budget error names the search stage and level that tripped it."""
+
+import pytest
+
+from chipfire import (
+    BudgetExceededError,
+    Divisor,
+    canonical_divisor,
+    class_of,
+    effective_representatives,
+    is_semibalanced,
+    rank,
+    rank_lower_bound_edeg,
+    rank_oracle,
+    semibalanced_representative,
+    uniform_representative,
+)
+from helpers import golden_graph
+
+# golden graph: 3 vertices, model of 3 + 4 satellites = 7 vertices
+CASES = [
+    # level 1 of the model scan counts C(7, 6) = 7 candidates
+    ("rank", 1, 7, lambda g: rank(g, Divisor(g, [0, 3, 2]), budget=5)),
+    # v1 - v3 is not effective, so the scan fails at level 0; the model
+    # (7 vertices) is checked before it is built for the witness
+    ("witness", 0, 7, lambda g: rank(g, Divisor(g, [1, 0, -1]), budget=6)),
+    # level 0 needs the keys of all C(11, 6) = 462 effective degree-5 model divisors
+    ("oracle", 0, 462, lambda g: rank_oracle(g, Divisor(g, [0, 3, 2]), budget=5)),
+    # level 2 on g itself counts C(4, 2) = 6
+    ("rank_lower_bound_edeg", 2, 6, lambda g: rank_lower_bound_edeg(g, Divisor(g, [0, 3, 2]), 2, budget=5)),
+    ("effective_representatives", None, 21, lambda g: effective_representatives(g, class_of(g, Divisor(g, [5, 0, 0]), "v1"), budget=10)),
+    ("semibalanced", None, 6, lambda g: is_semibalanced(g, canonical_divisor(g), budget=5)),
+    ("box", None, None, lambda g: semibalanced_representative(g, class_of(g, canonical_divisor(g), "v1"), budget=0)),
+    ("box", None, None, lambda g: uniform_representative(g, class_of(g, canonical_divisor(g), "v1"), budget=0)),
+]
+
+
+@pytest.mark.parametrize("stage, level, count, call", CASES, ids=[c[0] for c in CASES])
+def test_error_names_stage_and_level(stage, level, count, call):
+    with pytest.raises(BudgetExceededError) as excinfo:
+        call(golden_graph())
+    exc = excinfo.value
+    assert (exc.stage, exc.level) == (stage, level)
+    if count is not None:
+        assert exc.count == count
+    where = stage if level is None else f"{stage} level {level}"
+    assert str(exc) == f"{where}: enumeration of {exc.count} candidates exceeds budget {exc.budget}"
+
+
+def test_plain_error_keeps_its_message():
+    exc = BudgetExceededError(12, 10)
+    assert (exc.count, exc.budget, exc.stage, exc.level) == (12, 10, None, None)
+    assert str(exc) == "enumeration of 12 candidates exceeds budget 10"

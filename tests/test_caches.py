@@ -30,11 +30,18 @@ class TestLifetime:
         g = golden_graph()
         k = canonical_divisor(g)
         first = rank(g, k)
-        cache = bullet_model(g)[0]._reduced
+        cache = g._reduced
         size = len(cache)
         assert size > 0
         assert rank(g, k) == first
         assert len(cache) == size
+
+    def test_rank_on_a_weighted_graph_reduces_on_the_graph(self):
+        g = golden_graph()
+        report = rank(g, canonical_divisor(g))
+        assert report.witness.graph is bullet_model(g)[0]
+        assert len(g._reduced) > 0
+        assert len(bullet_model(g)[0]._reduced) == 0
 
     def test_equal_graphs_keep_separate_caches(self):
         g1, g2 = golden_graph(), golden_graph()

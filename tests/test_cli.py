@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -140,6 +141,16 @@ class TestCommands:
         assert obj["command"] == "info"
         assert obj["result"]["genus"] == 6
         assert obj["result"]["canonical_divisor"] == {"v1": 1, "v2": 8, "v3": 1}
+
+    def test_info_counts_a_huge_model_without_building_it(self, tmp_path, capsys):
+        path = tmp_path / "heavy.graph"
+        path.write_text("graph\nvertex a weight 10000000\nvertex b weight 1\nedge a b x3\nloop b\n", encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["info", str(path), "--json"]) == 0
+        assert time.perf_counter() - start < 5
+        model = json.loads(capsys.readouterr().out)["result"]["bullet_model"]
+        # a and b, then one satellite per unit of weight and per loop, two edges each
+        assert model == {"vertices": 2 + 10_000_002, "edges": 3 + 2 * 10_000_002}
 
     def test_rank_golden(self, golden_file, capsys):
         code = main(["rank", golden_file, "--divisor", "v2=3,v3=2", "--json"])

@@ -20,6 +20,7 @@ from chipfire import (
     valence,
 )
 from chipfire.cli import parse_graph
+from chipfire.graph import bullet_model_size
 from helpers import chain_blob_graph, golden_graph, star_blob_graph
 
 
@@ -254,6 +255,23 @@ class TestBulletModel:
         assert all(w == 0 for w in gb.weights.values())
         assert all(a != b for a, b in gb.edges)
         assert len(set(embed.values())) == len(g.vertices)
+
+    @given(small_graphs())
+    @settings(deadline=None)
+    def test_size_without_building_matches_the_model(self, g):
+        size = bullet_model_size(g)
+        assert g._model is None
+        gb, _ = bullet_model(g)
+        assert size == (len(gb.vertices), len(gb.edges))
+
+    @given(small_graphs())
+    @settings(deadline=None)
+    def test_hosts_follow_the_satellite_edges(self, g):
+        gb, _ = bullet_model(g)
+        n = len(g.vertices)
+        assert len(g._hosts) == len(gb.vertices) - n
+        for t, host in enumerate(g._hosts):
+            assert gb._rows[n + t] == ((host, 2),)
 
 
 class TestPairStore:

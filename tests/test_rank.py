@@ -1,13 +1,17 @@
+import importlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chipfire import (
     BudgetExceededError,
     Divisor,
     DomainError,
     WeightedMultigraph,
+    bullet_model,
     canonical_divisor,
     clifford_check,
     equivalent,
@@ -24,6 +28,7 @@ from helpers import (
     random_connected_graph,
     random_divisor,
     random_principal_shift,
+    reference_model_rank,
 )
 
 
@@ -223,3 +228,117 @@ class TestBudget:
         with pytest.raises(BudgetExceededError) as excinfo:
             rank(g, d, budget=5)
         assert excinfo.value.count > 5
+
+
+# ``a!`` sorts between ``a`` and its satellite ``a#w0``, and a user vertex
+# may itself be called ``a#w0`` (its host's satellite is then ``a#w0x``)
+NAMES = ["a", "a!", "a#w0", "a#l0", "b", "b!", "c", "v1"]
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Connected graphs with weights or loops, of genus at most 6 and with
+    models of at most 9 vertices, so the reference scan on the model stays
+    cheap."""
+    verts = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=5, unique=True))
+    n = len(verts)
+    edges = [(verts[draw(st.integers(0, i - 1))], verts[i]) for i in range(1, n)]
+    for _ in range(draw(st.integers(0, 3))):
+        edges.append((draw(st.sampled_from(verts)), draw(st.sampled_from(verts))))
+    loops = sum(a == b for a, b in edges)
+    spare = min(9 - n - loops, 6 - (len(edges) - n + 1))
+    weights = {}
+    for v in verts:
+        weights[v] = draw(st.integers(0, min(2, spare)))
+        spare -= weights[v]
+    if not loops and not any(weights.values()):
+        weights[verts[0]] = 1
+    return WeightedMultigraph(verts, weights, edges)
+
+
+@st.composite
+def weighted_cases(draw):
+    g = draw(weighted_graphs())
+    base = canonical_divisor(g).values if draw(st.booleans()) else (0,) * g._n
+    d = Divisor(g, [x + draw(st.integers(-2, 2)) for x in base])
+    # a forced scan above degree 2g - 1 runs deg - g + 2 levels on the model
+    return g, d, draw(st.booleans()) or d.degree > 2 * g.genus - 1
+
+
+def _outcome(call):
+    try:
+        r = call()
+    except BudgetExceededError as exc:
+        return "budget", exc.count, exc.budget
+    w = r.witness
+    return r.rank, None if w is None else (w.graph.vertices, w.values), r.method
+
+
+class TestGraphScanMatchesModelScan:
+    @given(weighted_cases())
+    @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    def test_value_witness_and_method(self, case):
+        g, d, shortcuts = case
+        got = rank(g, d, shortcuts=shortcuts)
+        want = reference_model_rank(g, d, shortcuts=shortcuts)
+        assert got.rank == want.rank
+        assert got.method == want.method
+        if want.witness is None:
+            assert got.witness is None
+        else:
+            assert got.witness.graph is want.witness.graph
+            assert got.witness.values == want.witness.values
+
+    @given(weighted_cases(), st.sampled_from([0, 1, 2, 3, 5, 8, 13, 40, 200]))
+    @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    def test_budget_errors_where_the_model_scan_raises(self, case, budget):
+        g, d, shortcuts = case
+        got = _outcome(lambda: rank(g, d, shortcuts=shortcuts, budget=budget))
+        want = _outcome(lambda: reference_model_rank(g, d, shortcuts=shortcuts, budget=budget))
+        n_model = bullet_model(g)[0]._n
+        if want[0] == -1 and want[2] == METHOD_DEFINITION and n_model > budget:
+            # the scan failed at level 0; the model is too large to build
+            assert got == ("budget", n_model, budget)
+        else:
+            assert got == want
+
+    def test_user_vertex_named_like_a_satellite(self):
+        # a triangle: moving two chips between vertices changes the class
+        edges = [("a", "a#w0"), ("a#w0", "a!"), ("a!", "a")]
+        g = WeightedMultigraph(["a", "a#w0", "a!"], {"a": 1, "a#w0": 1}, edges)
+        gb, _ = bullet_model(g)
+        assert gb.vertices == ("a", "a#w0", "a!", "a#w0x", "a#w0#w0")
+        assert g._hosts == (0, 1)
+        for vals in product(range(-1, 3), repeat=3):
+            d = Divisor(g, vals)
+            got, want = rank(g, d, shortcuts=False), reference_model_rank(g, d, shortcuts=False)
+            assert (got.rank, got.witness.values) == (want.rank, want.witness.values)
+
+    def test_lower_bound_is_the_level_test(self):
+        rng = random.Random(107)
+        for _ in range(40):
+            graph = random_connected_graph(rng, max_vertices=4, require_weight=True)
+            d = random_divisor(rng, graph, lo=-1, hi=3)
+            r = reference_model_rank(graph, d, shortcuts=False).rank
+            for s in range(0, r + 3):
+                assert rank_lower_bound_edeg(graph, d, s) == (s <= r)
+
+
+def test_lattice_data_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    lattice_data = importlib.import_module("chipfire.rank")._lattice_data
+    rng = random.Random(108)
+    for _ in range(30):
+        graph = random_connected_graph(rng, max_vertices=6, max_extra_edges=6, max_genus=9, max_model_vertices=20)
+        u, rest, adj, det = lattice_data(graph)
+        lap = [[0] * graph._n for _ in range(graph._n)]
+        for a, b in graph.edges:
+            i, j = graph.vertex_index(a), graph.vertex_index(b)
+            if i != j:
+                lap[i][i] += 1
+                lap[j][j] += 1
+                lap[i][j] -= 1
+                lap[j][i] -= 1
+        m = sympy.Matrix([[lap[i][j] for j in rest] for i in rest])
+        assert det == m.det()
+        assert [list(row) for row in adj] == m.adjugate().tolist()
