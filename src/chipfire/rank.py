@@ -10,7 +10,11 @@ deciders are provided:
   reduced forms (the burning machinery in :mod:`.reduction`) of the
   weight-aware inflation of each candidate, which is exact (see
   :func:`rank_lower_bound_edeg`); the model is built only to state the
-  witness;
+  witness.  A candidate of level k is its parent at level k - 1 less one
+  or two chips at one vertex p, so its reduced form steps from the
+  parent's R: R less those chips is still reduced when p is the base
+  vertex or holds them, and otherwise p borrows from its neighbours until
+  nothing off the base is negative, which is reduced again;
 * :func:`rank_oracle` shares none of that code: it works on the model,
   decides equivalence by exact integer lattice membership (adjugate and
   determinant of the reduced Laplacian) and enumerates effective divisors
@@ -33,7 +37,7 @@ from .enumeration import (
 )
 from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, bullet_model, bullet_model_size
-from .reduction import _reduce_tuple
+from .reduction import _reduce_from_parent, _reduce_tuple
 
 METHOD_DEFINITION = "definition"
 METHOD_SHORTCUT = "regime_shortcut"
@@ -71,16 +75,37 @@ def _placed(lex, combo, n) -> tuple[int, ...]:
     return tuple(vals)
 
 
+def _last_chip(combo) -> int:
+    """Index of the last nonzero part of a composition of k >= 1."""
+    i = len(combo) - 1
+    while not combo[i]:
+        i -= 1
+    return i
+
+
 def _scan_level(g, vals, u, k):
     """First composition of k over g (lex order) that the class fails to
     cover, on a weightless, loopless graph (its own model); None when
-    every candidate is covered."""
+    every candidate is covered.
+
+    A candidate missing from the reduce cache is stepped from its parent,
+    one chip fewer at its last nonzero lex position, which level k - 1
+    reduced (see :func:`.reduction._reduce_from_parent`).
+    """
     lex = g._lex_indices
+    cache = g._reduced
     for combo in compositions(k, g._n):
         target = list(vals)
         for pos, x in zip(lex, combo):
             target[pos] -= x
-        if _reduce_tuple(g, tuple(target), u)[u] < 0:
+        target = tuple(target)
+        red = cache.get((target, u))
+        if red is None:
+            if k:
+                red = _reduce_from_parent(g, target, u, lex[_last_chip(combo)], 1)
+            else:
+                red = _reduce_tuple(g, target, u)
+        if red[u] < 0:
             return combo
     return None
 
@@ -91,16 +116,29 @@ def _edeg_level(g, vals, u, k):
     after reduction at u.  None when every inflated candidate is covered.
 
     On a weightless, loopless graph the inflation is the identity and this
-    is :func:`_scan_level`, which skips the inflation.
+    is :func:`_scan_level`, which skips the inflation.  A cache miss is
+    stepped from its parent as there; x + min(x, cap) grows by
+    1 + [x <= cap] from x - 1 to x, so the parent holds that many more
+    chips at the step's vertex.
     """
     lex = g._lex_indices
     caps = [g._weights[i] + g._loops[i] for i in lex]
+    cache = g._reduced
     for combo in compositions(k, g._n):
         target = list(vals)
         for pos, cap, x in zip(lex, caps, combo):
             if x:
                 target[pos] -= x + (x if x < cap else cap)
-        if _reduce_tuple(g, tuple(target), u)[u] < 0:
+        target = tuple(target)
+        red = cache.get((target, u))
+        if red is None:
+            if k:
+                i = _last_chip(combo)
+                step = 1 + (combo[i] <= caps[i])
+                red = _reduce_from_parent(g, target, u, lex[i], step)
+            else:
+                red = _reduce_tuple(g, target, u)
+        if red[u] < 0:
             return combo
     return None
 
@@ -145,6 +183,14 @@ def rank(
     inflated effective degree-k divisor leaves a non-effective class, and
     monotonicity of coverage justifies stopping at the first failing level.
     Only then is the loopless weightless model built, to find the witness.
+
+    Each candidate's reduced form is stepped from its parent's, the level
+    k - 1 candidate with one chip fewer at its last nonzero position p:
+    taking chips at p from a reduced divisor leaves it reduced if p is the
+    base vertex or holds them, and otherwise the least borrowing that
+    clears p's debt is reduced (see :func:`.reduction._reduce_from_parent`).
+    The result is the unique reduced form either way, so the rank, the
+    witness and every budget count are those of reducing from scratch.
 
     The budget counts the model's candidates, C(k + N - 1, N - 1) at level
     k with N the model's vertex count, as the scan on the model would;
@@ -287,10 +333,14 @@ def rank_oracle(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDG
     For each k, every effective degree-k divisor e is checked by asking
     whether some effective divisor of the right degree is equivalent to
     d - e, with equivalence decided by integer lattice membership.  No
-    degree shortcuts, no burning, no shared caches.
+    degree shortcuts, no burning, no shared caches.  The model's vertex
+    count, or level 0's key count if larger, is checked against the budget
+    before the model is built.
     """
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")
+    n_model, _ = bullet_model_size(g)
+    check_budget(max(n_model, count_compositions(d.degree, n_model)), budget, "oracle", 0)
     gb, base_vals = _model_values(g, d)
     deg = sum(base_vals)
     data = _lattice_data(gb)
@@ -326,6 +376,14 @@ def rank_lower_bound_edeg(
     host of each satellite s.  With t chips of E in the star of v, that
     takes at most t + min(t, weight(v) + loops(v)) from v, one chip per
     satellite first, and coverage is monotone in what is subtracted.
+
+    A candidate the reduce cache lacks is stepped from its parent, one
+    chip of e fewer at its last nonzero position p, which takes
+    1 + [e(p) <= weight(p) + loops(p)] fewer chips from p: the parent's
+    reduced form less those chips is reduced if p is the base vertex or
+    holds them, and is otherwise reduced by borrowing at p.  Where level
+    s - 1 was never scanned, as in a lone call here, each parent is
+    reduced from scratch once and shared by its children.
     """
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")

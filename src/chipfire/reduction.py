@@ -4,7 +4,9 @@ The burning iteration grows a seed set by absorbing, each round, every
 outside vertex whose edge count into the current set exceeds its chips;
 a divisor is reduced with respect to the seed exactly when everything
 burns.  Reduction to a single base vertex has a unique fixed point per
-class, which the rest of the package uses as a canonical form.
+class, which the rest of the package uses as a canonical form.  The rank
+scan also steps a reduced form from a cached one a few chips richer at
+one vertex, by borrowing instead of reducing from scratch.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def _make_effective_off(g, vals: list[int], order, keep: int) -> None:
 def _round_guard(g, vals) -> int:
     # legitimate firing-round counts stay under chips times graph distance;
     # the guard is a generous multiple, tripping only on implementation bugs
-    return 1000 + 4 * g._n * (1 + sum(abs(x) for x in vals))
+    return 1000 + 4 * g._n * (1 + sum(map(abs, vals)))
 
 
 def _superstabilize(g, vals: list[int], seed: list[int]) -> None:
@@ -167,10 +169,16 @@ def _superstabilize(g, vals: list[int], seed: list[int]) -> None:
             raise InternalError("reduction failed to stabilize within the guard")
 
 
-def _reduce_tuple(g: WeightedMultigraph, vals: tuple[int, ...], u: int) -> tuple[int, ...]:
+def _remember(g: WeightedMultigraph, vals: tuple[int, ...], u: int, out: tuple[int, ...]) -> None:
     cache = g._reduced
-    key = (vals, u)
-    hit = cache.get(key)
+    if len(cache) + 2 > _CACHE_LIMIT:
+        cache.clear()
+    cache[(vals, u)] = out
+    cache[(out, u)] = out  # reduced forms are fixed points
+
+
+def _reduce_tuple(g: WeightedMultigraph, vals: tuple[int, ...], u: int) -> tuple[int, ...]:
+    hit = g._reduced.get((vals, u))
     if hit is not None:
         return hit
     order = g._bfs.get(u)
@@ -180,10 +188,61 @@ def _reduce_tuple(g: WeightedMultigraph, vals: tuple[int, ...], u: int) -> tuple
     _make_effective_off(g, work, order, 1)
     _superstabilize(g, work, [u])
     out = tuple(work)
-    if len(cache) + 2 > _CACHE_LIMIT:
-        cache.clear()
-    cache[key] = out
-    cache[(out, u)] = out  # reduced forms are fixed points
+    _remember(g, vals, u, out)
+    return out
+
+
+def _borrow(g: WeightedMultigraph, vals: list[int], u: int, p: int) -> None:
+    """Clear negatives off u, in place, when p is the only one.
+
+    A negative vertex v borrows: everything else fires ceil(-vals[v] /
+    deg(v)) times, which leaves v nonnegative and takes chips from its
+    neighbours; a neighbour other than u that goes negative borrows in
+    turn.  No vertex borrows more often than in any borrowing that clears
+    the negatives, so with u a sink of unbounded supply this terminates in
+    the least such borrowing.
+    """
+    rows, valence, loops = g._rows, g._valence, g._loops
+    guard = _round_guard(g, vals)
+    steps = 0
+    stack = [p]
+    while stack:
+        v = stack.pop()
+        deg = valence[v] - 2 * loops[v]
+        k = (-vals[v] + deg - 1) // deg
+        vals[v] += k * deg
+        for w, m in rows[v]:
+            before = vals[w]
+            vals[w] = before - k * m
+            if w != u and vals[w] < 0 <= before:
+                stack.append(w)
+        steps += 1
+        if steps > guard:
+            raise InternalError("borrowing failed to settle within the guard")
+
+
+def _reduce_from_parent(
+    g: WeightedMultigraph, vals: tuple[int, ...], u: int, p: int, s: int
+) -> tuple[int, ...]:
+    """Reduced form at u of vals, stepped from that of its parent vals + s*e_p.
+
+    With R the parent's reduced form (usually cached), R - s*e_p is
+    equivalent to vals.  It is already reduced when p is u, whose chips
+    never enter the burn, or when R(p) >= s, since fewer chips off u only
+    make the burn from u easier.  Otherwise p borrows (:func:`_borrow`),
+    and the least borrowing x from a divisor below a reduced R is reduced
+    too: if a set A could fire legally afterwards, then either x - 1_A
+    would still clear the negatives, or the vertices of A that never
+    borrowed could fire legally from R.
+    """
+    work = list(vals)
+    work[p] += s
+    work = list(_reduce_tuple(g, tuple(work), u))
+    work[p] -= s
+    if p != u and work[p] < 0:
+        _borrow(g, work, u, p)
+    out = tuple(work)
+    _remember(g, vals, u, out)
     return out
 
 

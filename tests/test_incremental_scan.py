@@ -1,0 +1,271 @@
+"""The rank scan's incremental step against reduction from scratch.
+
+``reduction._reduce_from_parent`` reduces a candidate from the reduced form
+of its parent, one or two chips richer at one vertex.  It must equal the
+from-scratch reduction wherever it is used: on dense and sparse graphs,
+through the rank scans (against copies of the from-scratch scans in
+``helpers``), and through ``rank`` against the independent ``rank_oracle``
+on long, large-valued cycles, theta graphs and ladders.
+"""
+
+import importlib
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from chipfire import (
+    BudgetExceededError,
+    Divisor,
+    InternalError,
+    WeightedMultigraph,
+    rank,
+    rank_lower_bound_edeg,
+    rank_oracle,
+)
+from chipfire.enumeration import DEFAULT_BUDGET
+from chipfire.reduction import _reduce_from_parent, _reduce_tuple
+from helpers import reference_burn, reference_edeg_level, reference_scan_level
+from test_sparse_reduction import cycle, ladder, theta
+
+reduction = importlib.import_module("chipfire.reduction")
+rank_module = importlib.import_module("chipfire.rank")
+
+
+def complete(n):
+    verts = [f"k{i}" for i in range(n)]
+    return WeightedMultigraph(verts, {}, list(combinations(verts, 2)))
+
+
+def petersen():
+    verts = [f"p{i}" for i in range(10)]
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return WeightedMultigraph(verts, {}, [(verts[i], verts[j]) for i, j in outer + inner + spokes])
+
+
+def weighted_cycle(n, weights):
+    verts = [f"w{i}" for i in range(n)]
+    edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)] + [(verts[0], verts[0])]
+    return WeightedMultigraph(verts, dict(zip(verts, weights)), edges)
+
+
+STEP_GRAPHS = {
+    "K5": complete(5),
+    "K6": complete(6),
+    "K7": complete(7),
+    "petersen": petersen(),
+    "wcycle5": weighted_cycle(5, (1, 0, 2, 0, 0)),
+    "wcycle6": weighted_cycle(6, (0, 1, 0, 1, 0, 3)),
+    **{
+        f"{make.__name__}{n}": make(n)
+        for make, sizes in ((cycle, (16, 20, 24)), (theta, (16, 20)), (ladder, (16, 20, 24)))
+        for n in sizes
+    },
+}
+
+
+def _twin(g):
+    """An equal graph with its own, empty caches."""
+    return WeightedMultigraph(g.vertices, g.weights, g.edges)
+
+
+@pytest.mark.parametrize("name", STEP_GRAPHS)
+def test_step_matches_reduction_from_scratch(name):
+    g = STEP_GRAPHS[name]
+    scratch = _twin(g)
+    rng = random.Random(name)
+    borrowed = 0
+    for _ in range(3):
+        u = rng.randrange(g._n)
+        # a random u-reduced divisor: small signed chips, reduced at u
+        parent = _reduce_tuple(g, tuple(rng.randint(-2, 3) for _ in range(g._n)), u)
+        for p in range(g._n):
+            for s in (1, 2):
+                vals = list(parent)
+                vals[p] -= s
+                vals = tuple(vals)
+                borrowed += p != u and parent[p] < s
+                got = _reduce_from_parent(g, vals, u, p, s)
+                scratch._reduced.clear()
+                assert got == _reduce_tuple(scratch, vals, u)
+                assert all(x >= 0 for i, x in enumerate(got) if i != u)
+                assert all(reference_burn(g, got, [u])[0])
+                assert g._reduced[(vals, u)] == g._reduced[(got, u)] == got
+    assert borrowed > 0
+
+
+def test_step_without_a_cached_parent_reduces_it_from_scratch():
+    g = complete(6)
+    vals = (4, -3, 7, -1, 0, 2)
+    got = _reduce_from_parent(g, vals, 0, 3, 2)
+    assert got == _reduce_tuple(_twin(g), vals, 0)
+
+
+def _count_scratch_reductions(monkeypatch):
+    calls = []
+    phase1 = reduction._make_effective_off
+    monkeypatch.setattr(
+        reduction, "_make_effective_off", lambda *args: calls.append(1) or phase1(*args)
+    )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, vals, r",
+    [("K6", [3, 1, 2, 2, 1, 2], 3), ("petersen", [2, 1, 1, 1, 1, 1, 1, 1, 1, 0], 4)],
+)
+def test_each_level_steps_from_the_last(monkeypatch, name, vals, r):
+    g = _twin(STEP_GRAPHS[name])
+    calls = _count_scratch_reductions(monkeypatch)
+    assert rank(g, Divisor(g, vals), shortcuts=False).rank == r
+    assert len(calls) == 1  # level 0's one candidate
+
+
+@pytest.mark.parametrize("name", ["wcycle5", "wcycle6"])
+def test_each_inflated_level_steps_from_the_last(monkeypatch, name):
+    g = _twin(STEP_GRAPHS[name])
+    calls = _count_scratch_reductions(monkeypatch)
+    d = Divisor(g, [6, 2, 3, 1, 4] + [2] * (g._n - 5))
+    assert [rank_lower_bound_edeg(g, d, s) for s in range(4)] == [True] * 4
+    assert len(calls) == 1
+
+
+def test_borrow_guard_trips(monkeypatch):
+    g = complete(5)
+    parent = (5, 0, 0, 0, 0)  # reduced at the first vertex: nothing off it
+    assert _reduce_tuple(g, parent, 0) == parent
+    monkeypatch.setattr(reduction, "_round_guard", lambda g, vals: 0)
+    with pytest.raises(InternalError, match="borrowing"):
+        _reduce_from_parent(g, (5, -1, 0, 0, 0), 0, 1, 1)
+
+
+# -- the scans against their from-scratch copies ---------------------------
+
+NAMES = ["a", "b", "c", "d", "e", "f"]
+
+
+@st.composite
+def graph_specs(draw):
+    """(vertices, weights, edges) of a connected graph: weightless and
+    loopless, weighted, or looped, with a model of at most 9 vertices."""
+    kind = draw(st.sampled_from(["plain", "weighted", "looped"]))
+    verts = draw(st.permutations(NAMES).map(lambda p: p[: draw(st.integers(1, 5))]))
+    n = len(verts)
+    edges = [(verts[draw(st.integers(0, i - 1))], verts[i]) for i in range(1, n)]
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(verts)), draw(st.sampled_from(verts))
+        if a != b or kind == "looped":
+            edges.append((a, b))
+    spare = 9 - n - sum(a == b for a, b in edges)
+    weights = {}
+    if kind == "weighted":
+        for v in verts:
+            weights[v] = draw(st.integers(0, max(0, min(2, spare))))
+            spare -= weights[v]
+    return list(verts), weights, edges
+
+
+@st.composite
+def scan_cases(draw):
+    spec = draw(graph_specs())
+    g = WeightedMultigraph(*spec)
+    vals = [draw(st.integers(-2, 3)) for _ in range(g._n)]
+    budget = draw(st.sampled_from([3, 8, 40, 200, DEFAULT_BUDGET]))
+    limit = draw(st.sampled_from([None, 8]))  # 8 evicts parents mid-level
+    return spec, vals, draw(st.booleans()), budget, limit
+
+
+def _outcome(call):
+    try:
+        r = call()
+    except BudgetExceededError as exc:
+        return "budget", exc.stage, exc.level, exc.count
+    if isinstance(r, bool):
+        return r
+    w = r.witness
+    return r.rank, None if w is None else (w.graph.vertices, w.values), r.method
+
+
+def _against_reference(call, spec, limit):
+    """call(graph) on the package's scans and on the from-scratch copies,
+    each on a fresh graph."""
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setattr(reduction, "_CACHE_LIMIT", limit)
+        got = _outcome(lambda: call(WeightedMultigraph(*spec)))
+        mp.setattr(rank_module, "_scan_level", reference_scan_level)
+        mp.setattr(rank_module, "_edeg_level", reference_edeg_level)
+        want = _outcome(lambda: call(WeightedMultigraph(*spec)))
+    return got, want
+
+
+@given(scan_cases())
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+def test_rank_matches_the_scratch_scan(case):
+    spec, vals, shortcuts, budget, limit = case
+    got, want = _against_reference(
+        lambda g: rank(g, Divisor(g, vals), shortcuts=shortcuts, budget=budget), spec, limit
+    )
+    assert got == want
+
+
+@given(scan_cases(), st.integers(0, 4))
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+def test_lower_bound_at_an_unscanned_level_matches_the_scratch_scan(case, s):
+    spec, vals, _, budget, limit = case
+    got, want = _against_reference(
+        lambda g: rank_lower_bound_edeg(g, Divisor(g, vals), s, budget=budget), spec, limit
+    )
+    assert got == want
+
+
+def test_cache_limit_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(reduction, "_CACHE_LIMIT", 8)
+    g = complete(5)
+    rank(g, Divisor(g, [3, 0, 1, 2, 2]), shortcuts=False)
+    assert 0 < len(g._reduced) <= 8
+
+
+# -- rank against the oracle on long, large-valued graphs ------------------
+
+ORACLE_GRAPHS = {
+    **{f"cycle{n}": cycle(n) for n in range(10, 15)},
+    "theta12": theta(12),
+    "theta14": theta(14),
+    "ladder10": ladder(10),
+    "ladder12": ladder(12),
+}
+
+
+def _chips(rng, n, lo, hi):
+    """Chips in [-20, 20] whose degree lands in [lo, hi]."""
+    vals = [rng.randint(-20, 20) for _ in range(n)]
+    while not lo <= sum(vals) <= hi:
+        i = rng.randrange(n)
+        step = 1 if sum(vals) < lo else -1
+        if -20 <= vals[i] + step <= 20:
+            vals[i] += step
+    return vals
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_rank_matches_oracle_on_sparse_large_valued_graphs(name):
+    g = ORACLE_GRAPHS[name]
+    rng = random.Random(name)
+    budget = 20_000  # a defect that scans too far fails fast
+    for _ in range(6):
+        d = Divisor(g, _chips(rng, g._n, -1, g.genus + 1))
+        assert rank(g, d, shortcuts=False, budget=budget).rank == rank_oracle(g, d, budget=budget)
+
+
+def test_oracle_sizes_the_model_before_building_it():
+    g = WeightedMultigraph(["a", "b"], {"a": 10**7}, [("a", "b")])
+    with pytest.raises(BudgetExceededError) as excinfo:
+        rank_oracle(g, Divisor(g, [0, 0]))
+    assert (excinfo.value.stage, excinfo.value.level) == ("oracle", 0)
+    assert excinfo.value.count == 10**7 + 2
+    assert g._model is None
