@@ -68,6 +68,7 @@ def box_vectors(lows, highs, total: int):
     """Yield integer vectors v with lows <= v <= highs and sum(v) == total.
 
     Prunes on reachable partial sums, so sparse boxes are cheap to walk.
+    Iterative, so the box may have any number of coordinates.
     """
     n = len(lows)
     if n != len(highs):
@@ -79,18 +80,29 @@ def box_vectors(lows, highs, total: int):
             return
         suffix_min[i] = suffix_min[i + 1] + lows[i]
         suffix_max[i] = suffix_max[i + 1] + highs[i]
+    if not suffix_min[0] <= total <= suffix_max[0]:
+        return
 
-    prefix = [0] * n
-
-    def rec(i: int, remaining: int):
-        if i == n:
-            if remaining == 0:
-                yield tuple(prefix)
+    vec = [0] * n
+    tops = [0] * n
+    rest = total  # what positions i.. still have to sum to
+    i = 0
+    while True:
+        # fill positions i.. with their least values that leave rest reachable
+        while i < n:
+            low = max(lows[i], rest - suffix_max[i + 1])
+            tops[i] = min(highs[i], rest - suffix_min[i + 1])
+            vec[i] = low
+            rest -= low
+            i += 1
+        yield tuple(vec)
+        # raise the last position below its top, releasing those after it
+        i -= 1
+        while i >= 0 and vec[i] == tops[i]:
+            rest += vec[i]
+            i -= 1
+        if i < 0:
             return
-        lo = max(lows[i], remaining - suffix_max[i + 1])
-        hi = min(highs[i], remaining - suffix_min[i + 1])
-        for a in range(lo, hi + 1):
-            prefix[i] = a
-            yield from rec(i + 1, remaining - a)
-
-    yield from rec(0, total)
+        vec[i] += 1
+        rest -= 1
+        i += 1

@@ -9,10 +9,13 @@ deciders are provided:
 * :func:`rank` scans k upward on the graph itself, testing coverage through
   reduced forms (the burning machinery in :mod:`.reduction`) of the
   weight-aware inflation of each candidate, which is exact (see
-  :func:`rank_lower_bound_edeg`); the model is built only to state the
-  witness.  A candidate of level k is its parent at level k - 1 less one
-  or two chips at one vertex p, so its reduced form steps from the
-  parent's R: R less those chips is still reduced when p is the base
+  :func:`rank_lower_bound_edeg`); on a weighted or looped graph the failing
+  level is scanned once more over the model's coordinates, still on the
+  graph, to state the witness.  Both are one scan (:func:`_first_uncovered`)
+  over coordinates that name the vertex their chips come off and what they
+  cost there.  A candidate of level k is its parent at level k - 1 less
+  zero, one or two chips at one vertex p, so its reduced form steps from
+  the parent's R: R less those chips is still reduced when p is the base
   vertex or holds them, and otherwise p borrows from its neighbours until
   nothing off the base is negative, which is reduced again;
 * :func:`rank_oracle` shares none of that code: it works on the model,
@@ -83,88 +86,60 @@ def _last_chip(combo) -> int:
     return i
 
 
-def _scan_level(g, vals, u, k):
-    """First composition of k over g (lex order) that the class fails to
-    cover, on a weightless, loopless graph (its own model); None when
-    every candidate is covered.
+def _coords(g, top, model=None):
+    """Lex-ordered coordinates: the vertex of g that each one's chips come
+    off, and the cost table of x <= top chips there.
+
+    Over g's own vertices x chips at v cost x + min(x, weight + loops),
+    which is x on a weightless, loopless graph.  Over the model's
+    vertices, x chips cost x at a vertex of g and x + x mod 2 at the host
+    of a satellite.  Equal costs share one table.
+    """
+    if model is None:
+        lex = g._lex_indices
+        caps = [min(g._weights[i] + g._loops[i], top) for i in lex]
+        # 2x up to the cap, then x + cap
+        tables = {c: [*range(0, 2 * c + 1, 2), *range(2 * c + 1, top + c + 1)] for c in set(caps)}
+        return lex, [tables[c] for c in caps]
+    n, hosts = g._n, g._hosts
+    single, paired = list(range(top + 1)), [x + (x & 1) for x in range(top + 1)]
+    lex = model._lex_indices
+    return (
+        [pos if pos < n else hosts[pos - n] for pos in lex],
+        [single if pos < n else paired for pos in lex],
+    )
+
+
+def _first_uncovered(g, vals, u, k, coords):
+    """First composition c of k over coords, in lex order, whose cost the
+    class of vals fails to cover: vals less each coordinate's cost at its
+    vertex is not effective after reduction at u.  None when every
+    candidate is covered.
 
     A candidate missing from the reduce cache is stepped from its parent,
-    one chip fewer at its last nonzero lex position, which level k - 1
-    reduced (see :func:`.reduction._reduce_from_parent`).
+    one chip fewer at its last nonzero position, whose target holds
+    cost[x] - cost[x - 1] more chips at that position's vertex (see
+    :func:`.reduction._reduce_from_parent`); a step of 0, a satellite's
+    even chip, leaves the parent's target.
     """
-    lex = g._lex_indices
+    dests, costs = coords
     cache = g._reduced
-    for combo in compositions(k, g._n):
+    for combo in compositions(k, len(dests)):
         target = list(vals)
-        for pos, x in zip(lex, combo):
-            target[pos] -= x
-        target = tuple(target)
-        red = cache.get((target, u))
-        if red is None:
-            if k:
-                red = _reduce_from_parent(g, target, u, lex[_last_chip(combo)], 1)
-            else:
-                red = _reduce_tuple(g, target, u)
-        if red[u] < 0:
-            return combo
-    return None
-
-
-def _edeg_level(g, vals, u, k):
-    """First composition c of k over g (lex order) that the class fails to
-    cover once inflated: vals - c - min(c, weight + loops) is not effective
-    after reduction at u.  None when every inflated candidate is covered.
-
-    On a weightless, loopless graph the inflation is the identity and this
-    is :func:`_scan_level`, which skips the inflation.  A cache miss is
-    stepped from its parent as there; x + min(x, cap) grows by
-    1 + [x <= cap] from x - 1 to x, so the parent holds that many more
-    chips at the step's vertex.
-    """
-    lex = g._lex_indices
-    caps = [g._weights[i] + g._loops[i] for i in lex]
-    cache = g._reduced
-    for combo in compositions(k, g._n):
-        target = list(vals)
-        for pos, cap, x in zip(lex, caps, combo):
-            if x:
-                target[pos] -= x + (x if x < cap else cap)
+        for to, cost, x in zip(dests, costs, combo):
+            target[to] -= cost[x]
         target = tuple(target)
         red = cache.get((target, u))
         if red is None:
             if k:
                 i = _last_chip(combo)
-                step = 1 + (combo[i] <= caps[i])
-                red = _reduce_from_parent(g, target, u, lex[i], step)
+                cost, x = costs[i], combo[i]
+                red = _reduce_from_parent(g, target, u, dests[i], cost[x] - cost[x - 1])
             else:
                 red = _reduce_tuple(g, target, u)
         if red[u] < 0:
             return combo
     return None
-
-
-def _model_witness(g, vals, u, k) -> Divisor:
-    """Lex-first effective degree-k divisor on the model whose class fails.
-
-    Each model candidate E is tested on g: E(v) comes off each vertex v,
-    and E(s) + E(s) mod 2 off the host of each satellite s (s can pass
-    pairs of chips across its double edge, and keeps E(s) mod 2 < 2 chips,
-    so it burns right after its host).
-    """
-    gb, _ = bullet_model(g)
-    n = g._n
-    lex = gb._lex_indices
-    # where each model coordinate's chips come off, and 1 for a satellite
-    dest = [pos if pos < n else g._hosts[pos - n] for pos in lex]
-    odd = [int(pos >= n) for pos in lex]
-    for combo in compositions(k, gb._n):
-        target = list(vals)
-        for to, sat, x in zip(dest, odd, combo):
-            if x:
-                target[to] -= x + (x & sat)
-        if _reduce_tuple(g, tuple(target), u)[u] < 0:
-            return Divisor(gb, _placed(lex, combo, gb._n))
-    raise InternalError(f"level {k} fails on the graph but on no model candidate")
 
 
 def rank(
@@ -182,10 +157,13 @@ def rank(
     that is exact on weighted graphs); coverage at k fails as soon as one
     inflated effective degree-k divisor leaves a non-effective class, and
     monotonicity of coverage justifies stopping at the first failing level.
-    Only then is the loopless weightless model built, to find the witness.
+    On a weightless, loopless graph the first failure is the witness.
+    Otherwise the loopless weightless model is built and the failing level
+    is scanned once more over its coordinates, each still tested on g, for
+    the lex-first failing model divisor.
 
-    Each candidate's reduced form is stepped from its parent's, the level
-    k - 1 candidate with one chip fewer at its last nonzero position p:
+    Each candidate's reduced form is stepped from its parent's, the
+    candidate with one chip fewer at its last nonzero position p:
     taking chips at p from a reduced divisor leaves it reduced if p is the
     base vertex or holds them, and otherwise the least borrowing that
     clears p's debt is reduced (see :func:`.reduction._reduce_from_parent`).
@@ -206,22 +184,26 @@ def rank(
         if deg > 2 * gen - 2:
             return RankReport(rank=deg - gen, witness=None, method=METHOD_SHORTCUT)
     n_model, _ = bullet_model_size(g)
-    own_model = n_model == g._n  # no weights and no loops
-    scan = _scan_level if own_model else _edeg_level
     u = g.vertex_index(g.base_vertex())
     vals = d.values
-    k = 0
+    k, top = 0, -1
     while True:
         check_budget(count_compositions(k, n_model), budget, "rank", k)
-        failed = scan(g, vals, u, k)
+        if k > top:  # cost tables for 2k + 2 chips serve the next k + 3 levels
+            top = 2 * k + 2
+            coords = _coords(g, top)
+        failed = _first_uncovered(g, vals, u, k, coords)
         if failed is not None:
             break
         k += 1
-    if own_model:
-        witness = Divisor(g, _placed(g._lex_indices, failed, g._n))
-    else:
+    model = g
+    if n_model != g._n:  # weights or loops: state the witness on the model
         check_budget(n_model, budget, "witness", k)
-        witness = _model_witness(g, vals, u, k)
+        model, _ = bullet_model(g)
+        failed = _first_uncovered(g, vals, u, k, _coords(g, k, model))
+        if failed is None:
+            raise InternalError(f"level {k} fails on the graph but on no model candidate")
+    witness = Divisor(model, _placed(model._lex_indices, failed, model._n))
     return RankReport(rank=k - 1, witness=witness, method=METHOD_DEFINITION)
 
 
@@ -383,7 +365,8 @@ def rank_lower_bound_edeg(
     reduced form less those chips is reduced if p is the base vertex or
     holds them, and is otherwise reduced by borrowing at p.  Where level
     s - 1 was never scanned, as in a lone call here, each parent is
-    reduced from scratch once and shared by its children.
+    reduced from scratch once and shared by its children.  This is
+    :func:`rank`'s level test, the same scan over the same coordinates.
     """
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")
@@ -391,19 +374,19 @@ def rank_lower_bound_edeg(
         raise DomainError("s must be nonnegative")
     u = g.vertex_index(g.base_vertex())
     check_budget(count_compositions(s, g._n), budget, "rank_lower_bound_edeg", s)
-    return _edeg_level(g, d.values, u, s) is None
+    return _first_uncovered(g, d.values, u, s, _coords(g, s)) is None
 
 
-def riemann_roch_check(
-    g: WeightedMultigraph,
-    d: Divisor,
-    *,
-    shortcuts: bool = True,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
-    """Self-audit of the rank identity rank(d) - rank(residual) = deg - genus + 1."""
-    r_d = rank(g, d, shortcuts=shortcuts, budget=budget).rank
-    r_res = rank(g, residual(g, d), shortcuts=shortcuts, budget=budget).rank
+def riemann_roch_check(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDGET) -> bool:
+    """Self-audit of the rank identity rank(d) - rank(residual) = deg - genus + 1.
+
+    Both ranks come from the definitional scan (``shortcuts=False``): the
+    degree-regime shortcuts are Riemann-Roch's own consequences, so with
+    them the identity would hold by arithmetic whenever the degree lies
+    outside [0, 2*genus - 2].
+    """
+    r_d = rank(g, d, shortcuts=False, budget=budget).rank
+    r_res = rank(g, residual(g, d), shortcuts=False, budget=budget).rank
     return r_d - r_res == d.degree - g.genus + 1
 
 

@@ -6,8 +6,8 @@ checked against the raw subset definition, and equivalence by bounded
 search over integer combinations of single-vertex firings.  The exceptions
 are ``reference_model_rank``, the rank scan on the loopless weightless
 model, kept as the reference for ``rank``'s scan on the graph itself, and
-``reference_scan_level``/``reference_edeg_level``, the level scans that
-reduce every candidate from scratch.
+``reference_first_uncovered``, the level scan that reduces every candidate
+from scratch.
 """
 
 from __future__ import annotations
@@ -248,31 +248,18 @@ def reference_model_rank(
         k += 1
 
 
-def reference_scan_level(g: WeightedMultigraph, vals, u: int, k: int):
-    """First composition of k over a weightless, loopless g (lex order)
-    whose subtraction leaves a non-effective class, each candidate reduced
-    from scratch; None when every candidate is covered.  The reference for
-    ``rank._scan_level``, which steps cache misses from their parents."""
-    lex = g._lex_indices
-    for combo in compositions(k, g._n):
+def reference_first_uncovered(g: WeightedMultigraph, vals, u: int, k: int, coords):
+    """First composition of k over coords (lex order) whose cost leaves a
+    non-effective class, each candidate reduced from scratch; None when
+    every candidate is covered.  coords is (dests, costs) as built by
+    ``rank._coords``: x chips at coordinate i take costs[i][x] chips off
+    vertex dests[i] of g.  The reference for ``rank._first_uncovered``,
+    which steps cache misses from their parents."""
+    dests, costs = coords
+    for combo in compositions(k, len(dests)):
         target = list(vals)
-        for pos, x in zip(lex, combo):
-            target[pos] -= x
-        if _reduce_tuple(g, tuple(target), u)[u] < 0:
-            return combo
-    return None
-
-
-def reference_edeg_level(g: WeightedMultigraph, vals, u: int, k: int):
-    """As :func:`reference_scan_level` for vals - c - min(c, weight + loops),
-    the reference for ``rank._edeg_level``."""
-    lex = g._lex_indices
-    caps = [g._weights[i] + g._loops[i] for i in lex]
-    for combo in compositions(k, g._n):
-        target = list(vals)
-        for pos, cap, x in zip(lex, caps, combo):
-            if x:
-                target[pos] -= x + (x if x < cap else cap)
+        for to, cost, x in zip(dests, costs, combo):
+            target[to] -= cost[x]
         if _reduce_tuple(g, tuple(target), u)[u] < 0:
             return combo
     return None

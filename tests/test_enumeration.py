@@ -1,8 +1,10 @@
+import json
 from itertools import product
 
 import pytest
 
-from chipfire.enumeration import compositions, count_compositions
+from chipfire.cli import main
+from chipfire.enumeration import box_vectors, compositions, count_box_vectors, count_compositions
 
 
 @pytest.mark.parametrize("length", range(6))
@@ -14,3 +16,50 @@ def test_compositions_are_the_sorted_product_filter(total, length):
     got = list(compositions(total, length))
     assert got == expected  # same tuples, ascending lex order
     assert len(got) == count_compositions(total, length)
+
+
+BOXES = [
+    ((), ()),
+    ((0,), (0,)),
+    ((-2,), (3,)),
+    ((0, 0), (2, 2)),
+    ((-1, 2, 0), (1, 4, 0)),
+    ((0, 1), (2, 0)),  # empty: a low above its high
+    ((-2, -1, 0, 1), (0, 1, 2, 2)),
+    ((0, 0, 0, 0, 0), (1, 3, 0, 2, 1)),
+    ((3, -3, 1), (5, -1, 1)),
+]
+
+
+@pytest.mark.parametrize("lows, highs", BOXES)
+def test_box_vectors_are_the_sorted_product_filter(lows, highs):
+    for total in range(sum(lows) - 2, sum(highs) + 3):
+        expected = sorted(
+            v for v in product(*(range(l, h + 1) for l, h in zip(lows, highs))) if sum(v) == total
+        )
+        got = list(box_vectors(lows, highs, total))
+        assert got == expected  # same tuples, ascending lex order
+        assert len(got) == count_box_vectors(lows, highs, total)
+
+
+def test_box_vectors_reject_unequal_bounds():
+    with pytest.raises(ValueError):
+        list(box_vectors((0, 0), (1,), 0))
+
+
+def test_box_vectors_walk_a_box_wider_than_the_recursion_limit():
+    got = list(box_vectors([0] * 1200, [1] * 1200, 1))
+    assert got == [tuple(int(i == j) for i in range(1200)) for j in reversed(range(1200))]
+
+
+def test_uniform_on_a_1200_cycle(tmp_path, capsys):
+    n = 1200
+    names = [f"c{i:04d}" for i in range(n)]
+    lines = ["graph"] + [f"vertex {v} weight 0" for v in names]
+    lines += [f"edge {names[i]} {names[(i + 1) % n]}" for i in range(n)]
+    path = tmp_path / "cycle.graph"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["uniform", str(path), "--divisor", "0", "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["status"] == "Found"
+    assert result["representative"] == dict.fromkeys(names, 0)

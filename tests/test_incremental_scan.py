@@ -1,10 +1,10 @@
 """The rank scan's incremental step against reduction from scratch.
 
 ``reduction._reduce_from_parent`` reduces a candidate from the reduced form
-of its parent, one or two chips richer at one vertex.  It must equal the
+of its parent, zero, one or two chips richer at one vertex.  It must equal the
 from-scratch reduction wherever it is used: on dense and sparse graphs,
-through the rank scans (against copies of the from-scratch scans in
-``helpers``), and through ``rank`` against the independent ``rank_oracle``
+through the rank scan and its witness walk (against the from-scratch scan
+in ``helpers``), and through ``rank`` against the independent ``rank_oracle``
 on long, large-valued cycles, theta graphs and ladders.
 """
 
@@ -27,7 +27,7 @@ from chipfire import (
 )
 from chipfire.enumeration import DEFAULT_BUDGET
 from chipfire.reduction import _reduce_from_parent, _reduce_tuple
-from helpers import reference_burn, reference_edeg_level, reference_scan_level
+from helpers import reference_burn, reference_first_uncovered
 from test_sparse_reduction import cycle, ladder, theta
 
 reduction = importlib.import_module("chipfire.reduction")
@@ -143,7 +143,7 @@ def test_borrow_guard_trips(monkeypatch):
         _reduce_from_parent(g, (5, -1, 0, 0, 0), 0, 1, 1)
 
 
-# -- the scans against their from-scratch copies ---------------------------
+# -- the scan against its from-scratch copy --------------------------------
 
 NAMES = ["a", "b", "c", "d", "e", "f"]
 
@@ -191,14 +191,13 @@ def _outcome(call):
 
 
 def _against_reference(call, spec, limit):
-    """call(graph) on the package's scans and on the from-scratch copies,
-    each on a fresh graph."""
+    """call(graph) on the package's scan and on the from-scratch one, each
+    on a fresh graph."""
     with pytest.MonkeyPatch.context() as mp:
         if limit is not None:
             mp.setattr(reduction, "_CACHE_LIMIT", limit)
         got = _outcome(lambda: call(WeightedMultigraph(*spec)))
-        mp.setattr(rank_module, "_scan_level", reference_scan_level)
-        mp.setattr(rank_module, "_edeg_level", reference_edeg_level)
+        mp.setattr(rank_module, "_first_uncovered", reference_first_uncovered)
         want = _outcome(lambda: call(WeightedMultigraph(*spec)))
     return got, want
 

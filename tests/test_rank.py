@@ -208,6 +208,22 @@ class TestRiemannRochAndClifford:
             d = random_divisor(rng, graph, lo=-3, hi=3)
             assert riemann_roch_check(graph, d)
 
+    def test_identity_ranks_both_sides_by_definition(self, g, monkeypatch):
+        # degree 12 > 2g - 2 = 10: the shortcuts would answer both sides
+        rank_module = importlib.import_module("chipfire.rank")
+        reports = []
+        scan = rank_module.rank
+        monkeypatch.setattr(
+            rank_module, "rank", lambda *a, **kw: reports.append(scan(*a, **kw)) or reports[-1]
+        )
+        assert riemann_roch_check(g, Divisor(g, [4, 5, 3]))
+        assert [r.method for r in reports] == [METHOD_DEFINITION] * 2
+        assert [r.rank for r in reports] == [6, -1]
+
+    def test_identity_takes_no_shortcuts_option(self, g):
+        with pytest.raises(TypeError):
+            riemann_roch_check(g, Divisor.zero(g), shortcuts=True)
+
     def test_clifford_zero(self, g):
         assert clifford_check(g, Divisor.zero(g))
 
@@ -313,6 +329,26 @@ class TestGraphScanMatchesModelScan:
             d = Divisor(g, vals)
             got, want = rank(g, d, shortcuts=False), reference_model_rank(g, d, shortcuts=False)
             assert (got.rank, got.witness.values) == (want.rank, want.witness.values)
+
+    def test_witness_walk_steps_through_a_satellite_pair(self, monkeypatch):
+        # x chips on a satellite cost x + x mod 2 at its host, so a second
+        # chip there leaves its parent's target: the walk steps by 0.  The
+        # witness itself never holds an even count >= 2 on a satellite: one
+        # chip fewer there costs the same, so moving that chip to a later
+        # coordinate gives a lex-smaller failure, and with none later the
+        # target was already covered at level k - 1.
+        rank_module = importlib.import_module("chipfire.rank")
+        steps = []
+        step = rank_module._reduce_from_parent
+        monkeypatch.setattr(
+            rank_module, "_reduce_from_parent", lambda *a: steps.append(a[-1]) or step(*a)
+        )
+        g = WeightedMultigraph(["a", "b"], {"a": 1, "b": 1}, [("a", "b"), ("a", "b")])
+        d = Divisor(g, [4, 3])
+        got = rank(g, d, shortcuts=False)
+        assert got == reference_model_rank(g, d, shortcuts=False)
+        assert got.witness.as_dict() == {"a": 1, "b": 0, "a#w0": 1, "b#w0": 3}
+        assert 0 in steps
 
     def test_lower_bound_is_the_level_test(self):
         rng = random.Random(107)
