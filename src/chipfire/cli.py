@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 from .divisors import (
     Divisor,
+    DivisorClass,
     canonical_divisor,
     class_of,
     equivalent,
@@ -61,20 +62,6 @@ from .reps import (
     uniform_representative,
     verify_certificate,
 )
-
-_COMMANDS = (
-    "info",
-    "rank",
-    "reduce",
-    "equivalent",
-    "effectivize",
-    "rr-check",
-    "clifford-rep",
-    "semibalanced",
-    "uniform",
-    "report",
-)
-
 
 class GraphDocument(NamedTuple):
     """A parsed graph plus source locations for diagnostics."""
@@ -290,7 +277,7 @@ def _base_inputs(args, g: WeightedMultigraph, divisors: list[Divisor] | None = N
             inputs[key] = d.as_dict()
         for i, d in enumerate(divisors):
             key = "canonical_form" if i == 0 else f"canonical_form{i + 1}"
-            inputs[key] = reduce_to(g, d, args.base or g.base_vertex()).as_dict()
+            inputs[key] = reduce_to(g, d, base).as_dict()
     return inputs
 
 
@@ -301,6 +288,16 @@ def _require_divisors(args, g: WeightedMultigraph, count: int) -> list[Divisor]:
             f"expected {count} --divisor option(s), got {len(literals)}"
         )
     return [parse_divisor_literal(lit, g) for lit in literals]
+
+
+def _class_inputs(
+    args, g: WeightedMultigraph, command: str
+) -> tuple[_Report, Divisor, DivisorClass]:
+    """The report of a command on one divisor's class, the divisor, and
+    its class at the base vertex."""
+    (d,) = _require_divisors(args, g, 1)
+    rep = _Report(command, _base_inputs(args, g, [d]))
+    return rep, d, class_of(g, d, rep.inputs["base"])
 
 
 # -- command handlers -------------------------------------------------------
@@ -447,10 +444,7 @@ def _certificate_json(cert) -> dict:
 
 
 def _cmd_clifford_rep(args, g: WeightedMultigraph) -> _Report:
-    (d,) = _require_divisors(args, g, 1)
-    rep = _Report("clifford-rep", _base_inputs(args, g, [d]))
-    base = args.base or g.base_vertex()
-    c = class_of(g, d, base)
+    rep, _, c = _class_inputs(args, g, "clifford-rep")
     outcome = clifford_representative(g, c, budget=args.budget)
     if isinstance(outcome, NotCovered):
         rep.result = {
@@ -481,10 +475,7 @@ def _cmd_clifford_rep(args, g: WeightedMultigraph) -> _Report:
 
 
 def _cmd_semibalanced(args, g: WeightedMultigraph) -> _Report:
-    (d,) = _require_divisors(args, g, 1)
-    rep = _Report("semibalanced", _base_inputs(args, g, [d]))
-    base = args.base or g.base_vertex()
-    c = class_of(g, d, base)
+    rep, _, c = _class_inputs(args, g, "semibalanced")
     out = semibalanced_representative(g, c, budget=args.budget)
     rep.result = {
         "representative": out.as_dict(),
@@ -495,10 +486,7 @@ def _cmd_semibalanced(args, g: WeightedMultigraph) -> _Report:
 
 
 def _cmd_uniform(args, g: WeightedMultigraph) -> _Report:
-    (d,) = _require_divisors(args, g, 1)
-    rep = _Report("uniform", _base_inputs(args, g, [d]))
-    base = args.base or g.base_vertex()
-    c = class_of(g, d, base)
+    rep, _, c = _class_inputs(args, g, "uniform")
     out = uniform_representative(g, c, budget=args.budget)
     if out is None:
         rep.result = {"status": "NotFound", "representative": None}
@@ -511,10 +499,7 @@ def _cmd_uniform(args, g: WeightedMultigraph) -> _Report:
 
 
 def _cmd_report(args, g: WeightedMultigraph) -> _Report:
-    (d,) = _require_divisors(args, g, 1)
-    rep = _Report("report", _base_inputs(args, g, [d]))
-    base = args.base or g.base_vertex()
-    c = class_of(g, d, base)
+    rep, d, c = _class_inputs(args, g, "report")
     deg, gen = d.degree, genus(g)
     r, _, rr = _rank_and_residual(args, g, d)
     special = is_special_class(g, c)
@@ -533,7 +518,7 @@ def _cmd_report(args, g: WeightedMultigraph) -> _Report:
         "uniform_input": is_uniform(g, d),
     }
     rep.line(f"genus: {gen}, degree: {deg}")
-    rep.line(f"canonical class form at {base}: {_divisor_text(c.canonical)}")
+    rep.line(f"canonical class form at {c.base_vertex}: {_divisor_text(c.canonical)}")
     rep.line(f"rank: {r.rank} ({r.method})")
     rep.line(f"identity rank(d) - rank(residual) = degree - genus + 1: {rr}")
     rep.line(f"rank <= degree/2 (in range): {clifford_ok}")
@@ -583,6 +568,7 @@ _HANDLERS = {
     "uniform": _cmd_uniform,
     "report": _cmd_report,
 }
+_COMMANDS = tuple(_HANDLERS)
 
 
 def build_parser() -> argparse.ArgumentParser:

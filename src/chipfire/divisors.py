@@ -209,6 +209,29 @@ def class_of(g: WeightedMultigraph, d: Divisor, u: str) -> DivisorClass:
     return DivisorClass(graph=g, base_vertex=u, canonical=reduce_to(g, d, u))
 
 
+def _placed(lex, combo, n) -> tuple[int, ...]:
+    """A vector listed in canonical vertex order, put back in declaration order."""
+    vals = [0] * n
+    for pos, x in zip(lex, combo):
+        vals[pos] = x
+    return tuple(vals)
+
+
+def _members(g: WeightedMultigraph, c: DivisorClass, vectors):
+    """Yield, in the order given, the vectors (listed in canonical vertex
+    order) that lie in the class: those whose reduced form at the class's
+    base vertex is the class's canonical form."""
+    from .reduction import _reduce_tuple
+
+    lex, n = g._lex_indices, g._n
+    u = g.vertex_index(c.base_vertex)
+    target = c.canonical.values
+    for combo in vectors:
+        vals = _placed(lex, combo, n)
+        if _reduce_tuple(g, vals, u) == target:
+            yield Divisor(g, vals)
+
+
 def effective_representatives(
     g: WeightedMultigraph, c: DivisorClass, *, budget: int = DEFAULT_BUDGET
 ) -> list[Divisor]:
@@ -220,25 +243,11 @@ def effective_representatives(
     Raises BudgetExceededError (reporting the candidate count) when the
     composition count is out of budget.
     """
-    from .reduction import reduce_to
-
     deg = c.degree
     if deg < 0:
         return []
-    n = g._n
-    check_budget(count_compositions(deg, n), budget, "effective_representatives")
-    lex = g._lex_indices
-    target = c.canonical.values
-    u = c.base_vertex
-    hits = []
-    vals = [0] * n
-    for combo in compositions(deg, n):
-        for pos, x in zip(lex, combo):
-            vals[pos] = x
-        cand = Divisor(g, vals)
-        if reduce_to(g, cand, u).values == target:
-            hits.append(cand)
-    return hits
+    check_budget(count_compositions(deg, g._n), budget, "effective_representatives")
+    return list(_members(g, c, compositions(deg, g._n)))
 
 
 def e_deg(g: WeightedMultigraph, e: Divisor) -> Divisor:

@@ -43,6 +43,9 @@ def compositions(total: int, length: int):
         if total == 0:
             yield ()
         return
+    if length == 1:  # no cuts; the pool below would hold total + 1 values
+        yield (total,)
+        return
     for cuts in combinations_with_replacement(range(total + 1), length - 1):
         yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 

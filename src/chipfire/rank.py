@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .divisors import Divisor, residual
+from .divisors import Divisor, _placed, residual
 from .enumeration import (
     DEFAULT_BUDGET,
     check_budget,
@@ -68,14 +68,6 @@ def _model_values(g: WeightedMultigraph, d: Divisor) -> tuple[WeightedMultigraph
         return g, d.values
     by_name = d.as_dict()
     return gb, tuple(by_name.get(v, 0) for v in gb.vertices)
-
-
-def _placed(lex, combo, n) -> tuple[int, ...]:
-    """A composition listed in lex order, put back in declaration order."""
-    vals = [0] * n
-    for pos, x in zip(lex, combo):
-        vals[pos] = x
-    return tuple(vals)
 
 
 def _last_chip(combo) -> int:
@@ -214,49 +206,33 @@ def rank(
 _KEYS_LIMIT = 1 << 18
 
 
-def _det_and_adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """Exact determinant and adjugate of an integer matrix via Fraction
-    Gauss-Jordan elimination."""
-    # imported here: fractions loads decimal, which no other path needs
-    from fractions import Fraction
+def _det_and_adjugate(mat: list[list[int]]) -> tuple[int, list[tuple[int, ...]]]:
+    """Exact determinant and adjugate of a square integer matrix.
 
+    Fraction-free Gauss-Jordan elimination on [A | I] (Bareiss): each step
+    scales every other row by the pivot and divides exactly by the previous
+    pivot, so the entries stay integers (minors of A).  The left block ends
+    as p*I and the right as p*A^-1, so with s the sign of the row swaps,
+    det(A) = s*p and adj(A) = s times the right block.
+    """
     m = len(mat)
-    if m == 0:
-        return 1, []
-    a = [[Fraction(x) for x in row] for row in mat]
-    inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    det = Fraction(1)
+    rows = [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(mat)]
+    sign = prev = 1
     for col in range(m):
-        piv = None
-        for r in range(col, m):
-            if a[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(col, m) if rows[r][col]), None)
         if piv is None:
             raise InternalError("singular reduced Laplacian on a connected graph")
         if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            det = -det
-        pivot = a[col][col]
-        det *= pivot
-        a[col] = [x / pivot for x in a[col]]
-        inv[col] = [x / pivot for x in inv[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    adj = [[det * inv[i][j] for j in range(m)] for i in range(m)]
-    out = []
-    for row in adj:
-        ints = []
-        for x in row:
-            if x.denominator != 1:
-                raise InternalError(f"adjugate entry {x} is not an integer")
-            ints.append(int(x))
-        out.append(tuple(ints))
-    return int(det), out
+            rows[col], rows[piv] = rows[piv], rows[col]
+            sign = -sign
+        top = rows[col]
+        p = top[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                f = row[col]
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return sign * prev, [tuple(sign * x for x in row[m:]) for row in rows]
 
 
 def _lattice_data(g: WeightedMultigraph):

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 from .divisors import (
     Divisor,
     DivisorClass,
+    _members,
     canonical_divisor,
     class_of,
     residual,
@@ -70,10 +71,11 @@ def _zone_sums(g: WeightedMultigraph, k_values, member) -> tuple[int, int]:
     return k_zone, cross
 
 
-def _within_window(top: int, deg: int, d_zone: int, k_zone: int, cross: int) -> bool:
-    """Whether d_zone lies within cross / 2 of deg * k_zone / top, in integers;
-    top = 2 * genus - 2 must be positive."""
-    return 2 * abs(d_zone * top - deg * k_zone) <= cross * top
+def _window(top: int, deg: int, k_zone: int, cross: int) -> tuple[int, int]:
+    """The integers within cross / 2 of deg * k_zone / top, as the bounds
+    (lo, hi); top = 2 * genus - 2 must be positive."""
+    center, half = 2 * deg * k_zone, cross * top
+    return -((half - center) // (2 * top)), (center + half) // (2 * top)
 
 
 def balance_bounds(
@@ -110,29 +112,39 @@ def _require_semistable(g: WeightedMultigraph) -> None:
         raise DomainError("semibalance requires a semistable graph")
 
 
+def _balanced(g: WeightedMultigraph, k_values, vals) -> bool:
+    """Whether every proper vertex subset of a semistable graph holds a
+    number of chips within its balance window; k_values is the canonical
+    divisor's.
+
+    A set and its complement pass or fail together: their chip counts and
+    canonical weights are complementary and they share one cut.  So only
+    the subsets missing the last vertex are walked.
+    """
+    n = g._n
+    deg = sum(vals)
+    top = 2 * g.genus - 2
+    for size in range(1, n):
+        for zone in combinations(range(n - 1), size):
+            member = [False] * n
+            for i in zone:
+                member[i] = True
+            lo, hi = _window(top, deg, *_zone_sums(g, k_values, member))
+            if not lo <= sum(vals[i] for i in zone) <= hi:
+                return False
+    return True
+
+
 def is_semibalanced(
     g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Exhaustive check of the balance window over all proper vertex subsets,
-    in integer arithmetic."""
+    in integer arithmetic.  The budget counts the 2^n - 2 subsets."""
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")
     _require_semistable(g)
-    n = g._n
-    check_budget(2 ** n - 2, budget, "semibalanced")
-    deg = d.degree
-    top = 2 * g.genus - 2
-    k_values = canonical_divisor(g).values
-    vals = d.values
-    for size in range(1, n):
-        for zone in combinations(range(n), size):
-            member = [False] * n
-            for i in zone:
-                member[i] = True
-            k_zone, cross = _zone_sums(g, k_values, member)
-            if not _within_window(top, deg, sum(vals[i] for i in zone), k_zone, cross):
-                return False
-    return True
+    check_budget(2 ** g._n - 2, budget, "semibalanced")
+    return _balanced(g, canonical_divisor(g).values, d.values)
 
 
 def semibalanced_representative(
@@ -142,29 +154,27 @@ def semibalanced_representative(
 
     Every semibalanced divisor obeys the singleton balance windows, so the
     search runs over that box sliced at the class degree, in lex order, and
-    the first hit that is both equivalent and fully semibalanced is the
-    minimum.  Existence is guaranteed on semistable graphs.
+    the first class member that is fully semibalanced is the minimum.
+    Existence is guaranteed on semistable graphs, so the box holds a class
+    member and the subset budget is checked once, before the walk.
     """
     _require_semistable(g)
     deg = c.degree
-    names = g.vertices_sorted
-    if g._n == 1:
+    n = g._n
+    if n == 1:
         # no proper subsets to constrain; the class has a single divisor
         return Divisor(g, [deg])
-    lows = []
-    highs = []
-    for v in names:
-        lo, hi = balance_bounds(g, deg, [v])
-        # smallest/largest integers inside the rational window
-        lows.append(-((-lo.numerator) // lo.denominator))
-        highs.append(hi.numerator // hi.denominator)
+    top = 2 * g.genus - 2
+    k_values = canonical_divisor(g).values
+    # a singleton's cut is its valence without loops
+    lows, highs = zip(*(
+        _window(top, deg, k_values[v], sum(m for _, m in g._rows[v]))
+        for v in g._lex_indices
+    ))
     check_budget(count_box_vectors(lows, highs, deg), budget, "box")
-    target = c.canonical.values
-    for combo in box_vectors(lows, highs, deg):
-        cand = Divisor(g, dict(zip(names, combo)))
-        if reduce_to(g, cand, c.base_vertex).values != target:
-            continue
-        if is_semibalanced(g, cand, budget=budget):
+    check_budget(2 ** n - 2, budget, "semibalanced")
+    for cand in _members(g, c, box_vectors(lows, highs, deg)):
+        if _balanced(g, k_values, cand.values):
             return cand
     raise InternalError("semistable graphs always admit a semibalanced representative")
 
@@ -177,15 +187,10 @@ def is_uniform(g: WeightedMultigraph, d: Divisor) -> bool:
     return all(0 <= x <= k for x, k in zip(d.values, canonical_divisor(g).values))
 
 
-def _class_is_effective(g: WeightedMultigraph, c: DivisorClass) -> bool:
-    # the canonical form is effective off its base by construction
-    return c.canonical.is_effective
-
-
 def is_special_class(g: WeightedMultigraph, c: DivisorClass) -> bool:
     """True iff both the class and its residual class contain an effective
     divisor (decided by reduced-form effectivity)."""
-    if not _class_is_effective(g, c):
+    if not c.canonical.is_effective:
         return False
     res = reduce_to(g, residual(g, c.canonical), c.base_vertex)
     return res.is_effective
@@ -200,20 +205,13 @@ def uniform_representative(
     hit is guaranteed when the class is special and every weight-0 vertex
     carries a loop.
     """
-    deg = c.degree
-    names = g.vertices_sorted
-    k = canonical_divisor(g)
-    highs = [k.value(v) for v in names]
+    k_values = canonical_divisor(g).values
+    highs = [k_values[i] for i in g._lex_indices]
     if any(h < 0 for h in highs):
         return None
     lows = [0] * g._n
-    check_budget(count_box_vectors(lows, highs, deg), budget, "box")
-    target = c.canonical.values
-    for combo in box_vectors(lows, highs, deg):
-        cand = Divisor(g, dict(zip(names, combo)))
-        if reduce_to(g, cand, c.base_vertex).values == target:
-            return cand
-    return None
+    check_budget(count_box_vectors(lows, highs, c.degree), budget, "box")
+    return next(_members(g, c, box_vectors(lows, highs, c.degree)), None)
 
 
 def _loop_hypothesis(g: WeightedMultigraph) -> bool:
@@ -247,7 +245,7 @@ def clifford_representative(
         raise DomainError(f"class degree {deg} exceeds the upper bound 2*genus-2 = {top}")
     v0 = g.base_vertex()
 
-    if not _class_is_effective(g, c):
+    if not c.canonical.is_effective:
         rep = reduce_to(g, c.canonical, v0)
         cert = CliffordCertificate(
             branch=BRANCH_V_REDUCED,

@@ -5,18 +5,29 @@ machinery so they can serve as independent cross-checks: reducedness is
 checked against the raw subset definition, and equivalence by bounded
 search over integer combinations of single-vertex firings.  The exceptions
 are ``reference_model_rank``, the rank scan on the loopless weightless
-model, kept as the reference for ``rank``'s scan on the graph itself, and
+model, kept as the reference for ``rank``'s scan on the graph itself;
 ``reference_first_uncovered``, the level scan that reduces every candidate
-from scratch.
+from scratch; and the representative searches built on
+``reference_box_members``, which reduce every vector of the box with
+``reduce_to``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from chipfire import Divisor, WeightedMultigraph, bullet_model, t_set
+from chipfire import (
+    Divisor,
+    WeightedMultigraph,
+    balance_bounds,
+    bullet_model,
+    canonical_divisor,
+    reduce_to,
+    t_set,
+)
 from chipfire.enumeration import DEFAULT_BUDGET, check_budget, compositions, count_compositions
 from chipfire.rank import METHOD_DEFINITION, METHOD_SHORTCUT, RankReport
 from chipfire.reduction import _reduce_tuple
@@ -263,6 +274,58 @@ def reference_first_uncovered(g: WeightedMultigraph, vals, u: int, k: int, coord
         if _reduce_tuple(g, tuple(target), u)[u] < 0:
             return combo
     return None
+
+
+def reference_box_members(g: WeightedMultigraph, c, lows, highs) -> list[Divisor]:
+    """Class members among the vectors of the box [lows, highs] (bounds in
+    canonical vertex order) at the class degree: the lex-sorted product
+    over the box, each candidate reduced with ``reduce_to``."""
+    names = g.vertices_sorted
+    found = []
+    for combo in sorted(product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))):
+        if sum(combo) != c.degree:
+            continue
+        d = Divisor(g, dict(zip(names, combo)))
+        if reduce_to(g, d, c.base_vertex) == c.canonical:
+            found.append(d)
+    return found
+
+
+def reference_effective_representatives(g: WeightedMultigraph, c) -> list[Divisor]:
+    n = len(g.vertices)
+    return reference_box_members(g, c, [0] * n, [c.degree] * n) if c.degree >= 0 else []
+
+
+def reference_uniform_representative(g: WeightedMultigraph, c) -> Divisor | None:
+    k = canonical_divisor(g)
+    highs = [k.value(v) for v in g.vertices_sorted]
+    if min(highs) < 0:
+        return None
+    return next(iter(reference_box_members(g, c, [0] * len(highs), highs)), None)
+
+
+def reference_is_semibalanced(g: WeightedMultigraph, d: Divisor) -> bool:
+    """Every proper nonempty vertex subset, each against its rational window
+    from ``balance_bounds``."""
+    return all(
+        lo <= sum(d.value(v) for v in zone) <= hi
+        for size in range(1, len(g.vertices))
+        for zone in combinations(g.vertices, size)
+        for lo, hi in [balance_bounds(g, d.degree, zone)]
+    )
+
+
+def reference_semibalanced_representative(g: WeightedMultigraph, c) -> Divisor:
+    """The first class member in the box of singleton windows that passes
+    :func:`reference_is_semibalanced`."""
+    if len(g.vertices) == 1:
+        return Divisor(g, [c.degree])
+    windows = [balance_bounds(g, c.degree, [v]) for v in g.vertices_sorted]
+    lows = [math.ceil(lo) for lo, _ in windows]
+    highs = [math.floor(hi) for _, hi in windows]
+    return next(
+        d for d in reference_box_members(g, c, lows, highs) if reference_is_semibalanced(g, d)
+    )
 
 
 def reduced_laplacian_inverse(g: WeightedMultigraph):

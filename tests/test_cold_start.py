@@ -2,10 +2,11 @@
 
 ``dataclasses`` pulls in ``inspect`` and costs several milliseconds per
 process, so the result records are named tuples; ``fractions`` pulls in
-``decimal``, so only the two functions that build a ``Fraction`` import
-it.  None of these modules may come back onto the import path.  The check
-runs in a fresh interpreter without ``site``, so packages installed next
-to chipfire cannot load them first.
+``decimal``, so only ``balance_bounds``, the one function that builds a
+``Fraction``, imports it, and the representative searches and the oracle
+run in integers.  None of these modules may come back onto the import
+path.  The check runs in a fresh interpreter without ``site``, so packages
+installed next to chipfire cannot load them first.
 """
 
 import os
@@ -13,21 +14,32 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from chipfire.cli import serialize_graph
+from helpers import golden_graph
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = "import chipfire.cli, sys; print(' '.join(sorted({names!r} & set(sys.modules))))"
+# runs a command, whose JSON goes to stdout first, lists what it loaded and
+# exits with the command's code
+RUN_PROBE = (
+    "import sys; from chipfire.cli import main; code = main({argv!r}); "
+    "print(' '.join(sorted({names!r} & set(sys.modules)))); sys.exit(code)"
+)
 
 
-def _loaded_by_cli_import(names):
+def _loaded_by_cli_import(names, probe=PROBE, **fields):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", PROBE.format(names=set(names))],
+        [sys.executable, "-S", "-c", probe.format(names=set(names), **fields)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout.splitlines()[-1].split()
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -36,3 +48,11 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 def test_cli_import_loads_neither_fractions_nor_decimal():
     assert _loaded_by_cli_import({"fractions", "decimal"}) == []
+
+
+@pytest.mark.parametrize("command", ["report", "semibalanced"])
+def test_class_commands_load_neither_fractions_nor_decimal(tmp_path, command):
+    path = tmp_path / "golden.txt"
+    path.write_text(serialize_graph(golden_graph()))
+    argv = [command, str(path), "--divisor", "v2=3,v3=1", "--json"]
+    assert _loaded_by_cli_import({"fractions", "decimal"}, RUN_PROBE, argv=argv) == []

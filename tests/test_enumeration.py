@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -16,6 +17,19 @@ def test_compositions_are_the_sorted_product_filter(total, length):
     got = list(compositions(total, length))
     assert got == expected  # same tuples, ascending lex order
     assert len(got) == count_compositions(total, length)
+
+
+def test_one_part_composition_holds_no_pool():
+    """compositions(total, 1) has one tuple; building it must not take memory
+    in proportion to total (a pool of total + 1 values took 38 MB here)."""
+    tracemalloc.start()
+    try:
+        got = list(compositions(10**6, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == [(10**6,)]
+    assert peak < 1 << 20
 
 
 BOXES = [

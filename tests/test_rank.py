@@ -1,6 +1,7 @@
 import importlib
+import math
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +11,7 @@ from chipfire import (
     BudgetExceededError,
     Divisor,
     DomainError,
+    InternalError,
     WeightedMultigraph,
     bullet_model,
     canonical_divisor,
@@ -378,3 +380,30 @@ def test_lattice_data_matches_sympy():
         m = sympy.Matrix([[lap[i][j] for j in rest] for i in rest])
         assert det == m.det()
         assert [list(row) for row in adj] == m.adjugate().tolist()
+
+
+def test_det_and_adjugate_on_matrices_that_need_row_swaps():
+    """A * adj(A) = det(A) * I, with det(A) checked against the Leibniz sum,
+    on random integer matrices whose leading entry is 0, so the elimination
+    must swap rows; singular ones raise InternalError."""
+    det_and_adjugate = importlib.import_module("chipfire.rank")._det_and_adjugate
+    rng = random.Random(109)
+    done = 0
+    while done < 200:
+        m = rng.randint(2, 5)
+        mat = [[rng.choice([0, 0, 1, -1, 2, -3, 7]) for _ in range(m)] for _ in range(m)]
+        mat[0][0] = 0
+        leibniz = sum(
+            (-1) ** sum(p[i] > p[j] for i in range(m) for j in range(i + 1, m))
+            * math.prod(mat[i][p[i]] for i in range(m))
+            for p in permutations(range(m))
+        )
+        if leibniz == 0:
+            with pytest.raises(InternalError):
+                det_and_adjugate(mat)
+            continue
+        det, adj = det_and_adjugate(mat)
+        assert det == leibniz
+        times = [[sum(mat[i][k] * adj[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+        assert times == [[det * (i == j) for j in range(m)] for i in range(m)]
+        done += 1

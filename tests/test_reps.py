@@ -31,10 +31,19 @@ from chipfire.reps import (
     BRANCH_UNIFORM,
     BRANCH_V_REDUCED,
     CliffordCertificate,
-    _within_window,
+    _window,
     _zone_sums,
 )
-from helpers import golden_graph, random_connected_graph, random_principal_shift
+from chipfire.divisors import effective_representatives
+from helpers import (
+    golden_graph,
+    random_connected_graph,
+    random_principal_shift,
+    reference_effective_representatives,
+    reference_is_semibalanced,
+    reference_semibalanced_representative,
+    reference_uniform_representative,
+)
 
 
 @pytest.fixture
@@ -130,9 +139,10 @@ class TestIsSemibalanced:
                         lo = Fraction(deg * k_zone, top) - Fraction(cross, 2)
                         hi = lo + cross
                         assert balance_bounds(graph, deg, zone) == (lo, hi)
+                        i_lo, i_hi = _window(top, deg, k_zone, cross)
                         for d_zone in range(math.floor(lo) - 1, math.ceil(hi) + 2):
                             inside = lo <= d_zone <= hi
-                            assert _within_window(top, deg, d_zone, k_zone, cross) is inside
+                            assert (i_lo <= d_zone <= i_hi) is inside
 
     def test_matches_the_fraction_windows_on_random_divisors(self):
         rng = random.Random(2407)
@@ -191,6 +201,33 @@ class TestSemibalancedRepresentative:
             out = semibalanced_representative(graph, c)
             assert is_semibalanced(graph, out)
             assert equivalent(graph, out, d)
+
+
+def test_searches_match_the_from_scratch_reference():
+    """The three class walks and the halved subset walk against the whole
+    box reduced with reduce_to and every subset, on random semistable
+    graphs with weights and loops, at every base vertex."""
+    rng = random.Random(2408)
+    graphs = weighted = looped = 0
+    while graphs < 60:
+        graph = random_connected_graph(rng, max_vertices=6, max_extra_edges=4, max_genus=5)
+        if not is_semistable(graph):
+            continue
+        graphs += 1
+        weighted += any(graph.weights.values())
+        looped += any(graph.loop_count(v) for v in graph.vertices)
+        top = 2 * genus(graph) - 2
+        for _ in range(2):
+            d = Divisor(graph, [rng.randint(-2, 3) for _ in graph.vertices])
+            assert is_semibalanced(graph, d) is reference_is_semibalanced(graph, d)
+            shift = rng.randint(0, top) - d.degree
+            d = d + Divisor(graph, {graph.vertices[0]: shift})
+            for base in graph.vertices:
+                c = class_of(graph, d, base)
+                assert effective_representatives(graph, c) == reference_effective_representatives(graph, c)
+                assert uniform_representative(graph, c) == reference_uniform_representative(graph, c)
+                assert semibalanced_representative(graph, c) == reference_semibalanced_representative(graph, c)
+    assert weighted and looped
 
 
 class TestUniform:
