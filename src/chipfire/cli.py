@@ -571,6 +571,17 @@ _HANDLERS = {
 _COMMANDS = tuple(_HANDLERS)
 
 
+def _budget(text: str) -> int:
+    """A nonnegative --budget; argparse names the option when this raises."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chipfire",
@@ -586,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--base", help="base vertex (default: lexicographically smallest)")
     parser.add_argument("--set", help="comma-separated vertex set")
     parser.add_argument("--json", action="store_true", help="emit a single JSON object")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget")
+    parser.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help="enumeration budget")
     parser.add_argument(
         "--no-shortcuts",
         action="store_true",

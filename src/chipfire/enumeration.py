@@ -1,13 +1,11 @@
 """Budget-guarded integer-vector enumeration used by the search routines.
 
-All generators yield tuples in ascending lexicographic order, which is what
-makes "first hit" equal to "lexicographically smallest hit" everywhere else
-in the package.
+All generators walk their vectors in ascending lexicographic order, which
+is what makes "first hit" equal to "lexicographically smallest hit"
+everywhere else in the package.
 """
 
-from itertools import combinations_with_replacement
 from math import comb
-from operator import sub
 
 from .errors import BudgetExceededError
 
@@ -29,25 +27,35 @@ def count_compositions(total: int, length: int) -> int:
     return comb(total + length - 1, length - 1)
 
 
-def compositions(total: int, length: int):
-    """Yield all nonnegative integer tuples of the given length summing to total.
+def composition_walk(total: int, length: int):
+    """Walk the compositions of total into length parts in lex order, in place.
 
-    Stars and bars: the length - 1 cut points run through the nondecreasing
-    tuples in [0, total] in lex order, and the parts are the gaps between
-    consecutive cuts.  The cuts are the parts' prefix sums, so the parts
-    come in lex order too.
+    Yields one list, changed between yields, with the first position that
+    differs from the previous yield (0 for the first).  Each step moves one
+    chip from the last nonzero part j to part j - 1 and the rest of part j
+    to the last part; the parts between them stay 0.  So the last nonzero
+    part of a yield is the last part or, when that is 0, the reported one.
     """
-    if total < 0:
+    if total < 0 or (length == 0 and total):
         return
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    if length == 1:  # no cuts; the pool below would hold total + 1 values
-        yield (total,)
-        return
-    for cuts in combinations_with_replacement(range(total + 1), length - 1):
-        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
+    last = length - 1
+    vec = [0] * last + [total] if length else []
+    yield vec, 0
+    j = last if total else 0  # the last nonzero part; at 0 (or none) the walk ends
+    while j > 0:
+        rest = vec[j] - 1
+        vec[j] = 0
+        vec[j - 1] += 1
+        vec[last] = rest
+        yield vec, j - 1
+        j = last if rest else j - 1
+
+
+def compositions(total: int, length: int):
+    """Yield all nonnegative integer tuples of the given length summing to
+    total, in lex order: a tuple view of :func:`composition_walk`."""
+    for vec, _ in composition_walk(total, length):
+        yield tuple(vec)
 
 
 def count_box_vectors(lows, highs, total: int) -> int:

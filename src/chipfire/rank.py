@@ -13,11 +13,8 @@ deciders are provided:
   level is scanned once more over the model's coordinates, still on the
   graph, to state the witness.  Both are one scan (:func:`_first_uncovered`)
   over coordinates that name the vertex their chips come off and what they
-  cost there.  A candidate of level k is its parent at level k - 1 less
-  zero, one or two chips at one vertex p, so its reduced form steps from
-  the parent's R: R less those chips is still reduced when p is the base
-  vertex or holds them, and otherwise p borrows from its neighbours until
-  nothing off the base is negative, which is reduced again;
+  cost there; it steps each candidate's target from the previous
+  candidate's and its reduced form from its parent's, one level down;
 * :func:`rank_oracle` shares none of that code: it works on the model,
   decides equivalence by exact integer lattice membership (adjugate and
   determinant of the reduced Laplacian) and enumerates effective divisors
@@ -35,6 +32,7 @@ from .divisors import Divisor, _placed, residual
 from .enumeration import (
     DEFAULT_BUDGET,
     check_budget,
+    composition_walk,
     compositions,
     count_compositions,
 )
@@ -59,23 +57,6 @@ class RankReport(NamedTuple):
     rank: int
     witness: Divisor | None
     method: str
-
-
-def _model_values(g: WeightedMultigraph, d: Divisor) -> tuple[WeightedMultigraph, tuple[int, ...]]:
-    """The divisor carried onto the loopless weightless model (0 at new vertices)."""
-    gb, _ = bullet_model(g)
-    if gb is g:
-        return g, d.values
-    by_name = d.as_dict()
-    return gb, tuple(by_name.get(v, 0) for v in gb.vertices)
-
-
-def _last_chip(combo) -> int:
-    """Index of the last nonzero part of a composition of k >= 1."""
-    i = len(combo) - 1
-    while not combo[i]:
-        i -= 1
-    return i
 
 
 def _coords(g, top, model=None):
@@ -108,29 +89,39 @@ def _first_uncovered(g, vals, u, k, coords):
     vertex is not effective after reduction at u.  None when every
     candidate is covered.
 
-    A candidate missing from the reduce cache is stepped from its parent,
-    one chip fewer at its last nonzero position, whose target holds
-    cost[x] - cost[x - 1] more chips at that position's vertex (see
-    :func:`.reduction._reduce_from_parent`); a step of 0, a satellite's
-    even chip, leaves the parent's target.
+    One running target steps from each candidate to the next over one
+    in-place composition walk, paying the cost change only at the parts
+    from the first changed one onward; a tuple is built for the cache key
+    and for the candidate returned.  A candidate missing from the reduce
+    cache is stepped from its parent, one chip fewer at its last nonzero
+    position, whose target holds cost[x] - cost[x - 1] more chips at that
+    position's vertex (see :func:`.reduction._reduce_from_parent`): the
+    parent's reduced form less those chips is reduced when the vertex is
+    the base or holds them, and otherwise the vertex borrows.  A step of
+    0, a satellite's even chip, leaves the parent's target.
     """
     dests, costs = coords
     cache = g._reduced
-    for combo in compositions(k, len(dests)):
-        target = list(vals)
-        for to, cost, x in zip(dests, costs, combo):
-            target[to] -= cost[x]
-        target = tuple(target)
-        red = cache.get((target, u))
+    n = len(dests)
+    target, held = list(vals), [0] * n  # held: the parts that target pays for
+    for combo, i in composition_walk(k, n):
+        for p in range(i, n):
+            x = combo[p]
+            if x != held[p]:
+                cost = costs[p]
+                target[dests[p]] -= cost[x] - cost[held[p]]
+                held[p] = x
+        key = tuple(target)
+        red = cache.get((key, u))
         if red is None:
             if k:
-                i = _last_chip(combo)
-                cost, x = costs[i], combo[i]
-                red = _reduce_from_parent(g, target, u, dests[i], cost[x] - cost[x - 1])
+                p = n - 1 if combo[-1] else i  # the last nonzero part
+                cost, x = costs[p], combo[p]
+                red = _reduce_from_parent(g, key, u, dests[p], cost[x] - cost[x - 1])
             else:
-                red = _reduce_tuple(g, target, u)
+                red = _reduce_tuple(g, key, u)
         if red[u] < 0:
-            return combo
+            return tuple(combo)
     return None
 
 
@@ -154,13 +145,11 @@ def rank(
     is scanned once more over its coordinates, each still tested on g, for
     the lex-first failing model divisor.
 
-    Each candidate's reduced form is stepped from its parent's, the
-    candidate with one chip fewer at its last nonzero position p:
-    taking chips at p from a reduced divisor leaves it reduced if p is the
-    base vertex or holds them, and otherwise the least borrowing that
-    clears p's debt is reduced (see :func:`.reduction._reduce_from_parent`).
-    The result is the unique reduced form either way, so the rank, the
-    witness and every budget count are those of reducing from scratch.
+    Each candidate's target steps from the previous candidate's, and its
+    reduced form from its parent's, one chip fewer at its last nonzero
+    position (see :func:`_first_uncovered`).  The reduced form is unique,
+    so the rank, the witness and every budget count are those of
+    reducing every candidate from scratch.
 
     The budget counts the model's candidates, C(k + N - 1, N - 1) at level
     k with N the model's vertex count, as the scan on the model would;
@@ -299,7 +288,9 @@ def rank_oracle(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDG
         raise DomainError("divisor lives on a different graph")
     n_model, _ = bullet_model_size(g)
     check_budget(max(n_model, count_compositions(d.degree, n_model)), budget, "oracle", 0)
-    gb, base_vals = _model_values(g, d)
+    gb, _ = bullet_model(g)
+    by_name = d.as_dict()  # carried onto the model, 0 at its new vertices
+    base_vals = [by_name.get(v, 0) for v in gb.vertices]
     deg = sum(base_vals)
     data = _lattice_data(gb)
     nb = gb._n
@@ -335,14 +326,11 @@ def rank_lower_bound_edeg(
     takes at most t + min(t, weight(v) + loops(v)) from v, one chip per
     satellite first, and coverage is monotone in what is subtracted.
 
-    A candidate the reduce cache lacks is stepped from its parent, one
-    chip of e fewer at its last nonzero position p, which takes
-    1 + [e(p) <= weight(p) + loops(p)] fewer chips from p: the parent's
-    reduced form less those chips is reduced if p is the base vertex or
-    holds them, and is otherwise reduced by borrowing at p.  Where level
-    s - 1 was never scanned, as in a lone call here, each parent is
-    reduced from scratch once and shared by its children.  This is
-    :func:`rank`'s level test, the same scan over the same coordinates.
+    This is :func:`rank`'s level test, the same scan over the same
+    coordinates (:func:`_first_uncovered`); a parent, one chip of e fewer
+    at p, takes 1 + [e(p) <= weight(p) + loops(p)] fewer chips from p.
+    Where level s - 1 was never scanned, as in a lone call here, each
+    parent is reduced from scratch once and shared by its children.
     """
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")

@@ -7,7 +7,8 @@ search over integer combinations of single-vertex firings.  The exceptions
 are ``reference_model_rank``, the rank scan on the loopless weightless
 model, kept as the reference for ``rank``'s scan on the graph itself;
 ``reference_first_uncovered``, the level scan that reduces every candidate
-from scratch; and the representative searches built on
+from scratch (both enumerate with ``reference_compositions``, not the
+package's walk); and the representative searches built on
 ``reference_box_members``, which reduce every vector of the box with
 ``reduce_to``.
 """
@@ -28,7 +29,7 @@ from chipfire import (
     reduce_to,
     t_set,
 )
-from chipfire.enumeration import DEFAULT_BUDGET, check_budget, compositions, count_compositions
+from chipfire.enumeration import DEFAULT_BUDGET, check_budget, count_compositions
 from chipfire.rank import METHOD_DEFINITION, METHOD_SHORTCUT, RankReport
 from chipfire.reduction import _reduce_tuple
 
@@ -222,6 +223,22 @@ def reference_burn(g: WeightedMultigraph, vals, seed):
         chain.append(chain[-1] | frozenset(newly))
 
 
+def reference_compositions(total: int, length: int):
+    """Compositions of total into length parts in lex order, by stars and
+    bars: the length - 1 bars take lex-ordered slots among total + length - 1,
+    and each part counts the stars between two bars.  Shares no code with
+    ``chipfire.enumeration``, so the reference scans below do not either."""
+    if total < 0 or (length == 0 and total):
+        return
+    if length == 0:
+        yield ()
+        return
+    slots = total + length - 1
+    for bars in combinations(range(slots), length - 1):
+        ends = (-1, *bars, slots)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
 def reference_model_rank(
     g: WeightedMultigraph, d: Divisor, *, shortcuts: bool = True, budget: int = DEFAULT_BUDGET
 ) -> RankReport:
@@ -247,7 +264,7 @@ def reference_model_rank(
     k = 0
     while True:
         check_budget(count_compositions(k, gb._n), budget)
-        for combo in compositions(k, gb._n):
+        for combo in reference_compositions(k, gb._n):
             target = list(base_vals)
             for pos, x in zip(lex, combo):
                 target[pos] -= x
@@ -267,7 +284,7 @@ def reference_first_uncovered(g: WeightedMultigraph, vals, u: int, k: int, coord
     vertex dests[i] of g.  The reference for ``rank._first_uncovered``,
     which steps cache misses from their parents."""
     dests, costs = coords
-    for combo in compositions(k, len(dests)):
+    for combo in reference_compositions(k, len(dests)):
         target = list(vals)
         for to, cost, x in zip(dests, costs, combo):
             target[to] -= cost[x]

@@ -295,6 +295,17 @@ class TestCommands:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1", "-7", "x"])
+    def test_bad_budget_is_a_usage_error(self, golden_file, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rank", golden_file, "--budget", value, "--divisor", "v1=2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --budget: expected a nonnegative integer, got '{value}'" in err
+
+    def test_zero_budget_is_accepted(self, golden_file):
+        assert build_parser().parse_args(["rank", golden_file, "--budget", "0"]).budget == 0
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["info", "/nonexistent/path.graph"]) == 2
 

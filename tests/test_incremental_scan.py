@@ -222,6 +222,50 @@ def test_lower_bound_at_an_unscanned_level_matches_the_scratch_scan(case, s):
     assert got == want
 
 
+def _rank_and_next_level(make_graph, vals):
+    """rank with shortcuts=False, then rank_lower_bound_edeg one level past
+    it, each on make_graph()."""
+    g = make_graph()
+    r = rank(g, Divisor(g, vals), shortcuts=False)
+    g = make_graph()
+    return _outcome(lambda: r), rank_lower_bound_edeg(g, Divisor(g, vals), r.rank + 1)
+
+
+@pytest.mark.parametrize(
+    "name, vals",
+    [
+        ("K7", (4, 4, 4, 4, 4, 0, 0)),  # degrees 20-22; (3, ..., 3) reaches level 10
+        ("K7", (3, 3, 3, 3, 3, 3, 3)),
+        ("K7", (6, 4, 4, 4, 4, 0, 0)),
+        ("petersen", (2, 1, 1, 1, 1, 1, 1, 1, 1, 0)),  # degrees 10-12
+        ("petersen", (2, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+        ("petersen", (2, 2, 1, 1, 1, 1, 1, 1, 1, 1)),
+        ("wcycle5", (2, 1, 2, 1, 1)),  # genus 5: degrees 2g - 3 to 2g - 1
+        ("wcycle5", (2, 2, 2, 1, 1)),
+        ("wcycle5", (3, 2, 2, 1, 1)),
+    ],
+)
+def test_deep_carries_match_the_scratch_scan(monkeypatch, name, vals):
+    """Steps of the walk that reset three or more trailing parts move the
+    running target at several parts at once; the scan must still agree
+    with the from-scratch one on rank, witness, method and the next level."""
+    g = STEP_GRAPHS[name]
+    resets = []
+    walk = rank_module.composition_walk
+
+    def recorded(total, length):
+        for vec, i in walk(total, length):
+            resets.append(length - 1 - i)
+            yield vec, i
+
+    monkeypatch.setattr(rank_module, "composition_walk", recorded)
+    got = _rank_and_next_level(lambda: _twin(g), vals)
+    assert max(resets) >= 3
+    monkeypatch.setattr(rank_module, "_first_uncovered", reference_first_uncovered)
+    shared = _twin(g)  # the reference reduces every target from scratch once
+    assert got == _rank_and_next_level(lambda: shared, vals)
+
+
 def test_cache_limit_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(reduction, "_CACHE_LIMIT", 8)
     g = complete(5)
