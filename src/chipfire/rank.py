@@ -11,10 +11,13 @@ deciders are provided:
   weight-aware inflation of each candidate, which is exact (see
   :func:`rank_lower_bound_edeg`); on a weighted or looped graph the failing
   level is scanned once more over the model's coordinates, still on the
-  graph, to state the witness.  Both are one scan (:func:`_first_uncovered`)
+  graph, to state the witness.  Both are one scan (:func:`_uncovered`)
   over coordinates that name the vertex their chips come off and what they
-  cost there; it steps each candidate's target from the previous
-  candidate's and its reduced form from its parent's, one level down;
+  cost there.  It folds the base vertex out: the reduced form at the base
+  does not depend on the chips there, so each candidate off the base is
+  reduced once, and the fewest chips its degree leaves at the base decide
+  every level; it steps each candidate's target from the previous
+  candidate's and its reduced form from its parent's, one degree down;
 * :func:`rank_oracle` shares none of that code: it works on the model,
   decides equivalence by exact integer lattice membership (adjugate and
   determinant of the reduced Laplacian) and enumerates effective divisors
@@ -83,11 +86,11 @@ def _coords(g, top, model=None):
     )
 
 
-def _first_uncovered(g, vals, u, k, coords):
-    """First composition c of k over coords, in lex order, whose cost the
-    class of vals fails to cover: vals less each coordinate's cost at its
-    vertex is not effective after reduction at u.  None when every
-    candidate is covered.
+def _walk_off_base(g, vals, u, j, coords, floor):
+    """Walk the compositions of j over coords in lex order, each candidate's
+    target reduced at u.  Returns (the first candidate whose reduced form
+    holds fewer than floor chips at u, None) or, when none does, (None, the
+    fewest chips at u among them; infinity when there is no candidate).
 
     One running target steps from each candidate to the next over one
     in-place composition walk, paying the cost change only at the parts
@@ -104,7 +107,8 @@ def _first_uncovered(g, vals, u, k, coords):
     cache = g._reduced
     n = len(dests)
     target, held = list(vals), [0] * n  # held: the parts that target pays for
-    for combo, i in composition_walk(k, n):
+    least = float("inf")
+    for combo, i in composition_walk(j, n):
         for p in range(i, n):
             x = combo[p]
             if x != held[p]:
@@ -114,14 +118,61 @@ def _first_uncovered(g, vals, u, k, coords):
         key = tuple(target)
         red = cache.get((key, u))
         if red is None:
-            if k:
+            if j:
                 p = n - 1 if combo[-1] else i  # the last nonzero part
                 cost, x = costs[p], combo[p]
                 red = _reduce_from_parent(g, key, u, dests[p], cost[x] - cost[x - 1])
             else:
                 red = _reduce_tuple(g, key, u)
-        if red[u] < 0:
-            return tuple(combo)
+        at_u = red[u]
+        if at_u < floor:
+            return tuple(combo), None
+        if at_u < least:
+            least = at_u
+    return None, least
+
+
+def _uncovered(g, vals, u, k, coords, mins, lex=True):
+    """A composition c of k over coords whose cost the class of vals fails
+    to cover: vals less each coordinate's cost at its vertex is not
+    effective after reduction at u.  With lex it is the lex-first one.
+    None when every candidate is covered.
+
+    The base vertex u is coordinate 0, with cost table cost_u, and the
+    scan folds it out.  The reduced form at u does not depend on the chips
+    at u, which never enter the burn, so red(vals - c) = red(vals - c') -
+    cost_u(c_u) e_u, where c' is c with its chips at u removed.  So c fails
+    iff the reduced form of its off-base part c' holds fewer than
+    cost_u(c_u) chips at u, and level k is covered iff mins[j] >= cost_u(k -
+    j) for every j <= k, where mins[j] is the fewest chips at u among the
+    reduced forms of the off-base candidates of degree j.  Each off-base
+    candidate is reduced once for every level and every c_u.
+
+    mins maps degrees to those minima, as far as walks have completed
+    them; it is filled here, and may be shared by the levels of one vals
+    over one set of coordinates.  The candidates come in lex order of
+    (c_u, c'): for each c_u ascending, a known minimum at or above
+    cost_u(c_u) passes without a walk, and otherwise the off-base
+    candidates of degree k - c_u are walked, cached ones included, with
+    cost_u(c_u) as the floor (:func:`_walk_off_base`).  Without lex, the
+    degrees come in ascending order instead: the minima that lower levels
+    recorded come first, so a failure that they show costs no new
+    reductions, and every walk finds its parents, one degree down, in the
+    cache.
+    """
+    dests, costs = coords
+    if dests[0] != u:
+        raise InternalError("the scan's first coordinate is not the base vertex")
+    cost_u, rest = costs[0], (dests[1:], costs[1:])
+    # a: the chips at u, ascending in lex order, descending by degree
+    for a in range(k + 1) if lex else range(k, -1, -1):
+        j, floor = k - a, cost_u[a]
+        least = mins.get(j)
+        if least is None or least < floor:
+            failed, least = _walk_off_base(g, vals, u, j, rest, floor)
+            if failed is not None:
+                return (a, *failed)
+            mins[j] = least
     return None
 
 
@@ -145,11 +196,18 @@ def rank(
     is scanned once more over its coordinates, each still tested on g, for
     the lex-first failing model divisor.
 
-    Each candidate's target steps from the previous candidate's, and its
-    reduced form from its parent's, one chip fewer at its last nonzero
-    position (see :func:`_first_uncovered`).  The reduced form is unique,
-    so the rank, the witness and every budget count are those of
-    reducing every candidate from scratch.
+    The scan folds the base vertex u out (see :func:`_uncovered`): the
+    reduced form at u of a candidate off u does not depend on the chips at
+    u, so the levels share one record of the fewest chips left at u per
+    off-base degree, and level k walks only its new off-base candidates,
+    those of degree k, each reduced once for all the levels above it.  On a
+    weighted graph a level that those minima fail is decided without a
+    walk.  Each candidate's target steps from the previous candidate's,
+    and its reduced form from its parent's, one degree down (see
+    :func:`_walk_off_base`).  The reduced form is unique, so the rank, the
+    witness and every budget count are those of reducing every candidate
+    of the full scan from scratch.  The model's base is g's base: a
+    satellite's name starts with its host's, so it sorts after it.
 
     The budget counts the model's candidates, C(k + N - 1, N - 1) at level
     k with N the model's vertex count, as the scan on the model would;
@@ -167,21 +225,23 @@ def rank(
     n_model, _ = bullet_model_size(g)
     u = g.vertex_index(g.base_vertex())
     vals = d.values
+    on_g = n_model == g._n  # no weights or loops: g's first failure is the witness
+    mins = {}
     k, top = 0, -1
     while True:
         check_budget(count_compositions(k, n_model), budget, "rank", k)
         if k > top:  # cost tables for 2k + 2 chips serve the next k + 3 levels
             top = 2 * k + 2
             coords = _coords(g, top)
-        failed = _first_uncovered(g, vals, u, k, coords)
+        failed = _uncovered(g, vals, u, k, coords, mins, lex=on_g)
         if failed is not None:
             break
         k += 1
     model = g
-    if n_model != g._n:  # weights or loops: state the witness on the model
+    if not on_g:  # state the witness on the model
         check_budget(n_model, budget, "witness", k)
         model, _ = bullet_model(g)
-        failed = _first_uncovered(g, vals, u, k, _coords(g, k, model))
+        failed = _uncovered(g, vals, u, k, _coords(g, k, model), {})
         if failed is None:
             raise InternalError(f"level {k} fails on the graph but on no model candidate")
     witness = Divisor(model, _placed(model._lex_indices, failed, model._n))
@@ -327,10 +387,15 @@ def rank_lower_bound_edeg(
     satellite first, and coverage is monotone in what is subtracted.
 
     This is :func:`rank`'s level test, the same scan over the same
-    coordinates (:func:`_first_uncovered`); a parent, one chip of e fewer
-    at p, takes 1 + [e(p) <= weight(p) + loops(p)] fewer chips from p.
-    Where level s - 1 was never scanned, as in a lone call here, each
-    parent is reduced from scratch once and shared by its children.
+    coordinates (:func:`_uncovered`); a parent, one chip of e fewer at p,
+    takes 1 + [e(p) <= weight(p) + loops(p)] fewer chips from p.  The scan
+    folds the base vertex u out: the reduced form at u of d - e_deg(e)
+    with e's chips at u removed does not depend on the chips at u, which
+    only lower its value at u by e_deg(e)(u).  So it walks the effective
+    divisors off u once, in ascending degree j <= s, each against the
+    floor e_deg(s - j chips at u); every walk finds its parents, one degree
+    down, in the cache, so unless the cache is emptied meanwhile only the
+    zero divisor is reduced from scratch.
     """
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")
@@ -338,7 +403,7 @@ def rank_lower_bound_edeg(
         raise DomainError("s must be nonnegative")
     u = g.vertex_index(g.base_vertex())
     check_budget(count_compositions(s, g._n), budget, "rank_lower_bound_edeg", s)
-    return _first_uncovered(g, d.values, u, s, _coords(g, s)) is None
+    return _uncovered(g, d.values, u, s, _coords(g, s), {}, lex=False) is None
 
 
 def riemann_roch_check(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDGET) -> bool:

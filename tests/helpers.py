@@ -6,9 +6,10 @@ checked against the raw subset definition, and equivalence by bounded
 search over integer combinations of single-vertex firings.  The exceptions
 are ``reference_model_rank``, the rank scan on the loopless weightless
 model, kept as the reference for ``rank``'s scan on the graph itself;
-``reference_first_uncovered``, the level scan that reduces every candidate
-from scratch (both enumerate with ``reference_compositions``, not the
-package's walk); and the representative searches built on
+``reference_uncovered`` and ``reference_off_base_min``, the level scan
+and the base-vertex minima that reduce every candidate from scratch (all
+three enumerate with ``reference_compositions``, not the package's walk);
+and the representative searches built on
 ``reference_box_members``, which reduce every vector of the box with
 ``reduce_to``.
 """
@@ -276,21 +277,107 @@ def reference_model_rank(
         k += 1
 
 
-def reference_first_uncovered(g: WeightedMultigraph, vals, u: int, k: int, coords):
-    """First composition of k over coords (lex order) whose cost leaves a
-    non-effective class, each candidate reduced from scratch; None when
-    every candidate is covered.  coords is (dests, costs) as built by
-    ``rank._coords``: x chips at coordinate i take costs[i][x] chips off
-    vertex dests[i] of g.  The reference for ``rank._first_uncovered``,
-    which steps cache misses from their parents."""
+def _scratch_targets(g: WeightedMultigraph, vals, u: int, k: int, coords):
+    """(composition, reduced form at u of its target) for every composition
+    of k over coords in lex order, each target reduced from scratch: x
+    chips at coordinate i take costs[i][x] chips off vertex dests[i]."""
     dests, costs = coords
     for combo in reference_compositions(k, len(dests)):
         target = list(vals)
         for to, cost, x in zip(dests, costs, combo):
             target[to] -= cost[x]
-        if _reduce_tuple(g, tuple(target), u)[u] < 0:
+        yield combo, _reduce_tuple(g, tuple(target), u)
+
+
+def reference_uncovered(g: WeightedMultigraph, vals, u: int, k: int, coords, mins=None, lex=True):
+    """First composition of k over coords (lex order) whose cost leaves a
+    non-effective class, each candidate reduced from scratch; None when
+    every candidate is covered.  coords is (dests, costs) as built by
+    ``rank._coords``.  The reference for ``rank._uncovered``, which folds
+    the base vertex out and steps cache misses from their parents; mins
+    and lex are taken and ignored, since the lex-first failure is a valid
+    answer with or without lex."""
+    for combo, red in _scratch_targets(g, vals, u, k, coords):
+        if red[u] < 0:
             return combo
     return None
+
+
+def reference_off_base_min(g: WeightedMultigraph, vals, u: int, j: int, coords):
+    """Fewest chips at u among the reduced forms, from scratch, of the
+    compositions of j over coords without its first coordinate (the base
+    vertex's); infinity when there is none.  What ``rank._uncovered``
+    records as mins[j]."""
+    dests, costs = coords
+    rest = dests[1:], costs[1:]
+    return min((red[u] for _, red in _scratch_targets(g, vals, u, j, rest)), default=float("inf"))
+
+
+def reference_complete_reduce(vals, q: int = 0) -> list[int]:
+    """The q-reduced divisor equivalent to vals on the complete graph K_n,
+    n = len(vals), by K_n's own firing rules; shares nothing with the
+    package's burning kernel.
+
+    On K_n a set A off q fires legally iff each vertex of A holds n - |A|
+    chips, its edge count out of A; then A loses n - |A| chips at each
+    vertex and every other vertex gains |A|.  If some A fires legally, so
+    do the |A| richest vertices off q.  So D, nonnegative off q, is
+    q-reduced iff its sorted values off q, b_0 <= ... <= b_{n-2}, are a
+    parking function, b_i <= i (Cori-Le Borgne, arXiv:1308.5325).  q first
+    fires until nothing off it is negative, each firing passing one chip
+    to every other vertex; then the largest legal set of richest vertices
+    fires until none is left.  Each firing raises q, which the degree
+    bounds, so this ends.
+    """
+    n = len(vals)
+    d = list(vals)
+    debt = max([0] + [-x for i, x in enumerate(d) if i != q])
+    for i in range(n):
+        d[i] += -debt * (n - 1) if i == q else debt
+    while True:
+        rich = sorted((i for i in range(n) if i != q), key=d.__getitem__, reverse=True)
+        size = max((s for s in range(1, n) if d[rich[s - 1]] >= n - s), default=0)
+        if not size:
+            return d
+        fired = set(rich[:size])
+        for i in range(n):
+            d[i] += -(n - size) if i in fired else size
+
+
+def reference_complete_rank(vals, memo: dict | None = None) -> int:
+    """Rank of vals on K_n, n = len(vals), by the recursion rank(D) = -1 if
+    the class of D is not effective, and 1 + min_v rank(D - v) otherwise.
+
+    The recursion is the definition: rank(D) >= k + 1 iff D - v - E is
+    equivalent to an effective divisor for every vertex v and effective E
+    of degree k, iff rank(D - v) >= k for every v.  Each class is kept as
+    its reduced form R at q = 0 (:func:`reference_complete_reduce`), with
+    R(q) >= 0 iff the class is effective.  A permutation of the vertices
+    off q is an automorphism of K_n that maps reduced forms to reduced
+    forms and keeps the rank, so (R(q), the sorted values off q) keys the
+    memo, and one v per distinct value off q, plus q itself, gives the
+    minimum.  Calls on one n may share a memo.  Cori-Le Borgne
+    (arXiv:1308.5325) compute this rank greedily in polynomial time; the
+    recursion is kept here as the plainer check.
+    """
+    memo = {} if memo is None else memo
+
+    def rank_of(red):
+        key = (red[0], tuple(sorted(red[1:])))
+        if key not in memo:
+            if red[0] < 0:
+                memo[key] = -1
+            else:
+                picks = {x: v for v, x in enumerate(red) if v}
+                ranks = []
+                for v in [0, *picks.values()]:
+                    less = list(red)
+                    less[v] -= 1
+                    ranks.append(rank_of(reference_complete_reduce(less)))
+                memo[key] = 1 + min(ranks)
+        return memo[key]
+
+    return rank_of(reference_complete_reduce(vals))
 
 
 def reference_box_members(g: WeightedMultigraph, c, lows, highs) -> list[Divisor]:

@@ -1,10 +1,12 @@
 """The rank scan's incremental step against reduction from scratch.
 
 ``reduction._reduce_from_parent`` reduces a candidate from the reduced form
-of its parent, zero, one or two chips richer at one vertex.  It must equal the
-from-scratch reduction wherever it is used: on dense and sparse graphs,
-through the rank scan and its witness walk (against the from-scratch scan
-in ``helpers``), and through ``rank`` against the independent ``rank_oracle``
+of its parent, zero, one or two chips richer at one vertex, and the scan
+folds the base vertex out, reducing each candidate off it once for every
+level.  Both must equal the from-scratch reduction of every candidate of
+the full scan wherever they are used: on dense and sparse graphs, through
+the rank scan and its witness walk (against the from-scratch scan in
+``helpers``), and through ``rank`` against the independent ``rank_oracle``
 on long, large-valued cycles, theta graphs and ladders.
 """
 
@@ -21,13 +23,14 @@ from chipfire import (
     Divisor,
     InternalError,
     WeightedMultigraph,
+    bullet_model,
     rank,
     rank_lower_bound_edeg,
     rank_oracle,
 )
 from chipfire.enumeration import DEFAULT_BUDGET
 from chipfire.reduction import _reduce_from_parent, _reduce_tuple
-from helpers import reference_burn, reference_first_uncovered
+from helpers import reference_burn, reference_off_base_min, reference_uncovered
 from test_sparse_reduction import cycle, ladder, theta
 
 reduction = importlib.import_module("chipfire.reduction")
@@ -135,12 +138,24 @@ def test_each_inflated_level_steps_from_the_last(monkeypatch, name):
 
 
 def test_borrow_guard_trips(monkeypatch):
-    g = complete(5)
-    parent = (5, 0, 0, 0, 0)  # reduced at the first vertex: nothing off it
+    g = cycle(5)
+    parent = (0, 0, 0, 0, 0)  # reduced at the first vertex: nothing off it
     assert _reduce_tuple(g, parent, 0) == parent
     monkeypatch.setattr(reduction, "_round_guard", lambda g, vals: 0)
     with pytest.raises(InternalError, match="borrowing"):
-        _reduce_from_parent(g, (5, -1, 0, 0, 0), 0, 1, 1)
+        # the debt at c02 takes 6 borrowing steps, past n = 5
+        _reduce_from_parent(g, (0, 0, -1, 0, 0), 0, 2, 1)
+
+
+def test_borrowing_within_n_steps_skips_the_guard(monkeypatch):
+    g = complete(5)
+    parent = (5, 0, 0, 0, 0)
+    assert _reduce_tuple(g, parent, 0) == parent
+    guards = []
+    monkeypatch.setattr(reduction, "_round_guard", lambda g, vals: guards.append(1) or 0)
+    # the debt at k1 takes 4 borrowing steps, within n = 5
+    assert _reduce_from_parent(g, (5, -1, 0, 0, 0), 0, 1, 1) == (1, 0, 1, 1, 1)
+    assert guards == []
 
 
 # -- the scan against its from-scratch copy --------------------------------
@@ -190,36 +205,88 @@ def _outcome(call):
     return r.rank, None if w is None else (w.graph.vertices, w.values), r.method
 
 
+def _patch_reference(mp):
+    """Route rank's level scan to the from-scratch reference; returns the
+    list of its calls, so a test can show the reference ran."""
+    calls = []
+
+    def reference(*args, **kwargs):
+        calls.append(args[3])
+        return reference_uncovered(*args, **kwargs)
+
+    mp.setattr(rank_module, "_uncovered", reference)
+    return calls
+
+
 def _against_reference(call, spec, limit):
     """call(graph) on the package's scan and on the from-scratch one, each
-    on a fresh graph."""
+    on a fresh graph, and whether the reference scanned a level."""
     with pytest.MonkeyPatch.context() as mp:
         if limit is not None:
             mp.setattr(reduction, "_CACHE_LIMIT", limit)
         got = _outcome(lambda: call(WeightedMultigraph(*spec)))
-        mp.setattr(rank_module, "_first_uncovered", reference_first_uncovered)
+        calls = _patch_reference(mp)
         want = _outcome(lambda: call(WeightedMultigraph(*spec)))
-    return got, want
+    return got, want, bool(calls)
 
 
 @given(scan_cases())
 @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 def test_rank_matches_the_scratch_scan(case):
     spec, vals, shortcuts, budget, limit = case
-    got, want = _against_reference(
+    got, want, scanned = _against_reference(
         lambda g: rank(g, Divisor(g, vals), shortcuts=shortcuts, budget=budget), spec, limit
     )
     assert got == want
+    assert scanned or want[-1] == "regime_shortcut"
 
 
 @given(scan_cases(), st.integers(0, 4))
 @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 def test_lower_bound_at_an_unscanned_level_matches_the_scratch_scan(case, s):
     spec, vals, _, budget, limit = case
-    got, want = _against_reference(
+    got, want, scanned = _against_reference(
         lambda g: rank_lower_bound_edeg(g, Divisor(g, vals), s, budget=budget), spec, limit
     )
     assert got == want
+    assert scanned or want[0] == "budget"
+
+
+@given(scan_cases(), st.booleans())
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+def test_scan_and_its_minima_match_the_scratch_scan(case, on_model):
+    """rank._uncovered level by level, with one mins record per pass as
+    rank shares it: lex-first failures equal the reference's, a failure
+    found without lex fails from scratch, and every recorded minimum is the
+    from-scratch minimum over the off-base candidates of its degree."""
+    spec, vals, _, _, limit = case
+    g, scratch = WeightedMultigraph(*spec), WeightedMultigraph(*spec)
+    u = g.vertex_index(g.base_vertex())
+    coords = rank_module._coords(g, 4, bullet_model(g)[0] if on_model else None)
+    dests, costs = coords
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setattr(reduction, "_CACHE_LIMIT", limit)
+        for lex in (True, False):
+            mins = {}
+            for k in range(5):
+                got = rank_module._uncovered(g, vals, u, k, coords, mins, lex)
+                want = reference_uncovered(scratch, vals, u, k, coords)
+                if lex:
+                    assert got == want
+                else:
+                    assert (got is None) == (want is None)
+                if got is not None:
+                    target = list(vals)
+                    for to, cost, x in zip(dests, costs, got):
+                        target[to] -= cost[x]
+                    assert sum(got) == k and _reduce_tuple(scratch, tuple(target), u)[u] < 0
+                assert set(mins) <= set(range(k + 1))
+                for j, least in mins.items():
+                    assert least == reference_off_base_min(scratch, vals, u, j, coords)
+                if got is not None:
+                    break
+                assert k in mins
 
 
 def _rank_and_next_level(make_graph, vals):
@@ -261,9 +328,12 @@ def test_deep_carries_match_the_scratch_scan(monkeypatch, name, vals):
     monkeypatch.setattr(rank_module, "composition_walk", recorded)
     got = _rank_and_next_level(lambda: _twin(g), vals)
     assert max(resets) >= 3
-    monkeypatch.setattr(rank_module, "_first_uncovered", reference_first_uncovered)
+    calls = _patch_reference(monkeypatch)
     shared = _twin(g)  # the reference reduces every target from scratch once
     assert got == _rank_and_next_level(lambda: shared, vals)
+    r = got[0][0]
+    # every level of rank's scan, and the level past the rank for the bound
+    assert calls[: r + 2] == list(range(r + 2)) and calls[-1] == r + 1
 
 
 def test_cache_limit_is_read_at_call_time(monkeypatch):
