@@ -11,6 +11,7 @@ naming, enumeration order).
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, GraphError
@@ -105,12 +106,12 @@ class WeightedMultigraph:
         self._key = (verts, weight_list, tuple(sorted(pairs)))
         self._hash = hash(self._key)
         # per-instance memos: the loopless weightless model and the host index
-        # of each of its satellites (see bullet_model), reduction's
-        # single-source BFS orders and reduced forms, and the oracle's lattice
-        # data and key sets (kept apart from the reduced forms)
+        # of each of its satellites (see bullet_model), reduction's reduced
+        # forms (one entry per reduction, keyed by the chips reduced and the
+        # base index), and the oracle's lattice data and key sets (kept apart
+        # from the reduced forms)
         self._model: WeightedMultigraph | None = None
         self._hosts: tuple[int, ...] = ()
-        self._bfs: dict[int, tuple[int, ...]] = {}
         self._reduced: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         self._oracle: dict = {}
 
@@ -261,54 +262,65 @@ def _pair_offsets(g: WeightedMultigraph):
         at += m
 
 
-def bridges(g: WeightedMultigraph) -> EdgeCut:
-    """Exact bridge classification via low-link DFS over vertex pairs.
+def _two_edge_connected(g: WeightedMultigraph):
+    """Bridges and 2-edge-connected components, by one low-link DFS over
+    vertex pairs.
 
-    Only a pair of multiplicity 1 can be a bridge: a second parallel copy
-    acts as a back edge, and removing a loop never disconnects anything.
+    Returns the indices in ``g.edges`` of the bridges, each vertex's
+    component named after its lexicographically smallest member, and the
+    components at the ends of each bridge, in edge order.  Only a pair of
+    multiplicity 1 can be a bridge: a second parallel copy acts as a back
+    edge, and removing a loop never disconnects anything.  Leaving v across
+    a bridge, or leaving the root, closes v's component: v and the vertices
+    found after it that no component has taken yet.
     """
     n = g._n
     incident: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for at, i, j, m in _pair_offsets(g):
-        if i == j:
-            continue  # loops never participate
-        incident[i].append((j, at, m))
-        incident[j].append((i, at, m))
-
+        if i != j:  # loops never participate
+            incident[i].append((j, at, m))
+            incident[j].append((i, at, m))
     disc = [-1] * n
     low = [0] * n
     bridge_idx: set[int] = set()
+    component = [""] * n
     root = 0
     disc[root] = low[root] = 0
+    pending = [root]  # found, in no closed component yet, in DFS order
     time = 1
-    stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # vertex, entry pair, next incident slot
+    # vertex, entry pair, its incident pairs left, its place in pending
+    stack = [(root, -1, iter(incident[root]), 0)]
     while stack:
-        v, pe, slot = stack[-1]
-        advanced = False
-        while slot < len(incident[v]):
-            w, at, m = incident[v][slot]
-            slot += 1
+        v, pe, rest, start = stack[-1]
+        for w, at, m in rest:
             if at == pe and m == 1:
                 continue  # the edge we entered on; a parallel copy is a back edge
             if disc[w] == -1:
                 disc[w] = low[w] = time
                 time += 1
-                stack[-1] = (v, pe, slot)
-                stack.append((w, at, 0))
-                advanced = True
+                stack.append((w, at, iter(incident[w]), len(pending)))
+                pending.append(w)
                 break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
-        if advanced:
-            continue
-        stack.pop()
-        if stack:
-            u = stack[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] > disc[u]:
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] <= disc[u]:
+                    continue
                 bridge_idx.add(pe)
-    return EdgeCut(graph=g, bridge_indices=frozenset(bridge_idx))
+            name = min(g._vertices[w] for w in pending[start:])
+            for w in pending[start:]:
+                component[w] = name
+            del pending[start:]
+    links = [(component[i], component[j]) for at, i, j, _ in _pair_offsets(g) if at in bridge_idx]
+    return frozenset(bridge_idx), component, links
+
+
+def bridges(g: WeightedMultigraph) -> EdgeCut:
+    """Exact bridge classification (see :func:`_two_edge_connected`)."""
+    return EdgeCut(graph=g, bridge_indices=_two_edge_connected(g)[0])
 
 
 def contract_non_bridges(
@@ -320,44 +332,16 @@ def contract_non_bridges(
     their component; weights on the tree are set to 0 (nothing downstream
     reads them).
     """
-    cut = bridges(g)
-    n = g._n
-    inside: list[list[int]] = [[] for _ in range(n)]
-    bridge_pairs = []
-    for at, i, j, _ in _pair_offsets(g):
-        if at in cut.bridge_indices:
-            bridge_pairs.append((i, j))
-        elif i != j:
-            inside[i].append(j)
-            inside[j].append(i)
-
-    comp = [-1] * n
-    names: list[str] = []
-    for start in range(n):
-        if comp[start] != -1:
-            continue
-        cid = len(names)
-        comp[start] = cid
-        name = g._vertices[start]
-        stack = [start]
-        while stack:
-            for w in inside[stack.pop()]:
-                if comp[w] == -1:
-                    comp[w] = cid
-                    name = min(name, g._vertices[w])
-                    stack.append(w)
-        names.append(name)
-
-    links = [(names[comp[i]], names[comp[j]]) for i, j in bridge_pairs]
-    tree = WeightedMultigraph(sorted(names), {}, links)
-    vertex_map = {g._vertices[i]: names[comp[i]] for i in range(n)}
-    return tree, vertex_map
+    _, component, links = _two_edge_connected(g)
+    tree = WeightedMultigraph(sorted(set(component)), {}, links)
+    return tree, dict(zip(g._vertices, component))
 
 
 def is_chain_of_2ec(g: WeightedMultigraph) -> bool:
-    """True iff the bridge-contraction tree is a path (all valences <= 2)."""
-    tree, _ = contract_non_bridges(g)
-    return all(valence(tree, v) <= 2 for v in tree.vertices)
+    """True iff the bridge-contraction tree is a path: no 2-edge-connected
+    component meets more than two bridges."""
+    links = _two_edge_connected(g)[2]
+    return max(Counter(end for link in links for end in link).values(), default=0) <= 2
 
 
 def _fresh_name(base: str, used: set[str]) -> str:

@@ -132,6 +132,19 @@ def _walk_off_base(g, vals, u, j, coords, floor):
     return None, least
 
 
+class _Minima(dict):
+    """The minima of :func:`_uncovered`, for the degrees 0 to len - 1, and
+    ``fails_at``, a level below which none of them fails.
+
+    cost_u never decreases, so a minimum m of degree j fails at every level
+    from j + x on, with x the fewest chips whose cost at u exceeds m: that
+    cost is x + min(x, weight + loops at u) over g's coordinates, where
+    ``fails_at`` is exact, and x over the model's, where it may be early.
+    """
+
+    fails_at = float("inf")
+
+
 def _uncovered(g, vals, u, k, coords, mins, lex=True):
     """A composition c of k over coords whose cost the class of vals fails
     to cover: vals less each coordinate's cost at its vertex is not
@@ -148,13 +161,14 @@ def _uncovered(g, vals, u, k, coords, mins, lex=True):
     reduced forms of the off-base candidates of degree j.  Each off-base
     candidate is reduced once for every level and every c_u.
 
-    mins maps degrees to those minima, as far as walks have completed
-    them; it is filled here, and may be shared by the levels of one vals
-    over one set of coordinates.  The candidates come in lex order of
-    (c_u, c'): for each c_u ascending, a known minimum at or above
-    cost_u(c_u) passes without a walk, and otherwise the off-base
-    candidates of degree k - c_u are walked, cached ones included, with
-    cost_u(c_u) as the floor (:func:`_walk_off_base`).  Without lex, the
+    mins (a :class:`_Minima`) records those minima; it is filled here, and
+    may be shared by the levels of one vals over one set of coordinates up
+    to the first that fails.  The candidates come in lex order of (c_u,
+    c'): for each c_u ascending, a recorded minimum at or above cost_u(c_u)
+    passes without a walk, and otherwise the off-base candidates of degree
+    k - c_u are walked, cached ones included, with cost_u(c_u) as the floor
+    (:func:`_walk_off_base`).  Below level mins.fails_at, only the degrees
+    not yet recorded, len(mins) to k, are looked at.  Without lex, the
     degrees come in ascending order instead: the minima that lower levels
     recorded come first, so a failure that they show costs no new
     reductions, and every walk finds its parents, one degree down, in the
@@ -165,7 +179,9 @@ def _uncovered(g, vals, u, k, coords, mins, lex=True):
         raise InternalError("the scan's first coordinate is not the base vertex")
     cost_u, rest = costs[0], (dests[1:], costs[1:])
     # a: the chips at u, ascending in lex order, descending by degree
-    for a in range(k + 1) if lex else range(k, -1, -1):
+    last = k if mins.fails_at <= k else k - len(mins)
+    cap = g._weights[u] + g._loops[u]
+    for a in range(last + 1) if lex else range(last, -1, -1):
         j, floor = k - a, cost_u[a]
         least = mins.get(j)
         if least is None or least < floor:
@@ -173,6 +189,9 @@ def _uncovered(g, vals, u, k, coords, mins, lex=True):
             if failed is not None:
                 return (a, *failed)
             mins[j] = least
+            # the fewest chips x whose cost x + min(x, cap) exceeds least
+            x = least // 2 + 1 if least < 2 * cap else least - cap + 1
+            mins.fails_at = min(mins.fails_at, j + x)
     return None
 
 
@@ -226,7 +245,7 @@ def rank(
     u = g.vertex_index(g.base_vertex())
     vals = d.values
     on_g = n_model == g._n  # no weights or loops: g's first failure is the witness
-    mins = {}
+    mins = _Minima()
     k, top = 0, -1
     while True:
         check_budget(count_compositions(k, n_model), budget, "rank", k)
@@ -241,7 +260,7 @@ def rank(
     if not on_g:  # state the witness on the model
         check_budget(n_model, budget, "witness", k)
         model, _ = bullet_model(g)
-        failed = _uncovered(g, vals, u, k, _coords(g, k, model), {})
+        failed = _uncovered(g, vals, u, k, _coords(g, k, model), _Minima())
         if failed is None:
             raise InternalError(f"level {k} fails on the graph but on no model candidate")
     witness = Divisor(model, _placed(model._lex_indices, failed, model._n))
@@ -403,7 +422,7 @@ def rank_lower_bound_edeg(
         raise DomainError("s must be nonnegative")
     u = g.vertex_index(g.base_vertex())
     check_budget(count_compositions(s, g._n), budget, "rank_lower_bound_edeg", s)
-    return _uncovered(g, d.values, u, s, _coords(g, s), {}, lex=False) is None
+    return _uncovered(g, d.values, u, s, _coords(g, s), _Minima(), lex=False) is None
 
 
 def riemann_roch_check(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDGET) -> bool:

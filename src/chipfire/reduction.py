@@ -3,10 +3,12 @@
 The burning iteration grows a seed set by absorbing, each round, every
 outside vertex whose edge count into the current set exceeds its chips;
 a divisor is reduced with respect to the seed exactly when everything
-burns.  Reduction to a single base vertex has a unique fixed point per
-class, which the rest of the package uses as a canonical form.  The rank
-scan also steps a reduced form from a cached one a few chips richer at
-one vertex, by borrowing instead of reducing from scratch.
+burns.  One two-phase routine reduces from scratch, to a vertex or a set.
+Reduction to a single base vertex has a unique fixed point per class,
+which the rest of the package uses as a canonical form; each graph caches
+it once per reduction.  The rank scan also steps a reduced form from a
+cached one a few chips richer at one vertex, by borrowing instead of
+reducing from scratch.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, _bfs_order
 
 # Entries a graph's reduced-form cache may hold before it is emptied; at
-# about 210 B an entry this keeps one graph's cache near 55 MB.
+# about 280 B an entry (traced on K6 and K7, where each entry holds its own
+# key and reduced form) this keeps one graph's cache near 73 MB.
 _CACHE_LIMIT = 1 << 18
 
 
@@ -70,6 +73,17 @@ def _burn(
     return burnt, inflow, chain
 
 
+def _seeds(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> list[int]:
+    """Indices of the distinct seed vertices in name order, which keeps
+    every seeded computation deterministic; d must live on g."""
+    if d.graph != g:
+        raise DomainError("divisor lives on a different graph")
+    seeds = sorted({g.vertex_index(v) for v in zone}, key=g._vertices.__getitem__)
+    if not seeds:
+        raise DomainError("seed set must be nonempty")
+    return seeds
+
+
 def dhar(g: WeightedMultigraph, d: Divisor, seed: Iterable[str]) -> DharResult:
     """Burning decomposition of the graph with respect to a seed set.
 
@@ -77,27 +91,19 @@ def dhar(g: WeightedMultigraph, d: Divisor, seed: Iterable[str]) -> DharResult:
     canonical and no tie-breaking is involved.  Requires d effective away
     from the seed.
     """
-    if d.graph != g:
-        raise DomainError("divisor lives on a different graph")
-    seed_idx = sorted({g.vertex_index(v) for v in seed})
-    if not seed_idx:
-        raise DomainError("seed set must be nonempty")
-    seed_mask = [False] * g._n
-    for i in seed_idx:
-        seed_mask[i] = True
+    seeds = _seeds(g, d, seed)
     vals = d.values
+    seeded = set(seeds)
     for i, x in enumerate(vals):
-        if not seed_mask[i] and x < 0:
+        if x < 0 and i not in seeded:
             raise DomainError(
                 f"divisor is negative at {g.vertices[i]!r}, outside the seed"
             )
-    burnt, _, chain = _burn(g, vals, seed_idx, want_chain=True)
+    burnt, _, chain = _burn(g, vals, seeds, want_chain=True)
     names = g.vertices
     fixed = frozenset(names[i] for i in range(g._n) if burnt[i])
     unburnt = frozenset(names[i] for i in range(g._n) if not burnt[i])
-    chain_named = tuple(
-        frozenset(names[i] for i in part) for part in chain
-    )
+    chain_named = tuple(frozenset(names[i] for i in part) for part in chain)
     return DharResult(fixed_set=fixed, dhar_set=unburnt, chain=chain_named)
 
 
@@ -105,15 +111,12 @@ def is_reduced(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> bool:
     """True iff d is effective off the set and the burning from it consumes
     the whole graph (every outside subset has a vertex with fewer chips than
     its outward edge count)."""
-    if d.graph != g:
-        raise DomainError("divisor lives on a different graph")
-    seed_idx = {g.vertex_index(v) for v in zone}
-    if not seed_idx:
-        raise DomainError("seed set must be nonempty")
+    seeds = _seeds(g, d, zone)
     vals = d.values
-    if any(vals[i] < 0 for i in range(g._n) if i not in seed_idx):
+    seeded = set(seeds)
+    if any(x < 0 and i not in seeded for i, x in enumerate(vals)):
         return False
-    burnt, _, _ = _burn(g, vals, seed_idx)
+    burnt, _, _ = _burn(g, vals, seeds)
     return all(burnt)
 
 
@@ -169,25 +172,28 @@ def _superstabilize(g, vals: list[int], seed: list[int]) -> None:
             raise InternalError("reduction failed to stabilize within the guard")
 
 
+def _reduce_off(g: WeightedMultigraph, vals, seeds: list[int]) -> list[int]:
+    """A copy of vals reduced with respect to distinct seeds, from scratch:
+    prefix firings along a BFS order from the seeds clear the negatives off
+    them, then the unburnt side fires until everything burns."""
+    work = list(vals)
+    _make_effective_off(g, work, _bfs_order(g, seeds), len(seeds))
+    _superstabilize(g, work, seeds)
+    return work
+
+
 def _remember(g: WeightedMultigraph, vals: tuple[int, ...], u: int, out: tuple[int, ...]) -> None:
     cache = g._reduced
-    if len(cache) + 2 > _CACHE_LIMIT:
+    if len(cache) >= _CACHE_LIMIT:
         cache.clear()
     cache[(vals, u)] = out
-    cache[(out, u)] = out  # reduced forms are fixed points
 
 
 def _reduce_tuple(g: WeightedMultigraph, vals: tuple[int, ...], u: int) -> tuple[int, ...]:
     hit = g._reduced.get((vals, u))
     if hit is not None:
         return hit
-    order = g._bfs.get(u)
-    if order is None:
-        order = g._bfs[u] = _bfs_order(g, [u])
-    work = list(vals)
-    _make_effective_off(g, work, order, 1)
-    _superstabilize(g, work, [u])
-    out = tuple(work)
+    out = tuple(_reduce_off(g, vals, [u]))
     _remember(g, vals, u, out)
     return out
 
@@ -253,36 +259,24 @@ def _reduce_from_parent(
 def reduce_to(g: WeightedMultigraph, d: Divisor, u: str) -> Divisor:
     """The unique reduced divisor at u equivalent to d.
 
-    Idempotent, class-invariant, and effective away from u.  Two-phase
-    algorithm: prefix firings along a BFS order clear negatives off u, then
-    repeated burning-and-firing of the unburnt side reaches the fixed point.
+    Idempotent, class-invariant, and effective away from u.  The two-phase
+    routine of :func:`reduce_to_set`: prefix firings along a BFS order clear
+    negatives off u, then repeated burning-and-firing of the unburnt side
+    reaches the fixed point.  The graph's cache keeps one entry per
+    reduction, keyed by the chips reduced and u.
     """
-    if d.graph != g:
-        raise DomainError("divisor lives on a different graph")
-    ui = g.vertex_index(u)
-    return Divisor(g, _reduce_tuple(g, d.values, ui))
+    return Divisor(g, _reduce_tuple(g, d.values, _seeds(g, d, [u])[0]))
 
 
 def reduce_to_set(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> Divisor:
     """A reduced divisor with respect to a vertex set, equivalent to d.
 
-    With a singleton set this agrees with :func:`reduce_to`; for larger
-    sets the output is one valid reduced form (effective off the set and
-    burning-stable), not a canonical one.
+    The two-phase routine of :func:`reduce_to`, seeded at the set in name
+    order, uncached.  With a singleton set this agrees with
+    :func:`reduce_to`; for larger sets the output is one valid reduced form
+    (effective off the set and burning-stable), not a canonical one.
     """
-    if d.graph != g:
-        raise DomainError("divisor lives on a different graph")
-    # canonical (name) order of the seeds keeps the output deterministic
-    seeds = sorted({g.vertex_index(v) for v in zone}, key=g._vertices.__getitem__)
-    if not seeds:
-        raise DomainError("seed set must be nonempty")
-    if len(seeds) == g._n:
-        return d
-    order = _bfs_order(g, seeds)
-    work = list(d.values)
-    _make_effective_off(g, work, order, len(seeds))
-    _superstabilize(g, work, seeds)
-    return Divisor(g, work)
+    return Divisor(g, _reduce_off(g, d.values, _seeds(g, d, zone)))
 
 
 def effectivize(g: WeightedMultigraph, d: Divisor) -> Divisor | None:

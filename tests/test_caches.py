@@ -43,6 +43,15 @@ class TestLifetime:
         assert len(g._reduced) > 0
         assert len(bullet_model(g)[0]._reduced) == 0
 
+    def test_a_reduction_stores_one_entry(self):
+        g = golden_graph()
+        d = Divisor(g, [-3, 5, 1])
+        out = reduce_to(g, d, "v1")
+        assert len(g._reduced) == 1
+        assert g._reduced[(d.values, g.vertex_index("v1"))] == out.values
+        assert reduce_to(g, out, "v1") == out
+        assert len(g._reduced) == 2  # the reduced form was looked up, so it is kept
+
     def test_equal_graphs_keep_separate_caches(self):
         g1, g2 = golden_graph(), golden_graph()
         assert g1 == g2
