@@ -96,7 +96,9 @@ class WeightedMultigraph:
         self._loops = loops
         self._rows = rows
         self._lex_indices = lex_indices
-        self._valence = tuple(sum(m for _, m in row) + 2 * l for row, l in zip(rows, loops))
+        # edge endpoints at each vertex with its loops left out: a singleton's cut
+        self._loopless_degree = tuple(sum(m for _, m in row) for row in rows)
+        self._valence = tuple(d + 2 * l for d, l in zip(self._loopless_degree, loops))
         self._edge_count = sum(m for _, _, m in pairs)
         self._genus = self._edge_count - n + 1 + sum(weight_list)
 
@@ -105,14 +107,22 @@ class WeightedMultigraph:
 
         self._key = (verts, weight_list, tuple(sorted(pairs)))
         self._hash = hash(self._key)
-        # per-instance memos: the loopless weightless model and the host index
-        # of each of its satellites (see bullet_model), reduction's reduced
-        # forms (one entry per reduction, keyed by the chips reduced and the
-        # base index), and the oracle's lattice data and key sets (kept apart
-        # from the reduced forms)
+        # per-instance memos:
+        # - the loopless weightless model and the host index of each of its
+        #   satellites (see bullet_model)
+        # - reduction's reduced forms: one map per base index u, keyed by the
+        #   chips with 0 at u, and the count of their entries, which the
+        #   reduction's cache limit bounds all together
+        # - the rank scan's coordinates over g and over the model, each at
+        #   the largest table length asked for (a shorter one is a prefix),
+        #   up to the rank module's cap
+        # - the oracle's lattice data and key sets, kept apart from the
+        #   reduced forms
         self._model: WeightedMultigraph | None = None
         self._hosts: tuple[int, ...] = ()
-        self._reduced: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+        self._reduced: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
+        self._reduced_size = 0
+        self._scan_coords: dict[bool, tuple] = {}
         self._oracle: dict = {}
 
     # -- public views ------------------------------------------------------

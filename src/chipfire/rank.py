@@ -16,7 +16,9 @@ deciders are provided:
   cost there.  It folds the base vertex out: the reduced form at the base
   does not depend on the chips there, so each candidate off the base is
   reduced once, and the fewest chips its degree leaves at the base decide
-  every level; it steps each candidate's target from the previous
+  every level.  For the same reason the reduce cache keys a candidate by
+  its chips off the base, so calls whose divisors differ only at the base
+  share every entry.  It steps each candidate's target from the previous
   candidate's and its reduced form from its parent's, one degree down;
 * :func:`rank_oracle` shares none of that code: it works on the model,
   decides equivalence by exact integer lattice membership (adjugate and
@@ -41,11 +43,16 @@ from .enumeration import (
 )
 from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, bullet_model, bullet_model_size
-from .reduction import _reduce_from_parent, _reduce_tuple
+from .reduction import _borrow, _cache_at, _lookup, _remember
 
 METHOD_DEFINITION = "definition"
 METHOD_SHORTCUT = "regime_shortcut"
 METHOD_ORACLE = "oracle"
+
+# The longest cost tables a graph keeps for later scans (see _coords): the
+# levels of a scan are bounded only through the budget's count, so a scan
+# past this builds its own tables, as long as it needs, and keeps none.
+_COORDS_KEPT = 1 << 12
 
 
 class RankReport(NamedTuple):
@@ -64,26 +71,35 @@ class RankReport(NamedTuple):
 
 def _coords(g, top, model=None):
     """Lex-ordered coordinates: the vertex of g that each one's chips come
-    off, and the cost table of x <= top chips there.
+    off, and the cost table of x chips there, for every x <= top at least.
 
     Over g's own vertices x chips at v cost x + min(x, weight + loops),
     which is x on a weightless, loopless graph.  Over the model's
     vertices, x chips cost x at a vertex of g and x + x mod 2 at the host
-    of a satellite.  Equal costs share one table.
+    of a satellite.  Equal costs share one table.  g keeps one set of each,
+    for the largest top asked for up to ``_COORDS_KEPT``: a table for a
+    smaller top is a prefix of it.
     """
+    kept = g._scan_coords.get(model is None)
+    if kept is not None and len(kept[1][0]) > top:
+        return kept
     if model is None:
         lex = g._lex_indices
         caps = [min(g._weights[i] + g._loops[i], top) for i in lex]
         # 2x up to the cap, then x + cap
         tables = {c: [*range(0, 2 * c + 1, 2), *range(2 * c + 1, top + c + 1)] for c in set(caps)}
-        return lex, [tables[c] for c in caps]
-    n, hosts = g._n, g._hosts
-    single, paired = list(range(top + 1)), [x + (x & 1) for x in range(top + 1)]
-    lex = model._lex_indices
-    return (
-        [pos if pos < n else hosts[pos - n] for pos in lex],
-        [single if pos < n else paired for pos in lex],
-    )
+        coords = lex, [tables[c] for c in caps]
+    else:
+        n, hosts = g._n, g._hosts
+        single, paired = list(range(top + 1)), [x + (x & 1) for x in range(top + 1)]
+        lex = model._lex_indices
+        coords = (
+            [pos if pos < n else hosts[pos - n] for pos in lex],
+            [single if pos < n else paired for pos in lex],
+        )
+    if top <= _COORDS_KEPT:
+        g._scan_coords[model is None] = coords
+    return coords
 
 
 def _walk_off_base(g, vals, u, j, coords, floor):
@@ -92,39 +108,66 @@ def _walk_off_base(g, vals, u, j, coords, floor):
     holds fewer than floor chips at u, None) or, when none does, (None, the
     fewest chips at u among them; infinity when there is no candidate).
 
-    One running target steps from each candidate to the next over one
-    in-place composition walk, paying the cost change only at the parts
-    from the first changed one onward; a tuple is built for the cache key
-    and for the candidate returned.  A candidate missing from the reduce
-    cache is stepped from its parent, one chip fewer at its last nonzero
-    position, whose target holds cost[x] - cost[x - 1] more chips at that
-    position's vertex (see :func:`.reduction._reduce_from_parent`): the
-    parent's reduced form less those chips is reduced when the vertex is
-    the base or holds them, and otherwise the vertex borrows.  A step of
-    0, a satellite's even chip, leaves the parent's target.
+    The walk runs in the frame of g's reduce cache for u (see
+    :func:`.reduction._reduce_tuple`): the running target holds 0 at u,
+    and the chips at u, those of vals less what the coordinates hosted at u
+    cost, are an offset on the reduced form's value at u, so the steps of
+    those coordinates change no key.  The target steps from each candidate
+    to the next over one in-place composition walk, paying the cost change
+    only at the parts from the first changed one onward; one tuple per
+    candidate is built, the cache key.
+
+    A candidate missing from the cache is stepped from its parent, one chip
+    fewer at its last nonzero position, whose target holds s = cost[x] -
+    cost[x - 1] more chips at that position's vertex p; the walk builds the
+    parent's key by stepping the running target at p and back.  With R the
+    parent's reduced form (usually cached), R - s*e_p is equivalent to the
+    candidate.  It is already reduced when R(p) >= s, since fewer chips off
+    u only make the burn from u easier.  Otherwise p borrows
+    (:func:`.reduction._borrow`), and the least borrowing x from a divisor
+    below a reduced R is reduced too: if a set A could fire legally
+    afterwards, then either x - 1_A would still clear the negatives, or the
+    vertices of A that never borrowed could fire legally from R.  A step
+    of 0, a satellite's even chip, or at u leaves the parent's key, so
+    such a candidate, when missing, is reduced from scratch.
     """
     dests, costs = coords
-    cache = g._reduced
+    cache = _cache_at(g, u)
     n = len(dests)
     target, held = list(vals), [0] * n  # held: the parts that target pays for
+    offset, target[u] = target[u], 0
     least = float("inf")
     for combo, i in composition_walk(j, n):
         for p in range(i, n):
             x = combo[p]
             if x != held[p]:
                 cost = costs[p]
-                target[dests[p]] -= cost[x] - cost[held[p]]
+                step = cost[x] - cost[held[p]]
+                if dests[p] == u:
+                    offset -= step
+                else:
+                    target[dests[p]] -= step
                 held[p] = x
         key = tuple(target)
-        red = cache.get((key, u))
+        red = cache.get(key)
         if red is None:
+            s = 0
             if j:
                 p = n - 1 if combo[-1] else i  # the last nonzero part
-                cost, x = costs[p], combo[p]
-                red = _reduce_from_parent(g, key, u, dests[p], cost[x] - cost[x - 1])
+                to, cost, x = dests[p], costs[p], combo[p]
+                s = 0 if to == u else cost[x] - cost[x - 1]
+            if s:
+                target[to] += s
+                parent = tuple(target)
+                target[to] -= s
+                work = list(cache.get(parent) or _lookup(g, cache, parent, u))
+                work[to] -= s
+                if work[to] < 0:
+                    _borrow(g, work, u, to)
+                red = _remember(g, cache, key, tuple(work))
             else:
-                red = _reduce_tuple(g, key, u)
-        at_u = red[u]
+                red = _lookup(g, cache, key, u)
+        at_u = red[u] + offset
         if at_u < floor:
             return tuple(combo), None
         if at_u < least:

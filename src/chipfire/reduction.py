@@ -4,11 +4,14 @@ The burning iteration grows a seed set by absorbing, each round, every
 outside vertex whose edge count into the current set exceeds its chips;
 a divisor is reduced with respect to the seed exactly when everything
 burns.  One two-phase routine reduces from scratch, to a vertex or a set.
-Reduction to a single base vertex has a unique fixed point per class,
-which the rest of the package uses as a canonical form; each graph caches
-it once per reduction.  The rank scan also steps a reduced form from a
-cached one a few chips richer at one vertex, by borrowing instead of
-reducing from scratch.
+Reduction to a single base vertex u has a unique fixed point per class,
+which the rest of the package uses as a canonical form.  Chips at u never
+enter the burn, so each graph caches it once per reduction in one map per
+u, keyed by the chips with none at u: divisors that differ only at u
+share one entry, and each caller adds its own chips at u back.  The rank
+scan also steps a reduced form from a cached one a few chips richer at
+one vertex, by borrowing (:func:`_borrow`) instead of reducing from
+scratch.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from .divisors import Divisor, _fire
 from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, _bfs_order
 
-# Entries a graph's reduced-form cache may hold before it is emptied; at
-# about 280 B an entry (traced on K6 and K7, where each entry holds its own
-# key and reduced form) this keeps one graph's cache near 73 MB.
+# Entries a graph's reduced-form maps may hold between them before all are
+# emptied; at about 210-220 B an entry (traced on K6 and K7 over 40 rank
+# calls each, where an already reduced key is held once, as its own value)
+# this keeps one graph's cache near 58 MB.
 _CACHE_LIMIT = 1 << 18
 
 
@@ -182,40 +186,72 @@ def _reduce_off(g: WeightedMultigraph, vals, seeds: list[int]) -> list[int]:
     return work
 
 
-def _remember(g: WeightedMultigraph, vals: tuple[int, ...], u: int, out: tuple[int, ...]) -> None:
-    cache = g._reduced
-    if len(cache) >= _CACHE_LIMIT:
-        cache.clear()
-    cache[(vals, u)] = out
+def _cache_at(g: WeightedMultigraph, u: int) -> dict:
+    """g's reduce cache for base index u: a map from chips with 0 at u to
+    their reduced form at u (see :func:`_reduce_tuple`)."""
+    cache = g._reduced.get(u)
+    if cache is None:
+        cache = g._reduced[u] = {}
+    return cache
+
+
+def _remember(g: WeightedMultigraph, cache: dict, key: tuple[int, ...], out: tuple[int, ...]):
+    """Store out, the reduced form of key, in cache, one of g's maps, and
+    return what was stored: key itself when the two are equal, so an
+    already reduced key is held once.  Once g's maps hold the limit between
+    them, all of them are emptied first, in place, so a map that a caller
+    holds stays g's."""
+    if g._reduced_size >= _CACHE_LIMIT:
+        for held in g._reduced.values():
+            held.clear()
+        g._reduced_size = 0
+    if out == key:
+        out = key
+    cache[key] = out
+    g._reduced_size += 1
+    return out
+
+
+def _lookup(g: WeightedMultigraph, cache: dict, key: tuple[int, ...], u: int) -> tuple[int, ...]:
+    """The reduced form at u of key, which holds 0 at u: from cache, g's map
+    for u, or reduced from scratch and stored there."""
+    red = cache.get(key)
+    if red is None:
+        red = _remember(g, cache, key, tuple(_reduce_off(g, key, [u])))
+    return red
 
 
 def _reduce_tuple(g: WeightedMultigraph, vals: tuple[int, ...], u: int) -> tuple[int, ...]:
-    hit = g._reduced.get((vals, u))
-    if hit is not None:
-        return hit
-    out = tuple(_reduce_off(g, vals, [u]))
-    _remember(g, vals, u, out)
-    return out
+    """The reduced form at u of vals, through g's map for u.
+
+    Chips at u never enter the burn, so the reduced form of vals is that of
+    vals with 0 at u, its key in the map, with vals[u] more chips at u.
+    """
+    x = vals[u]
+    key = (*vals[:u], 0, *vals[u + 1 :]) if x else vals
+    red = _lookup(g, _cache_at(g, u), key, u)
+    return (*red[:u], red[u] + x, *red[u + 1 :]) if x else red
 
 
 def _borrow(g: WeightedMultigraph, vals: list[int], u: int, p: int) -> None:
     """Clear negatives off u, in place, when p is the only one.
 
     A negative vertex v borrows: everything else fires ceil(-vals[v] /
-    deg(v)) times, which leaves v nonnegative and takes chips from its
-    neighbours; a neighbour other than u that goes negative borrows in
-    turn.  No vertex borrows more often than in any borrowing that clears
-    the negatives, so with u a sink of unbounded supply this terminates in
-    the least such borrowing.  Most borrowings settle within n steps, so
-    the guard, which sums every |chip|, is only computed past them.
+    deg(v)) times, with deg(v) its loopless degree, which leaves v
+    nonnegative and takes chips from its neighbours; a neighbour other than
+    u that goes negative borrows in turn.  No vertex borrows more often
+    than in any borrowing that clears the negatives, so with u a sink of
+    unbounded supply this terminates in the least such borrowing.  Most
+    borrowings settle within n steps, so the guard, which sums every |chip|,
+    is only computed past them.
     """
-    rows, valence, loops = g._rows, g._valence, g._loops
+    rows, degree = g._rows, g._loopless_degree
     guard = None
     steps = 0
     stack = [p]
     while stack:
         v = stack.pop()
-        deg = valence[v] - 2 * loops[v]
+        deg = degree[v]
         k = (-vals[v] + deg - 1) // deg
         vals[v] += k * deg
         for w, m in rows[v]:
@@ -231,31 +267,6 @@ def _borrow(g: WeightedMultigraph, vals: list[int], u: int, p: int) -> None:
                 raise InternalError("borrowing failed to settle within the guard")
 
 
-def _reduce_from_parent(
-    g: WeightedMultigraph, vals: tuple[int, ...], u: int, p: int, s: int
-) -> tuple[int, ...]:
-    """Reduced form at u of vals, stepped from that of its parent vals + s*e_p.
-
-    With R the parent's reduced form (usually cached), R - s*e_p is
-    equivalent to vals.  It is already reduced when p is u, whose chips
-    never enter the burn, or when R(p) >= s, since fewer chips off u only
-    make the burn from u easier.  Otherwise p borrows (:func:`_borrow`),
-    and the least borrowing x from a divisor below a reduced R is reduced
-    too: if a set A could fire legally afterwards, then either x - 1_A
-    would still clear the negatives, or the vertices of A that never
-    borrowed could fire legally from R.
-    """
-    work = list(vals)
-    work[p] += s
-    work = list(_reduce_tuple(g, tuple(work), u))
-    work[p] -= s
-    if p != u and work[p] < 0:
-        _borrow(g, work, u, p)
-    out = tuple(work)
-    _remember(g, vals, u, out)
-    return out
-
-
 def reduce_to(g: WeightedMultigraph, d: Divisor, u: str) -> Divisor:
     """The unique reduced divisor at u equivalent to d.
 
@@ -263,7 +274,8 @@ def reduce_to(g: WeightedMultigraph, d: Divisor, u: str) -> Divisor:
     routine of :func:`reduce_to_set`: prefix firings along a BFS order clear
     negatives off u, then repeated burning-and-firing of the unburnt side
     reaches the fixed point.  The graph's cache keeps one entry per
-    reduction, keyed by the chips reduced and u.
+    reduction in its map for u, keyed by the chips reduced with 0 at u, so
+    divisors that differ only at u share it.
     """
     return Divisor(g, _reduce_tuple(g, d.values, _seeds(g, d, [u])[0]))
 

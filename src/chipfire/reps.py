@@ -166,9 +166,9 @@ def semibalanced_representative(
         return Divisor(g, [deg])
     top = 2 * g.genus - 2
     k_values = canonical_divisor(g).values
-    # a singleton's cut is its valence without loops
+    # a singleton's cut is its loopless degree
     lows, highs = zip(*(
-        _window(top, deg, k_values[v], sum(m for _, m in g._rows[v]))
+        _window(top, deg, k_values[v], g._loopless_degree[v])
         for v in g._lex_indices
     ))
     check_budget(count_box_vectors(lows, highs, deg), budget, "box")

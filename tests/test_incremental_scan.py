@@ -1,13 +1,14 @@
 """The rank scan's incremental step against reduction from scratch.
 
-``reduction._reduce_from_parent`` reduces a candidate from the reduced form
-of its parent, zero, one or two chips richer at one vertex, and the scan
-folds the base vertex out, reducing each candidate off it once for every
-level.  Both must equal the from-scratch reduction of every candidate of
-the full scan wherever they are used: on dense and sparse graphs, through
-the rank scan and its witness walk (against the from-scratch scan in
-``helpers``), and through ``rank`` against the independent ``rank_oracle``
-on long, large-valued cycles, theta graphs and ladders.
+``rank._walk_off_base`` reduces a candidate missing from the reduce cache
+from the reduced form of its parent, zero, one or two chips richer at one
+vertex, and the scan folds the base vertex out, reducing each candidate
+off it once for every level.  Both must equal the from-scratch reduction
+of every candidate of the full scan wherever they are used: on dense and
+sparse graphs, through the rank scan and its witness walk (against the
+from-scratch scan in ``helpers``), and through ``rank`` against the
+independent ``rank_oracle`` on long, large-valued cycles, theta graphs
+and ladders.
 """
 
 import importlib
@@ -29,7 +30,7 @@ from chipfire import (
     rank_oracle,
 )
 from chipfire.enumeration import DEFAULT_BUDGET
-from chipfire.reduction import _reduce_from_parent, _reduce_tuple
+from chipfire.reduction import _reduce_tuple
 from helpers import reference_burn, reference_off_base_min, reference_uncovered
 from test_sparse_reduction import cycle, ladder, theta
 
@@ -76,8 +77,22 @@ def _twin(g):
     return WeightedMultigraph(g.vertices, g.weights, g.edges)
 
 
+def _step(g, vals, u, p, s):
+    """The reduced form at u of vals as the scan's walk steps it from its
+    parent vals + s*e_p: the walk's one degree-1 candidate over one
+    coordinate at p whose first chip costs s.  Returns what the walk stored
+    for it, shifted by the chips at u."""
+    parent = list(vals)
+    parent[p] += s
+    _, least = rank_module._walk_off_base(g, parent, u, 1, ([p], [[0, s]]), float("-inf"))
+    red = list(g._reduced[u][(*vals[:u], 0, *vals[u + 1 :])])  # its key: 0 at u
+    red[u] += vals[u]
+    assert least == red[u]
+    return tuple(red)
+
+
 @pytest.mark.parametrize("name", STEP_GRAPHS)
-def test_step_matches_reduction_from_scratch(name):
+def test_step_matches_reduction_from_scratch(name, monkeypatch):
     g = STEP_GRAPHS[name]
     scratch = _twin(g)
     rng = random.Random(name)
@@ -86,26 +101,33 @@ def test_step_matches_reduction_from_scratch(name):
         u = rng.randrange(g._n)
         # a random u-reduced divisor: small signed chips, reduced at u
         parent = _reduce_tuple(g, tuple(rng.randint(-2, 3) for _ in range(g._n)), u)
+        assert _reduce_tuple(g, parent, u) == parent  # and now cached as well
         for p in range(g._n):
             for s in (1, 2):
                 vals = list(parent)
                 vals[p] -= s
                 vals = tuple(vals)
                 borrowed += p != u and parent[p] < s
-                got = _reduce_from_parent(g, vals, u, p, s)
+                with monkeypatch.context() as mp:
+                    calls = _count_scratch_reductions(mp)
+                    got = _step(g, vals, u, p, s)
+                assert calls == []  # the parent was cached
                 scratch._reduced.clear()
                 assert got == _reduce_tuple(scratch, vals, u)
                 assert all(x >= 0 for i, x in enumerate(got) if i != u)
                 assert all(reference_burn(g, got, [u])[0])
-                assert g._reduced[(vals, u)] == got
+                assert _reduce_tuple(g, vals, u) == got
     assert borrowed > 0
 
 
 def test_step_without_a_cached_parent_reduces_it_from_scratch():
     g = complete(6)
     vals = (4, -3, 7, -1, 0, 2)
-    got = _reduce_from_parent(g, vals, 0, 3, 2)
+    got = _step(g, vals, 0, 3, 2)
     assert got == _reduce_tuple(_twin(g), vals, 0)
+    parent = (0, -3, 7, 1, 0, 2)
+    assert g._reduced[0][parent] == _reduce_tuple(_twin(g), parent, 0)
+    assert g._reduced_size == 2
 
 
 def _count_scratch_reductions(monkeypatch):
@@ -179,7 +201,7 @@ def test_borrow_guard_trips(monkeypatch):
     monkeypatch.setattr(reduction, "_round_guard", lambda g, vals: 0)
     with pytest.raises(InternalError, match="borrowing"):
         # the debt at c02 takes 6 borrowing steps, past n = 5
-        _reduce_from_parent(g, (0, 0, -1, 0, 0), 0, 2, 1)
+        _step(g, (0, 0, -1, 0, 0), 0, 2, 1)
 
 
 def test_borrowing_within_n_steps_skips_the_guard(monkeypatch):
@@ -189,7 +211,7 @@ def test_borrowing_within_n_steps_skips_the_guard(monkeypatch):
     guards = []
     monkeypatch.setattr(reduction, "_round_guard", lambda g, vals: guards.append(1) or 0)
     # the debt at k1 takes 4 borrowing steps, within n = 5
-    assert _reduce_from_parent(g, (5, -1, 0, 0, 0), 0, 1, 1) == (1, 0, 1, 1, 1)
+    assert _step(g, (5, -1, 0, 0, 0), 0, 1, 1) == (1, 0, 1, 1, 1)
     assert guards == []
 
 
@@ -375,7 +397,7 @@ def test_cache_limit_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(reduction, "_CACHE_LIMIT", 8)
     g = complete(5)
     rank(g, Divisor(g, [3, 0, 1, 2, 2]), shortcuts=False)
-    assert 0 < len(g._reduced) <= 8
+    assert 0 < len(g._reduced[0]) == g._reduced_size <= 8
 
 
 # -- rank against the oracle on long, large-valued graphs ------------------

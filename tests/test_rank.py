@@ -334,23 +334,59 @@ class TestGraphScanMatchesModelScan:
 
     def test_witness_walk_steps_through_a_satellite_pair(self, monkeypatch):
         # x chips on a satellite cost x + x mod 2 at its host, so a second
-        # chip there leaves its parent's target: the walk steps by 0.  The
-        # witness itself never holds an even count >= 2 on a satellite: one
-        # chip fewer there costs the same, so moving that chip to a later
-        # coordinate gives a lex-smaller failure, and with none later the
-        # target was already covered at level k - 1.
+        # chip there leaves its parent's target and so its cache key: the
+        # walk steps by 0.  The witness itself never holds an even count >= 2
+        # on a satellite: one chip fewer there costs the same, so moving that
+        # chip to a later coordinate gives a lex-smaller failure, and with
+        # none later the target was already covered at level k - 1.
         rank_module = importlib.import_module("chipfire.rank")
-        steps = []
-        step = rank_module._reduce_from_parent
-        monkeypatch.setattr(
-            rank_module, "_reduce_from_parent", lambda *a: steps.append(a[-1]) or step(*a)
-        )
         g = WeightedMultigraph(["a", "b"], {"a": 1, "b": 1}, [("a", "b"), ("a", "b")])
+        model = bullet_model(g)[0]
+        # the satellites' places in the model walk, which leaves the base out
+        satellites = {i - 1 for i, pos in enumerate(model._lex_indices) if pos >= g._n}
+        pairs = []
+        walk = rank_module.composition_walk
+
+        def recorded(total, length):
+            for vec, i in walk(total, length):
+                last = max((p for p, x in enumerate(vec) if x), default=None)
+                on_model = length == model._n - 1
+                pairs.append(on_model and last in satellites and vec[last] >= 2)
+                yield vec, i
+
+        monkeypatch.setattr(rank_module, "composition_walk", recorded)
         d = Divisor(g, [4, 3])
         got = rank(g, d, shortcuts=False)
         assert got == reference_model_rank(g, d, shortcuts=False)
         assert got.witness.as_dict() == {"a": 1, "b": 0, "a#w0": 1, "b#w0": 3}
-        assert 0 in steps
+        assert any(pairs)
+
+    @pytest.mark.parametrize(
+        "weights, edges",
+        [
+            ({"a": 2}, [("a", "a"), ("a", "b"), ("b", "c"), ("a", "c")]),
+            ({"a": 1, "c": 1}, [("a", "a"), ("a", "a"), ("a", "b"), ("a", "b"), ("b", "c")]),
+            ({"a": 3}, [("a", "a"), ("a", "b")]),
+        ],
+    )
+    def test_weight_and_loops_on_the_base_vertex(self, weights, edges):
+        # the model coordinates hosted at the base move only the offset on
+        # the reduced form's value there, never the cache key
+        rng = random.Random(repr(edges))
+        verts = sorted({v for e in edges for v in e})
+        for _ in range(25):
+            g = WeightedMultigraph(verts, weights, edges)
+            d = Divisor(g, [rng.randint(-2, 4) for _ in verts])
+            for shortcuts in (False, True):
+                got = rank(g, d, shortcuts=shortcuts)
+                want = reference_model_rank(g, d, shortcuts=shortcuts)
+                assert (got.rank, got.method) == (want.rank, want.method)
+                assert (got.witness is None) == (want.witness is None)
+                if want.witness is not None:
+                    assert got.witness.graph is want.witness.graph
+                    assert got.witness.values == want.witness.values
+            assert list(g._reduced) in ([], [0])
+            assert all(key[0] == 0 for key in g._reduced.get(0, ()))
 
     def test_lower_bound_is_the_level_test(self):
         rng = random.Random(107)
