@@ -1,4 +1,4 @@
-"""Dhar burning, reduced divisors, and the effectivization loop.
+"""Dhar burning, reduced divisors, and effectivization.
 
 The burning iteration grows a seed set by absorbing, each round, every
 outside vertex whose edge count into the current set exceeds its chips;
@@ -11,7 +11,9 @@ u, keyed by the chips with none at u: divisors that differ only at u
 share one entry, and each caller adds its own chips at u back.  The rank
 scan also steps a reduced form from a cached one a few chips richer at
 one vertex, by borrowing (:func:`_borrow`) instead of reducing from
-scratch.
+scratch.  Effectivization runs no firing of its own: a divisor that is
+not effective is answered by its reduced form at the base vertex, which
+is effective exactly when the class has an effective member.
 """
 
 from __future__ import annotations
@@ -294,11 +296,11 @@ def reduce_to_set(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> Div
 def effectivize(g: WeightedMultigraph, d: Divisor) -> Divisor | None:
     """An effective divisor equivalent to d, or None if the class has none.
 
-    Non-effectivity is decided up front by the reduced-form guard (a class
-    is effective iff its reduced form at the base vertex is effective), so
-    the firing loop below only ever runs on effective classes.  The loop:
-    seed the burning at the negative support, fire the burnt side once,
-    repeat.
+    d itself when it is effective.  Otherwise the reduced form at the base
+    vertex: a class is effective iff that form is (it is effective off the
+    base, and any effective member reduces to it without losing chips at
+    the base), so the form is the answer when it is effective and shows
+    the class has none when it is not.
     """
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")
@@ -306,18 +308,4 @@ def effectivize(g: WeightedMultigraph, d: Divisor) -> Divisor | None:
         return d
     u = g.vertex_index(g.base_vertex())
     reduced = _reduce_tuple(g, d.values, u)
-    if reduced[u] < 0:
-        return None
-    work = list(d.values)
-    guard = _round_guard(g, work)
-    rounds = 0
-    while any(x < 0 for x in work):
-        seed = [i for i, x in enumerate(work) if x < 0]
-        burnt, _, _ = _burn(g, work, seed)
-        if all(burnt):
-            raise InternalError("empty unburnt set on an effective class")
-        _fire(g, work, [not b for b in burnt])
-        rounds += 1
-        if rounds > guard:
-            raise InternalError("effectivization failed to terminate within the guard")
-    return Divisor(g, work)
+    return Divisor(g, reduced) if reduced[u] >= 0 else None

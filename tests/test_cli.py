@@ -219,6 +219,10 @@ class TestCommands:
         assert code == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["result"]["status"] == "Effective"
+        # a non-effective input is answered by its reduced form at the base
+        out = obj["result"]["divisor"]
+        assert all(x >= 0 for x in out.values())
+        assert out == obj["inputs"]["canonical_form"]
 
     def test_effectivize_not_effective_exits_1(self, golden_file, capsys):
         code = main(["effectivize", golden_file, "--divisor", "v1=-1", "--json"])

@@ -4,16 +4,23 @@ Cycles, theta graphs and ladders with 16 to 24 vertices carry signed chips;
 every reduced form is checked by the rescanning reference burn (reduced,
 same burning chain and inflow as the package's kernel) and for equivalence
 by an exact rational solve of the reduced Laplacian, which never calls
-``reduce_to``.
+``reduce_to``.  ``effectivize`` is checked on the same graphs and at chip
+counts up to 10^30.
 """
 
 import random
 
 import pytest
 
-from chipfire import Divisor, WeightedMultigraph, dhar, reduce_to
+from chipfire import Divisor, WeightedMultigraph, dhar, effectivize, reduce_to
 from chipfire.reduction import _burn
-from helpers import rational_equivalent, reduced_laplacian_inverse, reference_burn
+from helpers import (
+    clip_degree,
+    random_divisor,
+    rational_equivalent,
+    reduced_laplacian_inverse,
+    reference_burn,
+)
 
 
 def _named(prefix, n, pairs):
@@ -93,3 +100,46 @@ def test_rational_equivalence_rejects_a_shifted_chip():
     moved = Divisor(g, [0, 1] + [0] * 14)
     assert not rational_equivalent(reduced_laplacian_inverse(g), d, moved)
     assert rational_equivalent(reduced_laplacian_inverse(g), d, d)
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_effectivize_matches_references(name):
+    """Signed chips nudged to degree [0, genus]: an answer is an effective
+    equivalent divisor, and None comes with a base-reduced form that the
+    reference burn confirms and that is negative at the base."""
+    g = GRAPHS[name]
+    rng = random.Random(name)
+    inv = reduced_laplacian_inverse(g)
+    base = g.base_vertex()
+    ui = g.vertex_index(base)
+    for _ in range(12):
+        d = clip_degree(rng, random_divisor(rng, g, -2, 2), 0, g.genus)
+        out = effectivize(g, d)
+        if out is not None:
+            assert out.is_effective
+            assert rational_equivalent(inv, d, out)
+            continue
+        r = reduce_to(g, d, base)
+        vals = r.values
+        assert all(x >= 0 for i, x in enumerate(vals) if i != ui)
+        assert all(reference_burn(g, vals, [ui])[0]), f"not reduced at {base}"
+        assert rational_equivalent(inv, d, r)
+        assert vals[ui] < 0
+
+
+def test_effectivize_burns_do_not_grow_with_the_chips(monkeypatch):
+    """On C_4 with (-N, 0, 2N, 0) the answer is the base-reduced form
+    (N, 0, 0, 0), reached in the same number of burns at every N."""
+    calls = []
+    monkeypatch.setattr(
+        "chipfire.reduction._burn", lambda *args, **kw: calls.append(1) or _burn(*args, **kw)
+    )
+    counts = []
+    for n in (10**2, 10**4, 10**30):
+        g = cycle(4)
+        d = Divisor(g, [-n, 0, 2 * n, 0])
+        calls.clear()
+        out = effectivize(g, d)
+        counts.append(len(calls))
+        assert out == reduce_to(g, d, g.base_vertex()) == Divisor(g, [n, 0, 0, 0])
+    assert counts[0] > 0 and len(set(counts)) == 1
