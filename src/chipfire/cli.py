@@ -10,11 +10,18 @@ Graph file format (line oriented, ``#`` starts a comment):
     edge v2 v3
     loop v2 x2
 
-Vertex identifiers are whitespace-free tokens without ``#``.  Every report
-involving a divisor echoes the canonical (base-vertex reduced) form of its
-class so results can be audited across runs.  ``--json`` emits one object
-with a fixed field order; ints beyond 2**53 are serialized as decimal
-strings to protect downstream readers.
+Vertex identifiers are whitespace-free tokens without ``#``, ``,`` or ``=``
+(divisor literals and ``--set`` split on those).  Every report involving a
+divisor echoes the canonical (base-vertex reduced) form of its class so
+results can be audited across runs.
+
+Every command runs through one pipeline.  ``_HANDLERS`` maps each command
+to its handler and to the number of ``--divisor`` options it takes; ``main``
+parses the graph and those divisors, fills in the report's ``inputs`` and
+hands the report to the handler, which fills in the result and the text
+lines.  ``--json`` emits one object with a fixed field order through one
+encoder, ``_jsonable``: it renders each divisor as its chip map, and ints
+beyond 2**53 as decimal strings to protect downstream readers.
 
 Exit codes: 0 success (including NotCovered), 1 domain errors or negative
 results (NotEffective, NotFound, failed identity), 2 parse and resource
@@ -97,6 +104,10 @@ def parse_graph(text: str) -> GraphDocument:
                     "expected 'vertex NAME weight K'", line=lineno, column=first_col
                 )
             name = words[1]
+            if "," in name or "=" in name:
+                raise ParseError(
+                    f"vertex name {name!r} contains ',' or '='", line=lineno, column=tokens[1][1]
+                )
             if name in vertex_lines:
                 raise ParseError(
                     f"duplicate vertex declaration {name!r}", line=lineno, column=tokens[1][1]
@@ -226,6 +237,10 @@ _BIG = 2 ** 53
 
 
 def _jsonable(obj):
+    """obj with each divisor as its chip map and each int beyond 2**53 as a
+    decimal string, ready for ``json.dumps``."""
+    if isinstance(obj, Divisor):
+        obj = obj.as_dict()
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
@@ -267,44 +282,44 @@ class _Report:
         return self.exit_code
 
 
-def _base_inputs(args, g: WeightedMultigraph, divisors: list[Divisor] | None = None) -> dict:
-    inputs: dict = {"graph_file": args.graph, "vertices": list(g.vertices)}
-    if divisors:
-        base = args.base or g.base_vertex()
-        inputs["base"] = base
-        for i, d in enumerate(divisors):
-            key = "divisor" if i == 0 else f"divisor{i + 1}"
-            inputs[key] = d.as_dict()
-        for i, d in enumerate(divisors):
-            key = "canonical_form" if i == 0 else f"canonical_form{i + 1}"
-            inputs[key] = reduce_to(g, d, base).as_dict()
-    return inputs
+def _riemann_roch(args, g: WeightedMultigraph, d: Divisor) -> tuple[RankReport, dict]:
+    """rank(d) under the command's options, and the Riemann-Roch fields:
+    rank(d) - rank(K - d) against deg d - genus + 1."""
+    r_d = rank(g, d, shortcuts=not args.no_shortcuts, budget=args.budget)
+    r_res = rank(g, residual(g, d), shortcuts=not args.no_shortcuts, budget=args.budget)
+    deg, gen = d.degree, genus(g)
+    lhs, rhs = r_d.rank - r_res.rank, deg - gen + 1
+    return r_d, {
+        "rank": r_d.rank,
+        "residual_rank": r_res.rank,
+        "degree": deg,
+        "genus": gen,
+        "lhs": lhs,
+        "rhs": rhs,
+        "identity_holds": lhs == rhs,
+    }
 
 
-def _require_divisors(args, g: WeightedMultigraph, count: int) -> list[Divisor]:
-    literals = args.divisor or []
-    if len(literals) != count:
-        raise ParseError(
-            f"expected {count} --divisor option(s), got {len(literals)}"
-        )
-    return [parse_divisor_literal(lit, g) for lit in literals]
-
-
-def _class_inputs(
-    args, g: WeightedMultigraph, command: str
-) -> tuple[_Report, Divisor, DivisorClass]:
-    """The report of a command on one divisor's class, the divisor, and
-    its class at the base vertex."""
-    (d,) = _require_divisors(args, g, 1)
-    rep = _Report(command, _base_inputs(args, g, [d]))
-    return rep, d, class_of(g, d, rep.inputs["base"])
+def _clifford(g: WeightedMultigraph, c: DivisorClass, rep: _Report, budget: int) -> dict:
+    """The Clifford representative of class c as result fields; a found
+    one's certificate goes on the report."""
+    outcome = clifford_representative(g, c, budget=budget)
+    if isinstance(outcome, NotCovered):
+        return {"status": "NotCovered", **outcome._asdict()}
+    found, cert = outcome
+    rep.certificate = cert._asdict()
+    return {
+        "status": "Found",
+        "branch": cert.branch,
+        "representative": found,
+        "verified": verify_certificate(g, cert),
+    }
 
 
 # -- command handlers -------------------------------------------------------
 
 
-def _cmd_info(args, g: WeightedMultigraph) -> _Report:
-    rep = _Report("info", {"graph_file": args.graph})
+def _cmd_info(args, g: WeightedMultigraph, rep: _Report) -> None:
     bridge_list = bridges(g).bridges
     chain = is_chain_of_2ec(g)
     semi = is_semistable(g)
@@ -317,9 +332,9 @@ def _cmd_info(args, g: WeightedMultigraph) -> _Report:
         "edge_count": g._edge_count,
         "genus": genus(g),
         "valences": {v: valence(g, v) for v in g.vertices},
-        "canonical_divisor": k.as_dict(),
-        "semistable": {"value": semi.value, "applicable": semi.applicable},
-        "stable": {"value": stab.value, "applicable": stab.applicable},
+        "canonical_divisor": k,
+        "semistable": semi._asdict(),
+        "stable": stab._asdict(),
         "bridges": [list(e) for e in bridge_list],
         "chain_of_2ec": chain,
         "bullet_model": {"vertices": model_vertices, "edges": model_edges},
@@ -333,186 +348,109 @@ def _cmd_info(args, g: WeightedMultigraph) -> _Report:
     rep.line(f"stable: {stab.value}" + ("" if stab.applicable else " (not applicable: genus < 2)"))
     rep.line(f"bridges: {', '.join('-'.join(e) for e in bridge_list) or 'none'}")
     rep.line(f"chain of 2-edge-connected components: {chain}")
-    return rep
 
 
-def _cmd_rank(args, g: WeightedMultigraph) -> _Report:
-    (d,) = _require_divisors(args, g, 1)
-    rep = _Report("rank", _base_inputs(args, g, [d]))
+def _cmd_rank(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
     report = rank(g, d, shortcuts=not args.no_shortcuts, budget=args.budget)
-    rep.result = {
-        "rank": report.rank,
-        "method": report.method,
-        "witness": report.witness.as_dict() if report.witness else None,
-    }
+    rep.result = {"rank": report.rank, "method": report.method, "witness": report.witness}
     rep.line(f"rank: {report.rank} (method: {report.method})")
     if report.witness is not None:
         rep.line(f"uncovered witness: {_divisor_text(report.witness)}")
-    return rep
 
 
-def _cmd_reduce(args, g: WeightedMultigraph) -> _Report:
-    (d,) = _require_divisors(args, g, 1)
-    rep = _Report("reduce", _base_inputs(args, g, [d]))
+def _cmd_reduce(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
     if args.set:
         zone = _parse_vertex_set(args.set, g)
         out = reduce_to_set(g, d, zone)
         rep.inputs["set"] = zone
-        rep.result = {"reduced": out.as_dict(), "set": zone}
+        rep.result = {"reduced": out, "set": zone}
         rep.line(f"reduced with respect to {{{', '.join(zone)}}}: {_divisor_text(out)}")
         if not is_reduced(g, out, zone):
             raise InternalError(f"reduce_to_set gave a divisor not reduced with respect to {zone}")
     else:
-        base = args.base or g.base_vertex()
+        base = rep.inputs["base"]
         out = reduce_to(g, d, base)
-        rep.result = {"reduced": out.as_dict(), "base": base}
+        rep.result = {"reduced": out, "base": base}
         rep.line(f"reduced at {base}: {_divisor_text(out)}")
-    return rep
 
 
-def _cmd_equivalent(args, g: WeightedMultigraph) -> _Report:
-    d1, d2 = _require_divisors(args, g, 2)
-    rep = _Report("equivalent", _base_inputs(args, g, [d1, d2]))
+def _cmd_equivalent(args, g: WeightedMultigraph, rep: _Report, d1: Divisor, d2: Divisor) -> None:
     eq = equivalent(g, d1, d2)
     rep.result = {"equivalent": eq}
     rep.line(f"equivalent: {eq}")
-    return rep
 
 
-def _cmd_effectivize(args, g: WeightedMultigraph) -> _Report:
-    (d,) = _require_divisors(args, g, 1)
-    rep = _Report("effectivize", _base_inputs(args, g, [d]))
+def _cmd_effectivize(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
     out = effectivize(g, d)
     if out is None:
         rep.result = {"status": "NotEffective", "divisor": None}
         rep.line("NotEffective: the class contains no effective divisor")
         rep.exit_code = 1
     else:
-        rep.result = {"status": "Effective", "divisor": out.as_dict()}
+        rep.result = {"status": "Effective", "divisor": out}
         rep.line(f"effective representative: {_divisor_text(out)}")
-    return rep
 
 
-def _rank_and_residual(
-    args, g: WeightedMultigraph, d: Divisor
-) -> tuple[RankReport, RankReport, bool]:
-    """rank(d) and rank(K - d) under the command's options, and whether they
-    satisfy Riemann-Roch: rank(d) - rank(K - d) = deg d - genus + 1."""
-    r_d = rank(g, d, shortcuts=not args.no_shortcuts, budget=args.budget)
-    r_res = rank(g, residual(g, d), shortcuts=not args.no_shortcuts, budget=args.budget)
-    return r_d, r_res, r_d.rank - r_res.rank == d.degree - g.genus + 1
-
-
-def _cmd_rr_check(args, g: WeightedMultigraph) -> _Report:
-    (d,) = _require_divisors(args, g, 1)
-    rep = _Report("rr-check", _base_inputs(args, g, [d]))
-    r_d, r_res, holds = _rank_and_residual(args, g, d)
-    deg, gen = d.degree, genus(g)
-    rep.result = {
-        "rank": r_d.rank,
-        "residual_rank": r_res.rank,
-        "degree": deg,
-        "genus": gen,
-        "lhs": r_d.rank - r_res.rank,
-        "rhs": deg - gen + 1,
-        "identity_holds": holds,
-    }
-    rep.line(
-        f"rank(d) - rank(residual) = {r_d.rank} - ({r_res.rank}) = {r_d.rank - r_res.rank}"
-    )
-    rep.line(f"degree - genus + 1 = {deg} - {gen} + 1 = {deg - gen + 1}")
-    rep.line(f"identity holds: {holds}")
-    if not holds:
+def _cmd_rr_check(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
+    res = rep.result = _riemann_roch(args, g, d)[1]
+    rep.line(f"rank(d) - rank(residual) = {res['rank']} - ({res['residual_rank']}) = {res['lhs']}")
+    rep.line(f"degree - genus + 1 = {res['degree']} - {res['genus']} + 1 = {res['rhs']}")
+    rep.line(f"identity holds: {res['identity_holds']}")
+    if not res["identity_holds"]:
         rep.exit_code = 1
-    return rep
 
 
-def _certificate_json(cert) -> dict:
-    evidence: dict = {}
-    for key, value in cert.evidence.items():
-        if isinstance(value, Divisor):
-            evidence[key] = value.as_dict()
-        elif isinstance(value, dict):
-            evidence[key] = {k: list(v) if isinstance(v, tuple) else v for k, v in value.items()}
-        else:
-            evidence[key] = value
-    return {
-        "branch": cert.branch,
-        "representative": cert.representative.as_dict(),
-        "evidence": evidence,
-    }
-
-
-def _cmd_clifford_rep(args, g: WeightedMultigraph) -> _Report:
-    rep, _, c = _class_inputs(args, g, "clifford-rep")
-    outcome = clifford_representative(g, c, budget=args.budget)
-    if isinstance(outcome, NotCovered):
-        rep.result = {
-            "status": "NotCovered",
-            "special": outcome.special,
-            "chain_of_2ec": outcome.chain_of_2ec,
-            "loop_hypothesis": outcome.loop_hypothesis,
-        }
+def _cmd_clifford_rep(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
+    res = rep.result = _clifford(g, class_of(g, d, rep.inputs["base"]), rep, args.budget)
+    if res["status"] == "NotCovered":
         rep.line("NotCovered: the class is special but the construction hypotheses fail")
-        rep.line(f"  chain of 2-edge-connected components: {outcome.chain_of_2ec}")
-        rep.line(f"  every weight-0 vertex has a loop: {outcome.loop_hypothesis}")
+        rep.line(f"  chain of 2-edge-connected components: {res['chain_of_2ec']}")
+        rep.line(f"  every weight-0 vertex has a loop: {res['loop_hypothesis']}")
     else:
-        found, cert = outcome
-        verified = verify_certificate(g, cert)
-        rep.result = {
-            "status": "Found",
-            "branch": cert.branch,
-            "representative": found.as_dict(),
-            "verified": verified,
-        }
-        rep.certificate = _certificate_json(cert)
-        rep.line(f"representative: {_divisor_text(found)}")
-        rep.line(f"branch: {cert.branch}")
-        rep.line(f"certificate verified: {verified}")
-        if not verified:
+        rep.line(f"representative: {_divisor_text(res['representative'])}")
+        rep.line(f"branch: {res['branch']}")
+        rep.line(f"certificate verified: {res['verified']}")
+        if not res["verified"]:
             rep.exit_code = 1
-    return rep
 
 
-def _cmd_semibalanced(args, g: WeightedMultigraph) -> _Report:
-    rep, _, c = _class_inputs(args, g, "semibalanced")
+def _cmd_semibalanced(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
+    c = class_of(g, d, rep.inputs["base"])
     out = semibalanced_representative(g, c, budget=args.budget)
     rep.result = {
-        "representative": out.as_dict(),
+        "representative": out,
         "is_semibalanced": is_semibalanced(g, out, budget=args.budget),
     }
     rep.line(f"semibalanced representative: {_divisor_text(out)}")
-    return rep
 
 
-def _cmd_uniform(args, g: WeightedMultigraph) -> _Report:
-    rep, _, c = _class_inputs(args, g, "uniform")
+def _cmd_uniform(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
+    c = class_of(g, d, rep.inputs["base"])
     out = uniform_representative(g, c, budget=args.budget)
     if out is None:
         rep.result = {"status": "NotFound", "representative": None}
         rep.line("NotFound: the class contains no uniform divisor")
         rep.exit_code = 1
     else:
-        rep.result = {"status": "Found", "representative": out.as_dict()}
+        rep.result = {"status": "Found", "representative": out}
         rep.line(f"uniform representative: {_divisor_text(out)}")
-    return rep
 
 
-def _cmd_report(args, g: WeightedMultigraph) -> _Report:
-    rep, d, c = _class_inputs(args, g, "report")
+def _cmd_report(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
+    c = class_of(g, d, rep.inputs["base"])
     deg, gen = d.degree, genus(g)
-    r, _, rr = _rank_and_residual(args, g, d)
+    r, rr = _riemann_roch(args, g, d)
     special = is_special_class(g, c)
     in_range = 0 <= deg <= 2 * gen - 2
     clifford_ok = 2 * r.rank <= deg if in_range else None
     semi = is_semistable(g)
-    result: dict = {
+    result = rep.result = {
         "genus": gen,
         "degree": deg,
-        "canonical_class_form": c.canonical.as_dict(),
+        "canonical_class_form": c.canonical,
         "rank": r.rank,
         "rank_method": r.method,
-        "riemann_roch_holds": rr,
+        "riemann_roch_holds": rr["identity_holds"],
         "clifford_holds": clifford_ok,
         "special": special,
         "uniform_input": is_uniform(g, d),
@@ -520,57 +458,39 @@ def _cmd_report(args, g: WeightedMultigraph) -> _Report:
     rep.line(f"genus: {gen}, degree: {deg}")
     rep.line(f"canonical class form at {c.base_vertex}: {_divisor_text(c.canonical)}")
     rep.line(f"rank: {r.rank} ({r.method})")
-    rep.line(f"identity rank(d) - rank(residual) = degree - genus + 1: {rr}")
+    rep.line(f"identity rank(d) - rank(residual) = degree - genus + 1: {rr['identity_holds']}")
     rep.line(f"rank <= degree/2 (in range): {clifford_ok}")
     rep.line(f"special class: {special}")
-    if semi.value:
-        sb = semibalanced_representative(g, c, budget=args.budget)
-        result["semibalanced_representative"] = sb.as_dict()
+    sb = semibalanced_representative(g, c, budget=args.budget) if semi.value else None
+    result["semibalanced_representative"] = sb
+    if sb is not None:
         rep.line(f"semibalanced representative: {_divisor_text(sb)}")
-    else:
-        result["semibalanced_representative"] = None
+    cliff = None
     if in_range:
-        outcome = clifford_representative(g, c, budget=args.budget)
-        if isinstance(outcome, NotCovered):
-            result["clifford_representative"] = {
-                "status": "NotCovered",
-                "chain_of_2ec": outcome.chain_of_2ec,
-                "loop_hypothesis": outcome.loop_hypothesis,
-            }
+        cliff = _clifford(g, c, rep, args.budget)
+        cliff.pop("special", None)  # reported above for every degree
+        if cliff["status"] == "NotCovered":
             rep.line("clifford representative: NotCovered")
         else:
-            found, cert = outcome
-            result["clifford_representative"] = {
-                "status": "Found",
-                "branch": cert.branch,
-                "representative": found.as_dict(),
-                "verified": verify_certificate(g, cert),
-            }
-            rep.certificate = _certificate_json(cert)
-            rep.line(
-                f"clifford representative: {_divisor_text(found)} ({cert.branch})"
-            )
-    else:
-        result["clifford_representative"] = None
-    rep.result = result
-    return rep
+            found = _divisor_text(cliff["representative"])
+            rep.line(f"clifford representative: {found} ({cliff['branch']})")
+    result["clifford_representative"] = cliff
 
 
+# command -> (handler, number of --divisor options it takes); info ignores --divisor
 _HANDLERS = {
-    "info": _cmd_info,
-    "rank": _cmd_rank,
-    "reduce": _cmd_reduce,
-    "equivalent": _cmd_equivalent,
-    "effectivize": _cmd_effectivize,
-    "rr-check": _cmd_rr_check,
-    "clifford-rep": _cmd_clifford_rep,
-    "semibalanced": _cmd_semibalanced,
-    "uniform": _cmd_uniform,
-    "report": _cmd_report,
+    "info": (_cmd_info, 0),
+    "rank": (_cmd_rank, 1),
+    "reduce": (_cmd_reduce, 1),
+    "equivalent": (_cmd_equivalent, 2),
+    "effectivize": (_cmd_effectivize, 1),
+    "rr-check": (_cmd_rr_check, 1),
+    "clifford-rep": (_cmd_clifford_rep, 1),
+    "semibalanced": (_cmd_semibalanced, 1),
+    "uniform": (_cmd_uniform, 1),
+    "report": (_cmd_report, 1),
 }
 _COMMANDS = tuple(_HANDLERS)
-
-
 def _budget(text: str) -> int:
     """A nonnegative --budget; argparse names the option when this raises."""
     try:
@@ -615,15 +535,28 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        doc = parse_graph(text)
-        if args.base is not None and args.base not in set(doc.graph.vertices):
+        g = parse_graph(text).graph
+        if args.base is not None and args.base not in set(g.vertices):
             raise ParseError(f"unknown vertex {args.base!r} for --base")
-        report = _HANDLERS[args.command](args, doc.graph)
+        handler, count = _HANDLERS[args.command]
+        inputs: dict = {"graph_file": args.graph}
+        divisors: list[Divisor] = []
+        if count:
+            literals = args.divisor or []
+            if len(literals) != count:
+                raise ParseError(f"expected {count} --divisor option(s), got {len(literals)}")
+            divisors = [parse_divisor_literal(lit, g) for lit in literals]
+            base = args.base or g.base_vertex()
+            inputs.update(vertices=list(g.vertices), base=base)
+            tags = [""] + [str(i) for i in range(2, count + 1)]
+            for t, d in zip(tags, divisors):
+                inputs["divisor" + t] = d
+            for t, d in zip(tags, divisors):
+                inputs["canonical_form" + t] = reduce_to(g, d, base)
+        report = _Report(args.command, inputs)
+        handler(args, g, report, *divisors)
         return report.emit(args.json)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
+    except (ParseError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, GraphError) as exc:

@@ -49,6 +49,9 @@ class WeightedMultigraph:
         verts = tuple(vertices)
         if not verts:
             raise GraphError("graph has no vertices")
+        for v in verts:
+            if not isinstance(v, str):
+                raise GraphError(f"vertex identifier {v!r} is not a string")
         if len(set(verts)) != len(verts):
             raise GraphError("duplicate vertex identifier")
         index = {v: i for i, v in enumerate(verts)}

@@ -79,6 +79,13 @@ class TestParseGraph:
         with pytest.raises(ParseError, match="multiplicity"):
             parse_graph(text)
 
+    @pytest.mark.parametrize("name", ["a,b", "c=d"])
+    def test_vertex_name_a_divisor_literal_cannot_hold(self, name):
+        text = f"graph\nvertex x weight 0\n  vertex {name} weight 0\nedge x {name}\n"
+        with pytest.raises(ParseError, match="contains ',' or '='") as excinfo:
+            parse_graph(text)
+        assert (excinfo.value.line, excinfo.value.column) == (3, 10)
+
     def test_disconnected(self):
         text = "graph\nvertex a weight 0\nvertex b weight 0\n"
         with pytest.raises(ParseError, match="disconnected"):
@@ -319,6 +326,12 @@ class TestCommands:
         assert main(["info", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 3" in err
+
+    def test_vertex_name_with_comma_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "comma.graph"
+        path.write_text("graph\nvertex a,b weight 0\n", encoding="utf-8")
+        assert main(["rank", str(path), "--divisor", "a,b=1"]) == 2
+        assert "vertex name 'a,b' contains ',' or '=' (line 2, column 8)" in capsys.readouterr().err
 
     def test_clifford_rep_out_of_range_exits_1(self, golden_file, capsys):
         assert main(["clifford-rep", golden_file, "--divisor", "v1=-1"]) == 1

@@ -57,6 +57,13 @@ class TestConstruction:
         with pytest.raises(GraphError, match="not an integer"):
             WeightedMultigraph(["a"], {"a": w}, [])
 
+    @pytest.mark.parametrize("verts, bad", [([1, "a"], "1"), ([2, 10], "2")])
+    def test_rejects_non_string_vertex(self, verts, bad):
+        # names sort lexicographically: a mixed list would not sort, and
+        # numbers would sort by value rather than by name
+        with pytest.raises(GraphError, match=f"vertex identifier {bad} is not a string"):
+            WeightedMultigraph(verts, {}, [(verts[0], verts[1])])
+
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(GraphError):
             WeightedMultigraph(["a"], {}, [("a", "b")])
