@@ -3,17 +3,20 @@
 The burning iteration grows a seed set by absorbing, each round, every
 outside vertex whose edge count into the current set exceeds its chips;
 a divisor is reduced with respect to the seed exactly when everything
-burns.  One two-phase routine reduces from scratch, to a vertex or a set.
-Reduction to a single base vertex u has a unique fixed point per class,
-which the rest of the package uses as a canonical form.  Chips at u never
-enter the burn, so each graph caches it once per reduction in one map per
-u, keyed by the chips with none at u: divisors that differ only at u
-share one entry, and each caller adds its own chips at u back.  The rank
-scan also steps a reduced form from a cached one a few chips richer at
-one vertex, by borrowing (:func:`_borrow`) instead of reducing from
-scratch.  Effectivization runs no firing of its own: a divisor that is
-not effective is answered by its reduced form at the base vertex, which
-is effective exactly when the class has an effective member.
+burns.  One two-phase routine reduces from scratch, to a vertex or a set:
+prefix firings clear the negatives off the seed, then each round burns
+and fires the unburnt set along the cut that the burn found, at O(n + m)
+a round.  Reduction to a single base vertex u has a unique fixed point
+per class, which the rest of the package uses as a canonical form.
+Chips at u never enter the burn, so each graph caches it once per
+reduction in one map per u, keyed by the chips with none at u: divisors
+that differ only at u share one entry, and each caller adds its own chips
+at u back.  The rank scan also steps a reduced form from a cached one a
+few chips richer at one vertex, by borrowing (:func:`_borrow`) instead
+of reducing from scratch.  Effectivization runs no firing of its own: a
+divisor that is not effective is answered by its reduced form at the
+base vertex, which is effective exactly when the class has an effective
+member.
 """
 
 from __future__ import annotations
@@ -157,22 +160,31 @@ def _superstabilize(g, vals: list[int], seed: list[int]) -> None:
 
     Each round is a multiple of the legal single firing, so the fixed point
     is the same reduced divisor; the guard only trips on implementation bugs.
+    A round fires from the burn it just ran: firing the unburnt set moves
+    chips only along its cut, and the burn's ``inflow[w]`` is the cut
+    degree of each unburnt w.  So the boundary, the unburnt vertices with
+    cut edges, loses k * inflow[w] at each vertex and every burnt neighbour
+    gains k per edge to it, while the interior's rows are never walked:
+    O(n + volume of the boundary) a round on top of the burn.
     """
     guard = _round_guard(g, vals)
+    rows = g._rows
     rounds = 0
     while True:
         burnt, inflow, _ = _burn(g, vals, seed)
         if all(burnt):
             return
-        multiples = [
-            vals[w] // inflow[w] for w in range(g._n) if not burnt[w] and inflow[w] > 0
-        ]
-        if not multiples:
+        boundary = [w for w, b in enumerate(burnt) if not b and inflow[w]]
+        if not boundary:
             raise InternalError("unburnt set with empty cut on a connected graph")
-        k = min(multiples)
+        k = min(vals[w] // inflow[w] for w in boundary)
         if k < 1:
             raise InternalError(f"unburnt set fires {k} times")
-        _fire(g, vals, [not b for b in burnt], k)
+        for w in boundary:
+            vals[w] -= k * inflow[w]
+            for v, m in rows[w]:
+                if burnt[v]:
+                    vals[v] += k * m
         rounds += 1
         if rounds > guard:
             raise InternalError("reduction failed to stabilize within the guard")

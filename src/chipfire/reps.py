@@ -284,11 +284,16 @@ def clifford_representative(
 def verify_certificate(g: WeightedMultigraph, cert: CliffordCertificate) -> bool:
     """Re-check a certificate from its own evidence, independently of how the
     representative was constructed.  Evidence inconsistent with the
-    representative fails verification."""
+    representative fails verification, and so does a Uniform certificate
+    on a graph outside the hypotheses under which a uniform divisor of a
+    special class is a Clifford representative (a chain of 2-edge-connected
+    components, a loop at every weight-0 vertex)."""
     rep = cert.representative
     if rep.graph != g:
         return False
     if cert.branch == BRANCH_UNIFORM:
+        if not (is_chain_of_2ec(g) and _loop_hypothesis(g)):
+            return False
         bounds = cert.evidence.get("bounds")
         if bounds is None or set(bounds) != set(g.vertices):
             return False

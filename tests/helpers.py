@@ -224,6 +224,37 @@ def reference_burn(g: WeightedMultigraph, vals, seed):
         chain.append(chain[-1] | frozenset(newly))
 
 
+def reference_superstabilize(g: WeightedMultigraph, vals: list[int], seed) -> int:
+    """Phase 2 of the reduction as the whole unburnt set's firing, in place;
+    returns the number of burns it ran.
+
+    Each round burns from the seed with :func:`reference_burn`; unless all
+    burns, the unburnt set U fires k times for the largest k that leaves it
+    nonnegative, the least chips // edges out of U over the vertices of U
+    with such edges, every edge between U and the burnt side carrying k
+    chips out.  The cut is read off
+    ``g._pairs``, not off the burn's inflow, and nothing here calls the
+    package's firing code.  Requires vals nonnegative off the seed.
+    """
+    n = len(g.vertices)
+    burns = 0
+    while True:
+        burnt, _, _ = reference_burn(g, vals, seed)
+        burns += 1
+        if all(burnt):
+            return burns
+        out = [0] * n
+        cut = [(j, i, m) if burnt[i] else (i, j, m) for i, j, m in g._pairs if burnt[i] != burnt[j]]
+        for inside, _, m in cut:
+            out[inside] += m
+        k = min(vals[v] // out[v] for v in range(n) if out[v])
+        if k < 1:
+            raise RuntimeError(f"unburnt set fires {k} times")
+        for inside, outside, m in cut:
+            vals[inside] -= k * m
+            vals[outside] += k * m
+
+
 def reference_compositions(total: int, length: int):
     """Compositions of total into length parts in lex order, by stars and
     bars: the length - 1 bars take lex-ordered slots among total + length - 1,

@@ -14,6 +14,8 @@ from chipfire import (
     reduce_to_set,
     t_set,
 )
+from chipfire.graph import _bfs_order
+from chipfire.reduction import _burn, _make_effective_off, _superstabilize
 from helpers import (
     brute_equivalent,
     brute_is_reduced,
@@ -21,6 +23,7 @@ from helpers import (
     random_connected_graph,
     random_divisor,
     random_principal_shift,
+    reference_superstabilize,
 )
 
 
@@ -184,6 +187,40 @@ class TestReduceToSet:
             out = reduce_to_set(graph, d, zone)
             assert is_reduced(graph, out, zone)
             assert equivalent(graph, out, d)
+
+
+class TestSuperstabilize:
+    """Phase 2 fires the unburnt set along the burn's cut; the test-only
+    reference fires the whole set by its maximal multiple, round for round."""
+
+    @pytest.mark.parametrize("chips", ["signed_after_phase_1", "nonnegative_to_1e6"])
+    def test_matches_whole_set_firing(self, chips, monkeypatch):
+        burns = []
+        monkeypatch.setattr(
+            "chipfire.reduction._burn", lambda *args, **kw: burns.append(1) or _burn(*args, **kw)
+        )
+        rng = random.Random(chips)
+        for _ in range(125):
+            graph = random_connected_graph(
+                rng, max_vertices=8, max_extra_edges=8, max_genus=12, max_model_vertices=30
+            )
+            n = len(graph.vertices)
+            seeds = sorted(rng.sample(range(n), rng.choice([1, 1, rng.randint(1, n)])))
+            if chips == "signed_after_phase_1":
+                vals = [rng.randint(-6, 6) for _ in range(n)]
+                _make_effective_off(graph, vals, _bfs_order(graph, seeds), len(seeds))
+            else:
+                # uniform chips up to 10^6 on every vertex can take close to
+                # a million rounds on a 6-vertex graph (phase 2 is
+                # pseudo-polynomial), so each divisor draws its scale
+                top = 10 ** rng.randint(0, 6)
+                vals = [rng.randint(0, top) for _ in range(n)]
+            expected = list(vals)
+            expected_burns = reference_superstabilize(graph, expected, seeds)
+            burns.clear()
+            _superstabilize(graph, vals, seeds)
+            assert vals == expected
+            assert len(burns) == expected_burns
 
 
 class TestEffectivize:

@@ -340,6 +340,26 @@ class TestCliffordRepresentative:
         assert outcome.chain_of_2ec is True
         assert outcome.loop_hypothesis is False
 
+    def test_uniform_certificate_outside_the_hypotheses_fails(self):
+        """On loopless K4 the class of a + b is special and its uniform
+        representative is a + b, but the constructor does not cover it, so
+        a hand-built Uniform certificate with correct bounds must not verify."""
+        names = ["a", "b", "c", "d"]
+        graph = WeightedMultigraph(names, {}, list(combinations(names, 2)))
+        c = class_of(graph, Divisor(graph, {"a": 1, "b": 1}), graph.base_vertex())
+        outcome = clifford_representative(graph, c)
+        assert outcome == NotCovered(special=True, chain_of_2ec=True, loop_hypothesis=False)
+        rep = uniform_representative(graph, c)
+        assert rep == Divisor(graph, {"a": 1, "b": 1})
+        assert is_uniform(graph, rep) and is_special_class(graph, c)
+        k = canonical_divisor(graph)
+        cert = CliffordCertificate(
+            branch=BRANCH_UNIFORM,
+            representative=rep,
+            evidence={"bounds": {v: (rep.value(v), k.value(v)) for v in names}},
+        )
+        assert not verify_certificate(graph, cert)
+
     def test_range_errors(self, g):
         with pytest.raises(DomainError):
             clifford_representative(g, class_of(g, Divisor(g, [-1, 0, 0]), "v1"))

@@ -50,12 +50,14 @@ def ladder(n):
     return _named("l", 2 * m, rails + [(i, m + i) for i in range(m)])
 
 
-# Sizes stop where phase 1 of reduce_to blows up: reducing a 24-vertex
-# theta graph at every vertex costs about 80 times as much as an 18-vertex
-# one, which would make this module the slowest in the suite.
+# Sizes stop where phase 1 of reduce_to blows up: reducing a theta graph at
+# every vertex costs about 3 times as much at 20 vertices as at 18, 4 times
+# as much again at 22 (0.5 s) and over twice that at 24, which would make
+# this module the slowest in the suite.  theta20 is the benchmark's largest
+# theta graph.
 GRAPHS = {
     f"{make.__name__}{n}": make(n)
-    for make, sizes in ((cycle, (16, 20, 24)), (theta, (16, 18)), (ladder, (16, 20, 22)))
+    for make, sizes in ((cycle, (16, 20, 24)), (theta, (16, 18, 20, 22)), (ladder, (16, 20, 22)))
     for n in sizes
 }
 
