@@ -21,7 +21,9 @@ parses the graph and those divisors, fills in the report's ``inputs`` and
 hands the report to the handler, which fills in the result and the text
 lines.  ``--json`` emits one object with a fixed field order through one
 encoder, ``_jsonable``: it renders each divisor as its chip map, and ints
-beyond 2**53 as decimal strings to protect downstream readers.
+beyond 2**53 as decimal strings to protect downstream readers.  Ints in
+input and output may run past CPython's 4,300-digit limit on int-str
+conversion, which ``main`` lifts while a command runs.
 
 Exit codes: 0 success (including NotCovered), 1 domain errors or negative
 results (NotEffective, NotFound, failed identity), 2 parse and resource
@@ -527,6 +529,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    Exact answers may run past CPython's limit on int-to-str digits, so the
+    limit is lifted while the command runs and the caller's is restored.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return _run(argv)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.graph, encoding="utf-8") as fh:

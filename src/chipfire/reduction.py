@@ -3,10 +3,18 @@
 The burning iteration grows a seed set by absorbing, each round, every
 outside vertex whose edge count into the current set exceeds its chips;
 a divisor is reduced with respect to the seed exactly when everything
-burns.  One two-phase routine reduces from scratch, to a vertex or a set:
-prefix firings clear the negatives off the seed, then each round burns
-and fires the unburnt set along the cut that the burn found, at O(n + m)
-a round.  Reduction to a single base vertex u has a unique fixed point
+burns, that is when the burn hands back an empty cut.  One two-phase
+routine reduces from scratch, to a vertex or a set: prefix firings clear
+the negatives off the seed, then each round burns and fires the unburnt
+set along the cut that the burn found, at the cost of the burnt side's
+rows plus the cut's rows a round.  The number of rounds is still
+pseudo-polynomial in the chips.  Known slow inputs, counted in burns:
+on vertices v0-v5 with edges v0v1, v1v2, v2v3, v3v4, v4v5, v5v2, v5v4,
+the effective (198768, 957418, 428490, 838204, 80733, 679200) takes
+1,499 at v5, and ten times those chips 317,519; a 22-vertex theta graph
+with chips in [-2, 2] takes about 6,300 a reduction after phase 1; a
+30-cycle with one chord and chips in [-2, 1] takes seconds at the chord's
+vertex.  Reduction to a single base vertex u has a unique fixed point
 per class, which the rest of the package uses as a canonical form.
 Chips at u never enter the burn, so each graph caches it once per
 reduction in one map per u, keyed by the chips with none at u: divisors
@@ -50,14 +58,20 @@ class DharResult(NamedTuple):
 def _burn(
     g: WeightedMultigraph, vals, seed: Iterable[int], want_chain: bool = False
 ):
-    """Run the burning iteration; returns (burnt mask, inflow, chain or None).
+    """Run the burning iteration; returns (burnt mask, cut, chain or None).
 
-    ``inflow[v]`` ends as the edge count from v into the final burnt set,
-    which callers reuse as the cut degree of the unburnt side.  Requires
-    vals nonnegative off the seed, so only a vertex whose inflow just grew
-    can catch fire: each round burns the vertices pushed past their chips
-    by the previous round's frontier, and every edge is pushed at most
-    twice, O(n + m) per burn.
+    ``cut`` lists each unburnt vertex with edges into the final burnt set
+    as ``(w, edge count)``, in the order the burn first reached it; it is
+    empty exactly when everything burns, the graph being connected.
+    Requires vals nonnegative off the seed, so only a vertex whose inflow
+    just grew can catch fire: each round burns the vertices pushed past
+    their chips by the previous round's frontier.  Edges into burnt
+    vertices are skipped and the inflow is kept only for vertices that stay
+    unburnt, so a burn walks the burnt side's rows and nothing else, beyond
+    allocating two lists of n entries.  Phase
+    2 of a reduction runs one burn a round, and its number of rounds is
+    still pseudo-polynomial in the chips (slow inputs in the module
+    docstring).
     """
     burnt = [False] * g._n
     inflow = [0] * g._n
@@ -68,18 +82,25 @@ def _burn(
             burnt[s] = True
             frontier.append(s)
     chain = [frozenset(frontier)] if want_chain else None
+    reached = []
     while frontier:
         newly = []
         for v in frontier:
             for w, m in rows[v]:
-                inflow[w] += m
-                if not burnt[w] and inflow[w] > vals[w]:
+                if burnt[w]:
+                    continue
+                x = inflow[w] + m
+                if x > vals[w]:
                     burnt[w] = True
                     newly.append(w)
+                else:
+                    if x == m:  # the first edge from the burnt side to reach w
+                        reached.append(w)
+                    inflow[w] = x
         if want_chain and newly:
             chain.append(chain[-1].union(newly))
         frontier = newly
-    return burnt, inflow, chain
+    return burnt, [(w, inflow[w]) for w in reached if not burnt[w]], chain
 
 
 def _seeds(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> list[int]:
@@ -125,8 +146,7 @@ def is_reduced(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> bool:
     seeded = set(seeds)
     if any(x < 0 and i not in seeded for i, x in enumerate(vals)):
         return False
-    burnt, _, _ = _burn(g, vals, seeds)
-    return all(burnt)
+    return not _burn(g, vals, seeds)[1]
 
 
 def _make_effective_off(g, vals: list[int], order, keep: int) -> None:
@@ -161,27 +181,28 @@ def _superstabilize(g, vals: list[int], seed: list[int]) -> None:
     Each round is a multiple of the legal single firing, so the fixed point
     is the same reduced divisor; the guard only trips on implementation bugs.
     A round fires from the burn it just ran: firing the unburnt set moves
-    chips only along its cut, and the burn's ``inflow[w]`` is the cut
-    degree of each unburnt w.  So the boundary, the unburnt vertices with
-    cut edges, loses k * inflow[w] at each vertex and every burnt neighbour
-    gains k per edge to it, while the interior's rows are never walked:
-    O(n + volume of the boundary) a round on top of the burn.
+    chips only along the cut that the burn hands back, so each cut vertex w
+    loses k times its edge count and every burnt neighbour gains k per edge
+    to it, while the interior's rows are never walked.  A round costs the
+    burnt side's rows plus the cut's rows and has no loop over all n
+    vertices.  The number of rounds is still pseudo-polynomial in the
+    chips (slow inputs in the module docstring).  An empty cut ends the
+    reduction, and only then is the connectivity invariant checked.
     """
     guard = _round_guard(g, vals)
     rows = g._rows
     rounds = 0
     while True:
-        burnt, inflow, _ = _burn(g, vals, seed)
-        if all(burnt):
+        burnt, cut, _ = _burn(g, vals, seed)
+        if not cut:
+            if not all(burnt):
+                raise InternalError("unburnt set with empty cut on a connected graph")
             return
-        boundary = [w for w, b in enumerate(burnt) if not b and inflow[w]]
-        if not boundary:
-            raise InternalError("unburnt set with empty cut on a connected graph")
-        k = min(vals[w] // inflow[w] for w in boundary)
+        k = min(vals[w] // c for w, c in cut)
         if k < 1:
             raise InternalError(f"unburnt set fires {k} times")
-        for w in boundary:
-            vals[w] -= k * inflow[w]
+        for w, c in cut:
+            vals[w] -= k * c
             for v, m in rows[w]:
                 if burnt[v]:
                     vals[v] += k * m

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -348,6 +349,51 @@ class TestCommands:
         assert code == 0
         obj = json.loads(capsys.readouterr().out)
         assert sum(int(x) for x in obj["result"]["reduced"].values()) == 2 ** 60
+
+
+class TestPastTheDigitLimit:
+    """Answers longer than CPython's default 4,300-digit limit on int-to-str
+    conversion print in full.  Every figure here is a string: this process
+    keeps its limit."""
+
+    NINES = "9" * 4300
+    TWICE = "1" + "9" * 4299 + "8"  # 2 * NINES, 4,301 digits
+
+    @pytest.fixture
+    def edge_file(self, tmp_path):
+        path = tmp_path / "edge.graph"
+        path.write_text("graph\nvertex a weight 0\nvertex b weight 0\nedge a b\n", encoding="utf-8")
+        return str(path)
+
+    def test_rank_json(self, edge_file, capsys):
+        code = main(["rank", edge_file, "--divisor", f"a={self.NINES},b={self.NINES}", "--json"])
+        assert code == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["result"]["rank"] == self.TWICE
+        assert obj["inputs"]["divisor"] == {"a": self.NINES, "b": self.NINES}
+
+    def test_reduce_text(self, edge_file, capsys):
+        code = main(["reduce", edge_file, "--divisor", f"a={self.NINES},b={self.NINES}"])
+        assert code == 0
+        assert capsys.readouterr().out == f"reduced at a: a={self.TWICE}, b=0\n"
+
+    def test_longer_literal_parses(self, edge_file, capsys):
+        digits = "7" * 5000
+        assert main(["reduce", edge_file, "--divisor", f"b={digits}", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["reduced"] == {"a": digits, "b": 0}
+
+    def test_callers_limit_is_restored(self, edge_file, capsys):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this CPython has no limit on int-to-str digits")
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert main(["reduce", edge_file, "--divisor", f"a={self.NINES},b={self.NINES}"]) == 0
+            assert sys.get_int_max_str_digits() == 5000
+            assert main(["reduce", edge_file, "--divisor", "a=x"]) == 2
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
 
 
 class TestJsonEncoding:

@@ -5,6 +5,7 @@ import pytest
 from chipfire import (
     Divisor,
     DomainError,
+    InternalError,
     WeightedMultigraph,
     dhar,
     effectivize,
@@ -25,6 +26,7 @@ from helpers import (
     random_principal_shift,
     reference_superstabilize,
 )
+from test_sparse_reduction import GRAPHS
 
 
 @pytest.fixture
@@ -193,12 +195,17 @@ class TestSuperstabilize:
     """Phase 2 fires the unburnt set along the burn's cut; the test-only
     reference fires the whole set by its maximal multiple, round for round."""
 
-    @pytest.mark.parametrize("chips", ["signed_after_phase_1", "nonnegative_to_1e6"])
-    def test_matches_whole_set_firing(self, chips, monkeypatch):
-        burns = []
+    @pytest.fixture
+    def burns(self, monkeypatch):
+        """One entry per call of ``reduction._burn``."""
+        calls = []
         monkeypatch.setattr(
-            "chipfire.reduction._burn", lambda *args, **kw: burns.append(1) or _burn(*args, **kw)
+            "chipfire.reduction._burn", lambda *args, **kw: calls.append(1) or _burn(*args, **kw)
         )
+        return calls
+
+    @pytest.mark.parametrize("chips", ["signed_after_phase_1", "nonnegative_to_1e6"])
+    def test_matches_whole_set_firing(self, chips, burns):
         rng = random.Random(chips)
         for _ in range(125):
             graph = random_connected_graph(
@@ -221,6 +228,46 @@ class TestSuperstabilize:
             _superstabilize(graph, vals, seeds)
             assert vals == expected
             assert len(burns) == expected_burns
+
+    @pytest.mark.parametrize("draw", [0, 1])
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_matches_whole_set_firing_on_long_sparse_graphs(self, name, draw, burns):
+        """Cycles, theta graphs and ladders of 16-24 vertices, with signed
+        chips after phase 1 at a drawn base: up to a few thousand rounds."""
+        graph = GRAPHS[name]
+        rng = random.Random(f"{name}/{draw}")
+        n = len(graph.vertices)
+        seeds = [rng.randrange(n)]
+        vals = [rng.randint(-2, 2) for _ in range(n)]
+        _make_effective_off(graph, vals, _bfs_order(graph, seeds), 1)
+        expected = list(vals)
+        expected_burns = reference_superstabilize(graph, expected, seeds)
+        _superstabilize(graph, vals, seeds)
+        assert vals == expected
+        assert len(burns) == expected_burns
+
+    def test_empty_cut_with_unburnt_vertices_is_an_internal_error(self, monkeypatch):
+        graph = golden_graph()
+        monkeypatch.setattr(
+            "chipfire.reduction._burn", lambda g, vals, seed: ([True, False, False], [], None)
+        )
+        with pytest.raises(InternalError, match="empty cut"):
+            _superstabilize(graph, [0, 5, 5], [0])
+
+    def test_slow_phase_2_example(self, burns):
+        """Effective chips, so phase 1 does nothing, yet phase 2 runs 1,499
+        burns: the round count is pseudo-polynomial in the chips."""
+        names = [f"v{i}" for i in range(6)]
+        pairs = [("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"),
+                 ("v5", "v2"), ("v5", "v4")]
+        graph = WeightedMultigraph(names, {}, pairs)
+        chips = [198768, 957418, 428490, 838204, 80733, 679200]
+        out = reduce_to(graph, Divisor(graph, chips), "v5")
+        assert out.values == (0, 0, 0, 0, 0, 3182813)
+        assert len(burns) == 1499
+        expected = list(chips)
+        assert reference_superstabilize(graph, expected, [5]) == 1499
+        assert tuple(expected) == out.values
 
 
 class TestEffectivize:
