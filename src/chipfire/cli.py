@@ -11,7 +11,9 @@ Graph file format (line oriented, ``#`` starts a comment):
     loop v2 x2
 
 Vertex identifiers are whitespace-free tokens without ``#``, ``,`` or ``=``
-(divisor literals and ``--set`` split on those).  Every report involving a
+(divisor literals and ``--set`` split on those).  Integers (weights,
+multiplicities, chip counts and ``--budget``) are an optional sign and
+ASCII digits.  Every report involving a
 divisor echoes the canonical (base-vertex reduced) form of its class so
 results can be audited across runs.
 
@@ -72,6 +74,20 @@ from .reps import (
     verify_certificate,
 )
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """The integer written as an optional sign and ASCII digits.
+
+    Raises ValueError for anything else, including what int() alone would
+    take: underscores, surrounding whitespace and non-ASCII digits.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 class GraphDocument(NamedTuple):
     """A parsed graph plus source locations for diagnostics."""
 
@@ -115,7 +131,7 @@ def parse_graph(text: str) -> GraphDocument:
                     f"duplicate vertex declaration {name!r}", line=lineno, column=tokens[1][1]
                 )
             try:
-                w = int(words[3])
+                w = _integer(words[3])
             except ValueError:
                 raise ParseError(
                     f"invalid weight {words[3]!r}", line=lineno, column=tokens[3][1]
@@ -149,7 +165,7 @@ def parse_graph(text: str) -> GraphDocument:
                         f"expected multiplicity 'xK', got {suffix!r}", line=lineno, column=col
                     )
                 try:
-                    count = int(suffix[1:])
+                    count = _integer(suffix[1:])
                 except ValueError:
                     raise ParseError(
                         f"invalid multiplicity {suffix!r}", line=lineno, column=col
@@ -215,7 +231,7 @@ def parse_divisor_literal(text: str, g: WeightedMultigraph) -> Divisor:
         if name in values:
             raise ParseError(f"duplicate assignment for vertex {name!r}", column=col)
         try:
-            values[name] = int(num)
+            values[name] = _integer(num)
         except ValueError:
             raise ParseError(f"invalid integer {num!r}", column=col) from None
         offset += len(part) + 1
@@ -223,13 +239,21 @@ def parse_divisor_literal(text: str, g: WeightedMultigraph) -> Divisor:
 
 
 def _parse_vertex_set(text: str, g: WeightedMultigraph) -> list[str]:
-    names = [p.strip() for p in text.split(",") if p.strip()]
-    if not names:
+    """Parse a comma-separated ``--set``; as in a divisor literal, an empty
+    entry or a repeated vertex is an error."""
+    if not text.strip():
         raise ParseError("empty vertex set")
     known = set(g.vertices)
-    for name in names:
+    names: list[str] = []
+    for part in text.split(","):
+        name = part.strip()
+        if not name:
+            raise ParseError("empty entry in vertex set")
         if name not in known:
             raise ParseError(f"unknown vertex {name!r} in set")
+        if name in names:
+            raise ParseError(f"duplicate vertex {name!r} in set")
+        names.append(name)
     return names
 
 
@@ -361,7 +385,7 @@ def _cmd_rank(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
 
 
 def _cmd_reduce(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
-    if args.set:
+    if args.set is not None:
         zone = _parse_vertex_set(args.set, g)
         out = reduce_to_set(g, d, zone)
         rep.inputs["set"] = zone
@@ -421,7 +445,7 @@ def _cmd_semibalanced(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> 
     out = semibalanced_representative(g, c, budget=args.budget)
     rep.result = {
         "representative": out,
-        "is_semibalanced": is_semibalanced(g, out, budget=args.budget),
+        "is_semibalanced": is_semibalanced(g, out),
     }
     rep.line(f"semibalanced representative: {_divisor_text(out)}")
 
@@ -493,10 +517,12 @@ _HANDLERS = {
     "report": (_cmd_report, 1),
 }
 _COMMANDS = tuple(_HANDLERS)
+
+
 def _budget(text: str) -> int:
     """A nonnegative --budget; argparse names the option when this raises."""
     try:
-        value = int(text)
+        value = _integer(text)
     except ValueError:
         value = -1
     if value < 0:

@@ -6,11 +6,14 @@ canonical weight, within half the cut size), uniform divisors (both the
 divisor and its residual are effective), and certified Clifford
 representatives, produced by a three-branch case split on whether the class
 and its residual are effective.
+
+Semibalance is decided by one maximum flow, in time polynomial in the graph
+and the bit size of the chips; the representative searches walk a box of
+candidates under the enumeration budget.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .divisors import (
@@ -112,38 +115,69 @@ def _require_semistable(g: WeightedMultigraph) -> None:
         raise DomainError("semibalance requires a semistable graph")
 
 
-def _balanced(g: WeightedMultigraph, k_values, vals) -> bool:
-    """Whether every proper vertex subset of a semistable graph holds a
-    number of chips within its balance window; k_values is the canonical
-    divisor's.
+def _nearest_deficit(residue, excess) -> list[int] | None:
+    """A shortest residual path from a vertex with surplus to a vertex with
+    deficit, listed from the deficit back to the surplus, or None."""
+    parent = {v: None for v, x in enumerate(excess) if x > 0}
+    queue = list(parent)
+    for v in queue:  # queue grows while we walk it: a queue without pops
+        for w, cap in residue[v].items():
+            if cap and w not in parent:
+                parent[w] = v
+                if excess[w] < 0:
+                    path = [w]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return path
+                queue.append(w)
+    return None
 
-    A set and its complement pass or fail together: their chip counts and
-    canonical weights are complementary and they share one cut.  So only
-    the subsets missing the last vertex are walked.
+
+def _balanced(g: WeightedMultigraph, k_values, vals) -> bool:
+    """Whether every proper vertex subset S of a semistable graph holds a
+    number of chips within its balance window; k_values is the canonical
+    divisor's.  One maximum flow decides it.
+
+    With top = 2g - 2 and w(v) = d(v) * top - deg * K(v), which sum to 0,
+    the integer d(S) lies in the window of S iff |w(S)| <= (g - 1) * cut(S).
+    The complement has the same cut and w(S^c) = -w(S), so every window
+    holds iff w(S) <= (g - 1) * cut(S) for every S.  By Gale's
+    supply-demand theorem (D. Gale, "A theorem on flows in networks",
+    Pacific J. Math. 7, 1957) that holds iff a flow of at most (g - 1) * m
+    in either direction on each non-loop pair of multiplicity m carries
+    every surplus w(v) > 0 to the deficits w(v) < 0.  Each step augments
+    along a shortest path from the surpluses to the nearest deficit, which
+    is Edmonds-Karp on the network with a super-source and a super-sink
+    (J. Edmonds and R. M. Karp, J. ACM 19, 1972): O(VE) augmentations of
+    one breadth-first search each, however many chips there are.  When no
+    path is left while some surplus is, the vertices the search reached
+    form a set S that breaks its window.
     """
-    n = g._n
+    gen = g.genus
     deg = sum(vals)
-    top = 2 * g.genus - 2
-    for size in range(1, n):
-        for zone in combinations(range(n - 1), size):
-            member = [False] * n
-            for i in zone:
-                member[i] = True
-            lo, hi = _window(top, deg, *_zone_sums(g, k_values, member))
-            if not lo <= sum(vals[i] for i in zone) <= hi:
-                return False
+    excess = [x * (2 * gen - 2) - deg * k for x, k in zip(vals, k_values)]
+    residue = [{w: (gen - 1) * m for w, m in row} for row in g._rows]
+    while any(x > 0 for x in excess):
+        path = _nearest_deficit(residue, excess)
+        if path is None:
+            return False
+        sink, source = path[0], path[-1]
+        hops = list(zip(path[1:], path))  # (v, w): the flow goes v -> w
+        amount = min(excess[source], -excess[sink], *(residue[v][w] for v, w in hops))
+        for v, w in hops:
+            residue[v][w] -= amount
+            residue[w][v] += amount
+        excess[source] -= amount
+        excess[sink] += amount
     return True
 
 
-def is_semibalanced(
-    g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """Exhaustive check of the balance window over all proper vertex subsets,
-    in integer arithmetic.  The budget counts the 2^n - 2 subsets."""
+def is_semibalanced(g: WeightedMultigraph, d: Divisor) -> bool:
+    """Whether d lies in the balance window of every proper vertex subset,
+    decided in integer arithmetic by one maximum flow (see _balanced)."""
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")
     _require_semistable(g)
-    check_budget(2 ** g._n - 2, budget, "semibalanced")
     return _balanced(g, canonical_divisor(g).values, d.values)
 
 
@@ -156,14 +190,11 @@ def semibalanced_representative(
     search runs over that box sliced at the class degree, in lex order, and
     the first class member that is fully semibalanced is the minimum.
     Existence is guaranteed on semistable graphs, so the box holds a class
-    member and the subset budget is checked once, before the walk.
+    member; the budget counts the box, and each member is checked by
+    one maximum flow.
     """
     _require_semistable(g)
     deg = c.degree
-    n = g._n
-    if n == 1:
-        # no proper subsets to constrain; the class has a single divisor
-        return Divisor(g, [deg])
     top = 2 * g.genus - 2
     k_values = canonical_divisor(g).values
     # a singleton's cut is its loopless degree
@@ -172,7 +203,6 @@ def semibalanced_representative(
         for v in g._lex_indices
     ))
     check_budget(count_box_vectors(lows, highs, deg), budget, "box")
-    check_budget(2 ** n - 2, budget, "semibalanced")
     for cand in _members(g, c, box_vectors(lows, highs, deg)):
         if _balanced(g, k_values, cand.values):
             return cand
@@ -201,14 +231,13 @@ def uniform_representative(
 ) -> Divisor | None:
     """Lexicographically smallest uniform divisor in the class, or None.
 
-    Searches the box [0, canonical value] sliced at the class degree.  A
-    hit is guaranteed when the class is special and every weight-0 vertex
-    carries a loop.
+    Searches the box [0, canonical value] sliced at the class degree; the
+    box is empty, and the answer None, when some canonical value is
+    negative.  A hit is guaranteed when the class is special and every
+    weight-0 vertex carries a loop.
     """
     k_values = canonical_divisor(g).values
     highs = [k_values[i] for i in g._lex_indices]
-    if any(h < 0 for h in highs):
-        return None
     lows = [0] * g._n
     check_budget(count_box_vectors(lows, highs, c.degree), budget, "box")
     return next(_members(g, c, box_vectors(lows, highs, c.degree)), None)

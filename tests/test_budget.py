@@ -8,7 +8,6 @@ from chipfire import (
     canonical_divisor,
     class_of,
     effective_representatives,
-    is_semibalanced,
     rank,
     rank_lower_bound_edeg,
     rank_oracle,
@@ -29,7 +28,6 @@ CASES = [
     # level 2 on g itself counts C(4, 2) = 6
     ("rank_lower_bound_edeg", 2, 6, lambda g: rank_lower_bound_edeg(g, Divisor(g, [0, 3, 2]), 2, budget=5)),
     ("effective_representatives", None, 21, lambda g: effective_representatives(g, class_of(g, Divisor(g, [5, 0, 0]), "v1"), budget=10)),
-    ("semibalanced", None, 6, lambda g: is_semibalanced(g, canonical_divisor(g), budget=5)),
     ("box", None, None, lambda g: semibalanced_representative(g, class_of(g, canonical_divisor(g), "v1"), budget=0)),
     ("box", None, None, lambda g: uniform_representative(g, class_of(g, canonical_divisor(g), "v1"), budget=0)),
 ]

@@ -80,6 +80,26 @@ class TestParseGraph:
         with pytest.raises(ParseError, match="multiplicity"):
             parse_graph(text)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("vertex b weight 1_0", "invalid weight '1_0'"),
+            ("vertex b weight \u0663", "invalid weight '\u0663'"),
+            ("edge a a2 x1_0", "invalid multiplicity 'x1_0'"),
+            ("edge a a2 x\u0663", "invalid multiplicity 'x\u0663'"),
+        ],
+    )
+    def test_integer_tokens_are_ascii_digits(self, line, message):
+        text = f"graph\nvertex a weight 0\nvertex a2 weight 0\n{line}\n"
+        with pytest.raises(ParseError, match=message) as excinfo:
+            parse_graph(text)
+        assert excinfo.value.line == 4
+
+    def test_signed_integer_tokens_parse(self):
+        text = "graph\nvertex a weight +1\nvertex b weight 2\nedge a b x+2\n"
+        g = parse_graph(text).graph
+        assert (g.weights, len(g.edges)) == ({"a": 1, "b": 2}, 2)
+
     @pytest.mark.parametrize("name", ["a,b", "c=d"])
     def test_vertex_name_a_divisor_literal_cannot_hold(self, name):
         text = f"graph\nvertex x weight 0\n  vertex {name} weight 0\nedge x {name}\n"
@@ -135,6 +155,16 @@ class TestParseDivisor:
     def test_negative_values_allowed(self):
         g = golden_graph()
         assert parse_divisor_literal("v1=-4", g).values == (-4, 0, 0)
+
+    @pytest.mark.parametrize("num", ["1_0", "\u0663", "3.0", "0x1", "--1", "+"])
+    def test_only_ascii_digits_with_a_sign(self, num):
+        g = golden_graph()
+        with pytest.raises(ParseError, match="invalid integer") as excinfo:
+            parse_divisor_literal(f"v2=1,v1={num}", g)
+        assert excinfo.value.column == 6
+
+    def test_a_plus_sign_is_allowed(self):
+        assert parse_divisor_literal("v1=+4", golden_graph()).values == (4, 0, 0)
 
 
 class TestCommands:
@@ -201,6 +231,24 @@ class TestCommands:
         assert code == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["result"]["set"] == ["v1", "v2"]
+
+    @pytest.mark.parametrize(
+        "zone, message",
+        [
+            ("v1,,v2", "empty entry in vertex set"),
+            ("v1,", "empty entry in vertex set"),
+            (",v1", "empty entry in vertex set"),
+            ("", "empty vertex set"),
+            (" ", "empty vertex set"),
+            ("v1,v1", "duplicate vertex 'v1' in set"),
+            ("v1, v2,v1", "duplicate vertex 'v1' in set"),
+        ],
+    )
+    def test_bad_set_exits_2(self, golden_file, capsys, zone, message):
+        code = main(["reduce", golden_file, "--divisor", "v3=7", "--set", zone, "--json"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
 
     def test_equivalent(self, golden_file, capsys):
         code = main(
@@ -307,7 +355,7 @@ class TestCommands:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["-1", "-7", "x"])
+    @pytest.mark.parametrize("value", ["-1", "-7", "x", "1_000", "\u0663", " 5"])
     def test_bad_budget_is_a_usage_error(self, golden_file, capsys, value):
         with pytest.raises(SystemExit) as excinfo:
             main(["rank", golden_file, "--budget", value, "--divisor", "v1=2"])

@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from chipfire import (
-    BudgetExceededError,
     Divisor,
     DomainError,
     NotCovered,
@@ -105,15 +104,31 @@ class TestIsSemibalanced:
         with pytest.raises(DomainError):
             is_semibalanced(g, Divisor.zero(g))
 
-    def test_budget_guard(self):
+    def test_long_cycle_with_a_chord(self):
+        """C_26 plus the chord v00-v02, genus 2: each edge carries at most
+        g - 1 = 1 unit of flow.  In e_v00 + e_v01 the surplus 2 at v01
+        needs both paths to the deficit at v02, the edge and the chord; in
+        2 * e_v05 the singleton window at v05 fails."""
         n = 26
         verts = [f"v{i:02d}" for i in range(n)]
         edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
         edges.append((verts[0], verts[2]))
         g = WeightedMultigraph(verts, {}, edges)
         assert genus(g) == 2
-        with pytest.raises(BudgetExceededError):
-            is_semibalanced(g, Divisor.zero(g))
+        assert is_semibalanced(g, Divisor(g, {"v00": 1, "v01": 1}))
+        assert not is_semibalanced(g, Divisor(g, {"v05": 2}))
+
+    def test_a_surplus_reaches_its_deficit_by_cancelling_flow(self):
+        """On the path v4 =3= v1 -1- v2 =2= v3 with weight 2 at v3, the
+        surpluses are 8 at v1 and v3 and the deficits 4 at v2 and 12 at v4.
+        The first path sends 4 from v1 to its nearer deficit v2; v3's
+        surplus then reaches v4 only by pushing that flow back over v1-v2."""
+        g = WeightedMultigraph(
+            ["v1", "v2", "v3", "v4"], {"v3": 2}, [("v1", "v2"), ("v2", "v3", 2), ("v1", "v4", 3)]
+        )
+        d = Divisor(g, [0, -1, -1, -2])
+        assert reference_is_semibalanced(g, d)
+        assert is_semibalanced(g, d)
 
     def test_integer_window_matches_the_fraction_window(self):
         """On every proper subset of random semistable graphs, the subset sums
@@ -202,6 +217,15 @@ class TestSemibalancedRepresentative:
             assert is_semibalanced(graph, out)
             assert equivalent(graph, out, d)
 
+    def test_one_vertex(self):
+        """No proper subsets: the box of singleton windows is the class's
+        one divisor, at any degree."""
+        graph = WeightedMultigraph(["a"], {"a": 2}, [("a", "a")])
+        for deg in (-3, 0, 4, 6, 11):
+            d = Divisor(graph, [deg])
+            assert is_semibalanced(graph, d)
+            assert semibalanced_representative(graph, class_of(graph, d, "a")) == d
+
 
 def test_searches_match_the_from_scratch_reference():
     """The three class walks and the halved subset walk against the whole
@@ -228,6 +252,53 @@ def test_searches_match_the_from_scratch_reference():
                 assert uniform_representative(graph, c) == reference_uniform_representative(graph, c)
                 assert semibalanced_representative(graph, c) == reference_semibalanced_representative(graph, c)
     assert weighted and looped
+
+
+def test_flow_check_matches_every_subset_on_larger_graphs():
+    """is_semibalanced against every proper subset on random semistable
+    graphs with 7-12 vertices, weights and loops.  A multiple of the
+    canonical divisor is semibalanced; each draw moves one or two chips
+    from it, which stays semibalanced only where the graph has the cuts
+    to route them, so both verdicts occur often."""
+    rng = random.Random(2419)
+    graphs = verdicts = weighted = looped = 0
+    while graphs < 40:
+        graph = random_connected_graph(
+            rng, max_vertices=12, max_extra_edges=8, max_genus=20, max_model_vertices=60
+        )
+        if len(graph.vertices) < 7 or not is_semistable(graph):
+            continue
+        graphs += 1
+        weighted += any(graph.weights.values())
+        looped += any(graph.loop_count(v) for v in graph.vertices)
+        k = canonical_divisor(graph).values
+        for _ in range(3):
+            j = rng.randint(-1, 2)
+            vals = [j * x for x in k]
+            for _ in range(rng.randint(1, 2)):
+                a, b = rng.sample(range(len(vals)), 2)
+                vals[a] += 1
+                vals[b] -= 1
+            d = Divisor(graph, vals)
+            expected = reference_is_semibalanced(graph, d)
+            assert is_semibalanced(graph, d) is expected
+            verdicts += expected
+    assert weighted and looped
+    assert 30 < verdicts < 90  # of 120: both verdicts occur often
+
+
+def test_representative_matches_the_reference_on_larger_graphs():
+    rng = random.Random(2420)
+    graphs = 0
+    while graphs < 8:
+        graph = random_connected_graph(rng, max_vertices=9, max_extra_edges=6, max_genus=8, max_model_vertices=40)
+        if len(graph.vertices) < 7 or not is_semistable(graph):
+            continue
+        graphs += 1
+        d = Divisor(graph, [rng.randint(-1, 2) for _ in graph.vertices])
+        for base in (graph.base_vertex(), graph.vertices[-1]):
+            c = class_of(graph, d, base)
+            assert semibalanced_representative(graph, c) == reference_semibalanced_representative(graph, c)
 
 
 class TestUniform:
