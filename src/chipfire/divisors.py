@@ -221,14 +221,14 @@ def _members(g: WeightedMultigraph, c: DivisorClass, vectors):
     """Yield, in the order given, the vectors (listed in canonical vertex
     order) that lie in the class: those whose reduced form at the class's
     base vertex is the class's canonical form."""
-    from .reduction import _reduce_tuple
+    from .reduction import _reduce_off
 
     lex, n = g._lex_indices, g._n
-    u = g.vertex_index(c.base_vertex)
-    target = c.canonical.values
+    seed = [g.vertex_index(c.base_vertex)]
+    target = list(c.canonical.values)
     for combo in vectors:
         vals = _placed(lex, combo, n)
-        if _reduce_tuple(g, vals, u) == target:
+        if _reduce_off(g, vals, seed) == target:
             yield Divisor(g, vals)
 
 

@@ -5,6 +5,7 @@ is what makes "first hit" equal to "lexicographically smallest hit"
 everywhere else in the package.
 """
 
+from itertools import accumulate
 from math import comb
 
 from .errors import BudgetExceededError
@@ -59,20 +60,26 @@ def compositions(total: int, length: int):
 
 
 def count_box_vectors(lows, highs, total: int) -> int:
-    """Exact count of integer vectors in the box [lows, highs] with fixed sum."""
-    # dynamic programming over partial sums, shifted so coordinates start at 0
-    shifted_total = total - sum(lows)
+    """Exact count of integer vectors in the box [lows, highs] with fixed sum.
+
+    Shifted so each coordinate runs from 0 to its width w, the count is
+    that of the sum t = total - sum(lows), or of W - t with W the sum of
+    the widths (reflect each coordinate, x to w - x), whichever is smaller,
+    call it m.  One list holds, for each s <= m, the vectors over the
+    coordinates so far with sum s; a coordinate of width w replaces entry s
+    by the sum of the w + 1 entries ending at s, a window read off one
+    prefix-sum list.  So the count costs O(n * m) additions.
+    """
     widths = [h - l for l, h in zip(lows, highs)]
-    if shifted_total < 0 or any(w < 0 for w in widths):
+    t = total - sum(lows)
+    m = min(t, sum(widths) - t)
+    if m < 0 or any(w < 0 for w in widths):
         return 0
-    counts = {0: 1}
+    counts = [1] + [0] * m
     for w in widths:
-        nxt: dict[int, int] = {}
-        for s, c in counts.items():
-            for a in range(min(w, shifted_total - s) + 1):
-                nxt[s + a] = nxt.get(s + a, 0) + c
-        counts = nxt
-    return counts.get(shifted_total, 0)
+        prefix = [0, *accumulate(counts)]  # prefix[s]: entries below s
+        counts = [prefix[s + 1] - prefix[max(0, s - w)] for s in range(m + 1)]
+    return counts[m]
 
 
 def box_vectors(lows, highs, total: int):

@@ -113,9 +113,9 @@ class WeightedMultigraph:
         # per-instance memos:
         # - the loopless weightless model and the host index of each of its
         #   satellites (see bullet_model)
-        # - reduction's reduced forms: one map per base index u, keyed by the
-        #   chips with 0 at u, and the count of their entries, which the
-        #   reduction's cache limit bounds all together
+        # - the rank scan's reduced forms at the base vertex, one map keyed
+        #   by the chips with 0 there, bounded by the rank module's cache
+        #   limit; no other reduction stores anything
         # - the rank scan's coordinates over g and over the model, each at
         #   the largest table length asked for (a shorter one is a prefix),
         #   up to the rank module's cap
@@ -123,8 +123,7 @@ class WeightedMultigraph:
         #   reduced forms
         self._model: WeightedMultigraph | None = None
         self._hosts: tuple[int, ...] = ()
-        self._reduced: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
-        self._reduced_size = 0
+        self._reduced: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._scan_coords: dict[bool, tuple] = {}
         self._oracle: dict = {}
 

@@ -16,9 +16,7 @@ deciders are provided:
   cost there.  It folds the base vertex out: the reduced form at the base
   does not depend on the chips there, so each candidate off the base is
   reduced once, and the fewest chips its degree leaves at the base decide
-  every level.  For the same reason the reduce cache keys a candidate by
-  its chips off the base, so calls whose divisors differ only at the base
-  share every entry.  It steps each candidate's target from the previous
+  every level.  It steps each candidate's target from the previous
   candidate's and its reduced form from its parent's, one degree down;
 * :func:`rank_oracle` shares none of that code: it works on the model,
   decides equivalence by exact integer lattice membership (adjugate and
@@ -27,6 +25,15 @@ deciders are provided:
 
 Agreement between the two on shared inputs is the package's strongest
 self-check.
+
+The reduce cache is the scan's own memo: one map per graph,
+``g._reduced``, from a candidate's target with 0 at g's base vertex to its
+reduced form there.  Chips at the base never enter the burn, so targets
+that differ only there share one entry, and the scan adds its own chips at
+the base back; calls whose divisors differ only at the base share every
+entry.  Only the scan writes to the map, and only reductions at g's base
+vertex, so its keys never mix reductions at different vertices.  Every
+other reduction in the package runs from scratch and stores nothing.
 """
 
 from __future__ import annotations
@@ -43,16 +50,44 @@ from .enumeration import (
 )
 from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, bullet_model, bullet_model_size
-from .reduction import _borrow, _cache_at, _lookup, _remember
+from .reduction import _borrow, _reduce_off
 
 METHOD_DEFINITION = "definition"
 METHOD_SHORTCUT = "regime_shortcut"
-METHOD_ORACLE = "oracle"
+
+# Entries g._reduced may hold before it is emptied.  Traced over 40 rank
+# calls each, an entry took 214 B on K6, 210 B on K7 and 173 B on the
+# 3-vertex golden graph (an already reduced key is held once, as its own
+# value), so the map stays near 55 MB on K6 or K7; key and value grow by
+# 8 B each a vertex.
+_CACHE_LIMIT = 1 << 18
 
 # The longest cost tables a graph keeps for later scans (see _coords): the
 # levels of a scan are bounded only through the budget's count, so a scan
 # past this builds its own tables, as long as it needs, and keeps none.
 _COORDS_KEPT = 1 << 12
+
+
+def _remember(cache: dict, key: tuple[int, ...], out: tuple[int, ...]):
+    """Store out, the reduced form of key, in cache, a graph's reduce map,
+    and return what was stored: key itself when the two are equal, so an
+    already reduced key is held once.  A full map is emptied first, in
+    place, so a map that a walk holds stays the graph's."""
+    if len(cache) >= _CACHE_LIMIT:
+        cache.clear()
+    if out == key:
+        out = key
+    cache[key] = out
+    return out
+
+
+def _lookup(g, cache: dict, key: tuple[int, ...], u: int) -> tuple[int, ...]:
+    """The reduced form at u, g's base index, of key, which holds 0 at u:
+    from cache, g's reduce map, or reduced from scratch and stored there."""
+    red = cache.get(key)
+    if red is None:
+        red = _remember(cache, key, tuple(_reduce_off(g, key, [u])))
+    return red
 
 
 class RankReport(NamedTuple):
@@ -102,20 +137,21 @@ def _coords(g, top, model=None):
     return coords
 
 
-def _walk_off_base(g, vals, u, j, coords, floor):
+def _walk_off_base(g, vals, j, coords, floor):
     """Walk the compositions of j over coords in lex order, each candidate's
-    target reduced at u.  Returns (the first candidate whose reduced form
-    holds fewer than floor chips at u, None) or, when none does, (None, the
-    fewest chips at u among them; infinity when there is no candidate).
+    target reduced at g's base vertex u.  Returns (the first candidate whose
+    reduced form holds fewer than floor chips at u, None) or, when none
+    does, (None, the fewest chips at u among them; infinity when there is
+    no candidate).
 
-    The walk runs in the frame of g's reduce cache for u (see
-    :func:`.reduction._reduce_tuple`): the running target holds 0 at u,
-    and the chips at u, those of vals less what the coordinates hosted at u
-    cost, are an offset on the reduced form's value at u, so the steps of
-    those coordinates change no key.  The target steps from each candidate
-    to the next over one in-place composition walk, paying the cost change
-    only at the parts from the first changed one onward; one tuple per
-    candidate is built, the cache key.
+    The walk runs in the frame of g's reduce cache (see the module
+    docstring): the running target holds 0 at u, and the chips at u, those
+    of vals less what the coordinates hosted at u cost, are an offset on
+    the reduced form's value at u, so the steps of those coordinates change
+    no key.  The target steps from each candidate to the next over one
+    in-place composition walk, paying the cost change only at the parts
+    from the first changed one onward; one tuple per candidate is built,
+    the cache key.
 
     A candidate missing from the cache is stepped from its parent, one chip
     fewer at its last nonzero position, whose target holds s = cost[x] -
@@ -132,7 +168,7 @@ def _walk_off_base(g, vals, u, j, coords, floor):
     such a candidate, when missing, is reduced from scratch.
     """
     dests, costs = coords
-    cache = _cache_at(g, u)
+    cache, u = g._reduced, g._lex_indices[0]
     n = len(dests)
     target, held = list(vals), [0] * n  # held: the parts that target pays for
     offset, target[u] = target[u], 0
@@ -164,7 +200,7 @@ def _walk_off_base(g, vals, u, j, coords, floor):
                 work[to] -= s
                 if work[to] < 0:
                     _borrow(g, work, u, to)
-                red = _remember(g, cache, key, tuple(work))
+                red = _remember(cache, key, tuple(work))
             else:
                 red = _lookup(g, cache, key, u)
         at_u = red[u] + offset
@@ -188,11 +224,11 @@ class _Minima(dict):
     fails_at = float("inf")
 
 
-def _uncovered(g, vals, u, k, coords, mins, lex=True):
+def _uncovered(g, vals, k, coords, mins, lex=True):
     """A composition c of k over coords whose cost the class of vals fails
     to cover: vals less each coordinate's cost at its vertex is not
-    effective after reduction at u.  With lex it is the lex-first one.
-    None when every candidate is covered.
+    effective after reduction at g's base vertex u.  With lex it is the
+    lex-first one.  None when every candidate is covered.
 
     The base vertex u is coordinate 0, with cost table cost_u, and the
     scan folds it out.  The reduced form at u does not depend on the chips
@@ -218,6 +254,7 @@ def _uncovered(g, vals, u, k, coords, mins, lex=True):
     cache.
     """
     dests, costs = coords
+    u = g._lex_indices[0]
     if dests[0] != u:
         raise InternalError("the scan's first coordinate is not the base vertex")
     cost_u, rest = costs[0], (dests[1:], costs[1:])
@@ -228,7 +265,7 @@ def _uncovered(g, vals, u, k, coords, mins, lex=True):
         j, floor = k - a, cost_u[a]
         least = mins.get(j)
         if least is None or least < floor:
-            failed, least = _walk_off_base(g, vals, u, j, rest, floor)
+            failed, least = _walk_off_base(g, vals, j, rest, floor)
             if failed is not None:
                 return (a, *failed)
             mins[j] = least
@@ -285,7 +322,6 @@ def rank(
         if deg > 2 * gen - 2:
             return RankReport(rank=deg - gen, witness=None, method=METHOD_SHORTCUT)
     n_model, _ = bullet_model_size(g)
-    u = g.vertex_index(g.base_vertex())
     vals = d.values
     on_g = n_model == g._n  # no weights or loops: g's first failure is the witness
     mins = _Minima()
@@ -295,7 +331,7 @@ def rank(
         if k > top:  # cost tables for 2k + 2 chips serve the next k + 3 levels
             top = 2 * k + 2
             coords = _coords(g, top)
-        failed = _uncovered(g, vals, u, k, coords, mins, lex=on_g)
+        failed = _uncovered(g, vals, k, coords, mins, lex=on_g)
         if failed is not None:
             break
         k += 1
@@ -303,7 +339,7 @@ def rank(
     if not on_g:  # state the witness on the model
         check_budget(n_model, budget, "witness", k)
         model, _ = bullet_model(g)
-        failed = _uncovered(g, vals, u, k, _coords(g, k, model), _Minima())
+        failed = _uncovered(g, vals, k, _coords(g, k, model), _Minima())
         if failed is None:
             raise InternalError(f"level {k} fails on the graph but on no model candidate")
     witness = Divisor(model, _placed(model._lex_indices, failed, model._n))
@@ -463,9 +499,8 @@ def rank_lower_bound_edeg(
         raise DomainError("divisor lives on a different graph")
     if s < 0:
         raise DomainError("s must be nonnegative")
-    u = g.vertex_index(g.base_vertex())
     check_budget(count_compositions(s, g._n), budget, "rank_lower_bound_edeg", s)
-    return _uncovered(g, d.values, u, s, _coords(g, s), _Minima(), lex=False) is None
+    return _uncovered(g, d.values, s, _coords(g, s), _Minima(), lex=False) is None
 
 
 def riemann_roch_check(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDGET) -> bool:

@@ -15,16 +15,14 @@ the effective (198768, 957418, 428490, 838204, 80733, 679200) takes
 with chips in [-2, 2] takes about 6,300 a reduction after phase 1; a
 30-cycle with one chord and chips in [-2, 1] takes seconds at the chord's
 vertex.  Reduction to a single base vertex u has a unique fixed point
-per class, which the rest of the package uses as a canonical form.
-Chips at u never enter the burn, so each graph caches it once per
-reduction in one map per u, keyed by the chips with none at u: divisors
-that differ only at u share one entry, and each caller adds its own chips
-at u back.  The rank scan also steps a reduced form from a cached one a
-few chips richer at one vertex, by borrowing (:func:`_borrow`) instead
-of reducing from scratch.  Effectivization runs no firing of its own: a
-divisor that is not effective is answered by its reduced form at the
-base vertex, which is effective exactly when the class has an effective
-member.
+per class, which the rest of the package uses as a canonical form.  Every
+reduction here runs from scratch and stores nothing: the one memo of
+reduced forms belongs to the rank scan (see :mod:`.rank`), which also
+steps a reduced form from a cached one a few chips richer at one vertex,
+by borrowing (:func:`_borrow`) instead of reducing from scratch.
+Effectivization runs no firing of its own: a divisor that is not
+effective is answered by its reduced form at the base vertex, which is
+effective exactly when the class has an effective member.
 """
 
 from __future__ import annotations
@@ -34,12 +32,6 @@ from typing import Iterable, NamedTuple
 from .divisors import Divisor, _fire
 from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, _bfs_order
-
-# Entries a graph's reduced-form maps may hold between them before all are
-# emptied; at about 210-220 B an entry (traced on K6 and K7 over 40 rank
-# calls each, where an already reduced key is held once, as its own value)
-# this keeps one graph's cache near 58 MB.
-_CACHE_LIMIT = 1 << 18
 
 
 class DharResult(NamedTuple):
@@ -221,53 +213,6 @@ def _reduce_off(g: WeightedMultigraph, vals, seeds: list[int]) -> list[int]:
     return work
 
 
-def _cache_at(g: WeightedMultigraph, u: int) -> dict:
-    """g's reduce cache for base index u: a map from chips with 0 at u to
-    their reduced form at u (see :func:`_reduce_tuple`)."""
-    cache = g._reduced.get(u)
-    if cache is None:
-        cache = g._reduced[u] = {}
-    return cache
-
-
-def _remember(g: WeightedMultigraph, cache: dict, key: tuple[int, ...], out: tuple[int, ...]):
-    """Store out, the reduced form of key, in cache, one of g's maps, and
-    return what was stored: key itself when the two are equal, so an
-    already reduced key is held once.  Once g's maps hold the limit between
-    them, all of them are emptied first, in place, so a map that a caller
-    holds stays g's."""
-    if g._reduced_size >= _CACHE_LIMIT:
-        for held in g._reduced.values():
-            held.clear()
-        g._reduced_size = 0
-    if out == key:
-        out = key
-    cache[key] = out
-    g._reduced_size += 1
-    return out
-
-
-def _lookup(g: WeightedMultigraph, cache: dict, key: tuple[int, ...], u: int) -> tuple[int, ...]:
-    """The reduced form at u of key, which holds 0 at u: from cache, g's map
-    for u, or reduced from scratch and stored there."""
-    red = cache.get(key)
-    if red is None:
-        red = _remember(g, cache, key, tuple(_reduce_off(g, key, [u])))
-    return red
-
-
-def _reduce_tuple(g: WeightedMultigraph, vals: tuple[int, ...], u: int) -> tuple[int, ...]:
-    """The reduced form at u of vals, through g's map for u.
-
-    Chips at u never enter the burn, so the reduced form of vals is that of
-    vals with 0 at u, its key in the map, with vals[u] more chips at u.
-    """
-    x = vals[u]
-    key = (*vals[:u], 0, *vals[u + 1 :]) if x else vals
-    red = _lookup(g, _cache_at(g, u), key, u)
-    return (*red[:u], red[u] + x, *red[u + 1 :]) if x else red
-
-
 def _borrow(g: WeightedMultigraph, vals: list[int], u: int, p: int) -> None:
     """Clear negatives off u, in place, when p is the only one.
 
@@ -305,23 +250,21 @@ def _borrow(g: WeightedMultigraph, vals: list[int], u: int, p: int) -> None:
 def reduce_to(g: WeightedMultigraph, d: Divisor, u: str) -> Divisor:
     """The unique reduced divisor at u equivalent to d.
 
-    Idempotent, class-invariant, and effective away from u.  The two-phase
-    routine of :func:`reduce_to_set`: prefix firings along a BFS order clear
-    negatives off u, then repeated burning-and-firing of the unburnt side
-    reaches the fixed point.  The graph's cache keeps one entry per
-    reduction in its map for u, keyed by the chips reduced with 0 at u, so
-    divisors that differ only at u share it.
+    Idempotent, class-invariant, and effective away from u: the two-phase
+    routine of :func:`reduce_to_set` at the set {u}.  Prefix firings along
+    a BFS order clear negatives off u, then repeated burning-and-firing of
+    the unburnt side reaches the fixed point.
     """
-    return Divisor(g, _reduce_tuple(g, d.values, _seeds(g, d, [u])[0]))
+    return reduce_to_set(g, d, [u])
 
 
 def reduce_to_set(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> Divisor:
     """A reduced divisor with respect to a vertex set, equivalent to d.
 
-    The two-phase routine of :func:`reduce_to`, seeded at the set in name
-    order, uncached.  With a singleton set this agrees with
-    :func:`reduce_to`; for larger sets the output is one valid reduced form
-    (effective off the set and burning-stable), not a canonical one.
+    The two-phase routine, seeded at the set in name order.  A singleton
+    set gives the canonical reduced form of :func:`reduce_to`; for larger
+    sets the output is one valid reduced form (effective off the set and
+    burning-stable), not a canonical one.
     """
     return Divisor(g, _reduce_off(g, d.values, _seeds(g, d, zone)))
 
@@ -340,5 +283,5 @@ def effectivize(g: WeightedMultigraph, d: Divisor) -> Divisor | None:
     if d.is_effective:
         return d
     u = g.vertex_index(g.base_vertex())
-    reduced = _reduce_tuple(g, d.values, u)
+    reduced = _reduce_off(g, d.values, [u])
     return Divisor(g, reduced) if reduced[u] >= 0 else None

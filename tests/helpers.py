@@ -11,7 +11,9 @@ and the base-vertex minima that reduce every candidate from scratch (all
 three enumerate with ``reference_compositions``, not the package's walk);
 and the representative searches built on
 ``reference_box_members``, which reduce every vector of the box with
-``reduce_to``.
+``reduce_to``.  The references reduce through ``scratch_reduce``, the
+package's kernel from scratch with a memo of the tests' own, so they share
+no cache with the rank scan under test.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from chipfire import (
@@ -32,7 +35,15 @@ from chipfire import (
 )
 from chipfire.enumeration import DEFAULT_BUDGET, check_budget, count_compositions
 from chipfire.rank import METHOD_DEFINITION, METHOD_SHORTCUT, RankReport
-from chipfire.reduction import _reduce_tuple
+from chipfire.reduction import _reduce_off
+
+
+@lru_cache(maxsize=1 << 16)
+def scratch_reduce(g: WeightedMultigraph, vals: tuple[int, ...], u: int) -> tuple[int, ...]:
+    """The reduced form at index u of vals, by the package's kernel from
+    scratch; memoised here, apart from the rank scan's cache.  Equal graphs
+    share entries, since a reduced form depends only on the graph."""
+    return tuple(_reduce_off(g, vals, [u]))
 
 
 def golden_graph() -> WeightedMultigraph:
@@ -300,7 +311,7 @@ def reference_model_rank(
             target = list(base_vals)
             for pos, x in zip(lex, combo):
                 target[pos] -= x
-            if _reduce_tuple(gb, tuple(target), u)[u] < 0:
+            if scratch_reduce(gb, tuple(target), u)[u] < 0:
                 witness = [0] * gb._n
                 for pos, x in zip(lex, combo):
                     witness[pos] = x
@@ -317,28 +328,30 @@ def _scratch_targets(g: WeightedMultigraph, vals, u: int, k: int, coords):
         target = list(vals)
         for to, cost, x in zip(dests, costs, combo):
             target[to] -= cost[x]
-        yield combo, _reduce_tuple(g, tuple(target), u)
+        yield combo, scratch_reduce(g, tuple(target), u)
 
 
-def reference_uncovered(g: WeightedMultigraph, vals, u: int, k: int, coords, mins=None, lex=True):
+def reference_uncovered(g: WeightedMultigraph, vals, k: int, coords, mins=None, lex=True):
     """First composition of k over coords (lex order) whose cost leaves a
-    non-effective class, each candidate reduced from scratch; None when
-    every candidate is covered.  coords is (dests, costs) as built by
-    ``rank._coords``.  The reference for ``rank._uncovered``, which folds
-    the base vertex out and steps cache misses from their parents; mins
-    and lex are taken and ignored, since the lex-first failure is a valid
-    answer with or without lex."""
+    non-effective class at g's base vertex u, each candidate reduced from
+    scratch; None when every candidate is covered.  coords is (dests,
+    costs) as built by ``rank._coords``.  The reference for
+    ``rank._uncovered``, which folds u out and steps cache misses from
+    their parents; mins and lex are taken and ignored, since the lex-first
+    failure is a valid answer with or without lex."""
+    u = g.vertex_index(g.base_vertex())
     for combo, red in _scratch_targets(g, vals, u, k, coords):
         if red[u] < 0:
             return combo
     return None
 
 
-def reference_off_base_min(g: WeightedMultigraph, vals, u: int, j: int, coords):
-    """Fewest chips at u among the reduced forms, from scratch, of the
-    compositions of j over coords without its first coordinate (the base
-    vertex's); infinity when there is none.  What ``rank._uncovered``
-    records as mins[j]."""
+def reference_off_base_min(g: WeightedMultigraph, vals, j: int, coords):
+    """Fewest chips at g's base vertex u among the reduced forms, from
+    scratch, of the compositions of j over coords without its first
+    coordinate (u's); infinity when there is none.  What
+    ``rank._uncovered`` records as mins[j]."""
+    u = g.vertex_index(g.base_vertex())
     dests, costs = coords
     rest = dests[1:], costs[1:]
     return min((red[u] for _, red in _scratch_targets(g, vals, u, j, rest)), default=float("inf"))

@@ -11,11 +11,22 @@ from chipfire import (
     WeightedMultigraph,
     bullet_model,
     canonical_divisor,
+    class_of,
+    clifford_representative,
+    effective_representatives,
+    effectivize,
+    equivalent,
     rank,
     rank_oracle,
     reduce_to,
+    reduce_to_set,
+    semibalanced_representative,
+    uniform_representative,
 )
 from helpers import golden_graph
+
+# the package's ``rank`` function shadows its module as a package attribute
+rank_module = importlib.import_module("chipfire.rank")
 
 
 class TestLifetime:
@@ -32,42 +43,51 @@ class TestLifetime:
         g = golden_graph()
         k = canonical_divisor(g)
         first = rank(g, k)
-        size = g._reduced_size
+        size = len(g._reduced)
         assert size > 0
         assert rank(g, k) == first
-        assert g._reduced_size == size
+        assert len(g._reduced) == size
 
     def test_rank_on_a_weighted_graph_reduces_on_the_graph(self):
         g = golden_graph()
         report = rank(g, canonical_divisor(g))
         assert report.witness.graph is bullet_model(g)[0]
-        assert g._reduced_size > 0
+        assert len(g._reduced) > 0
         assert len(bullet_model(g)[0]._reduced) == 0
 
-    def test_a_reduction_stores_one_entry(self):
+    def test_reductions_outside_the_scan_store_nothing(self):
         g = golden_graph()
-        d = Divisor(g, [-3, 5, 1])
-        u = g.vertex_index("v1")
-        out = reduce_to(g, d, "v1")
-        assert list(g._reduced) == [u] and g._reduced_size == 1
-        # keyed by the chips with 0 at u; the caller adds its own chips at u
-        (key, red), = g._reduced[u].items()
-        assert key == (0, 5, 1)
-        assert red[:u] + (red[u] + d.values[u],) + red[u + 1 :] == out.values
-        assert reduce_to(g, out, "v1") == out
-        # the reduced form was looked up, so it is kept, as its own value
-        assert g._reduced_size == len(g._reduced[u]) == 2
-        key = (*out.values[:u], 0, *out.values[u + 1 :])
-        assert g._reduced[u][key] is next(k for k in g._reduced[u] if k == key)
+        d = Divisor(g, [2, 4, 4])
+        for poor in (Divisor(g, [-3, 5, 1]), Divisor(g, [0, 5, -3])):
+            for v in g.vertices:
+                reduce_to(g, poor, v)
+                effective_representatives(g, class_of(g, poor, v))
+            reduce_to_set(g, poor, ["v1", "v3"])
+            effectivize(g, poor)
+            assert equivalent(g, poor, poor)
+        assert equivalent(g, d, Divisor(g, [4, 4, 2])) is False
+        c = class_of(g, d, "v1")
+        semibalanced_representative(g, c)
+        uniform_representative(g, c)
+        clifford_representative(g, c)
+        assert g._reduced == {}
 
-    def test_divisors_that_differ_only_at_the_base_share_one_entry(self):
+    def test_a_search_after_rank_leaves_the_scan_entries_intact(self):
+        g = golden_graph()
+        d = Divisor(g, [2, 4, 4])
+        rank(g, d, shortcuts=False)
+        held = dict(g._reduced)
+        assert held
+        uniform_representative(g, class_of(g, d, g.base_vertex()))
+        assert g._reduced == held
+
+    def test_chips_at_the_base_only_shift_the_reduced_form(self):
+        # what lets the scan key a reduced form by the chips off the base
         g = golden_graph()
         u = g.vertex_index("v2")
-        outs = [reduce_to(g, Divisor(g, [-3, x, 1]), "v2") for x in (5, -7, 40)]
-        assert list(g._reduced) == [u] and g._reduced_size == 1
-        scratch = [reduce_to(golden_graph(), Divisor(g, [-3, x, 1]), "v2") for x in (5, -7, 40)]
-        assert outs == scratch
-        assert [o.values[u] for o in outs] == [outs[0].values[u] + x - 5 for x in (5, -7, 40)]
+        outs = [reduce_to(g, Divisor(g, [-3, x, 1]), "v2").values for x in (5, -7, 40)]
+        assert {o[:u] + o[u + 1 :] for o in outs} == {outs[0][:u] + outs[0][u + 1 :]}
+        assert [o[u] for o in outs] == [outs[0][u] + x - 5 for x in (5, -7, 40)]
 
     def test_rank_keeps_one_set_of_cost_tables_up_to_a_cap(self, monkeypatch):
         g = golden_graph()
@@ -77,7 +97,7 @@ class TestLifetime:
         rank(g, Divisor(g, [1, 1, 1]), shortcuts=False)
         assert all(g._scan_coords[key] is kept[key] for key in kept)
         # past the cap a scan builds longer tables but keeps none of them
-        monkeypatch.setattr(importlib.import_module("chipfire.rank"), "_COORDS_KEPT", 8)
+        monkeypatch.setattr(rank_module, "_COORDS_KEPT", 8)
         one = WeightedMultigraph(["a"], {}, [])
         assert rank(one, Divisor(one, [40]), shortcuts=False).rank == 40
         assert len(one._scan_coords[True][1][0]) == 9
@@ -85,10 +105,11 @@ class TestLifetime:
     def test_equal_graphs_keep_separate_caches(self):
         g1, g2 = golden_graph(), golden_graph()
         assert g1 == g2
-        reduce_to(g1, Divisor(g1, [0, 5, -1]), "v1")
-        assert g1._reduced_size > 0
-        assert g2._reduced_size == 0
+        rank(g1, canonical_divisor(g1))
+        assert len(g1._reduced) > 0
+        assert len(g2._reduced) == 0
         rank(g2, canonical_divisor(g2))
+        assert g1._reduced is not g2._reduced
         assert bullet_model(g1)[0] is not bullet_model(g2)[0]
         assert bullet_model(g1)[0]._reduced is not bullet_model(g2)[0]._reduced
 
@@ -102,19 +123,17 @@ class TestLifetime:
 
 
 def _watch_sizes(monkeypatch):
-    """Record g._reduced_size and the entries of all of g's maps together
-    after every insert into a reduce cache; returns the list of pairs."""
-    reduction = importlib.import_module("chipfire.reduction")
+    """Record the map and its size after every insert into a reduce cache;
+    returns the list of (size, map) pairs."""
     sizes = []
-    remember = reduction._remember
+    remember = rank_module._remember
 
-    def watched(g, cache, key, out):
-        out = remember(g, cache, key, out)
-        sizes.append((g._reduced_size, sum(map(len, g._reduced.values()))))
+    def watched(cache, key, out):
+        out = remember(cache, key, out)
+        sizes.append((len(cache), cache))
         return out
 
-    monkeypatch.setattr(reduction, "_remember", watched)
-    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "_remember", watched)
+    monkeypatch.setattr(rank_module, "_remember", watched)
     return sizes
 
 
@@ -130,7 +149,7 @@ def test_cache_bound_keeps_answers(monkeypatch):
     expected = [rank(ref, Divisor(ref, vals), shortcuts=False) for vals in divisors]
 
     limit = 40
-    monkeypatch.setattr("chipfire.reduction._CACHE_LIMIT", limit)
+    monkeypatch.setattr(rank_module, "_CACHE_LIMIT", limit)
     sizes = _watch_sizes(monkeypatch)
     g = k5()
     got = [rank(g, Divisor(g, vals), shortcuts=False) for vals in divisors]
@@ -138,25 +157,10 @@ def test_cache_bound_keeps_answers(monkeypatch):
         (r.rank, r.witness.values) for r in expected
     ]
     assert len(sizes) > 2 * limit
-    assert all(counted == held <= limit for counted, held in sizes)
-
-
-def test_cache_bound_counts_every_base_vertex(monkeypatch):
-    rng = random.Random(6)
-    divisors = [[rng.randint(-4, 6) for _ in range(5)] for _ in range(30)]
-    ref = k5()
-    names = ref.vertices
-    expected = [reduce_to(ref, Divisor(ref, vals), v).values for vals in divisors for v in names]
-
-    limit = 25
-    monkeypatch.setattr("chipfire.reduction._CACHE_LIMIT", limit)
-    sizes = _watch_sizes(monkeypatch)
-    g = k5()
-    got = [reduce_to(g, Divisor(g, vals), v).values for vals in divisors for v in names]
-    assert got == expected
-    assert len(sizes) == len(expected) > 2 * limit
-    assert all(counted == held <= limit for counted, held in sizes)
-    assert len(g._reduced) == 5  # one map per base vertex, emptied together
+    # emptied in place when full: every insert lands in g's own map, and
+    # the one after a full map leaves it holding that entry alone
+    assert all(held <= limit and cache is g._reduced for held, cache in sizes)
+    assert [held for held, _ in sizes].count(1) > 1
 
 
 @pytest.mark.parametrize(
@@ -175,17 +179,17 @@ def test_chips_at_the_base_reduce_nothing_new(monkeypatch, first, second):
     want = rank(k5(), Divisor(k5(), second), shortcuts=False)
     g = k5()
     rank(g, Divisor(g, first), shortcuts=False)
-    size = g._reduced_size
+    size = len(g._reduced)
     calls = []
     for name in ("_reduce_off", "_borrow"):
         fn = getattr(reduction, name)
         wrapped = lambda *a, fn=fn: calls.append(1) or fn(*a)
         monkeypatch.setattr(reduction, name, wrapped)
-        monkeypatch.setattr(importlib.import_module("chipfire.rank"), name, wrapped, raising=False)
+        monkeypatch.setattr(rank_module, name, wrapped, raising=False)
     got = rank(g, Divisor(g, second), shortcuts=False)
     assert (got.rank, got.witness.values) == (want.rank, want.witness.values)
     assert calls == []
-    assert g._reduced_size == size
+    assert len(g._reduced) == size
 
 
 def test_oracle_key_bound_keeps_answers(monkeypatch):
@@ -200,8 +204,7 @@ def test_oracle_key_bound_keeps_answers(monkeypatch):
     expected = [rank_oracle(ref, Divisor(ref, vals)) for vals in divisors]
 
     limit = 20
-    # the package's ``rank`` function shadows its module as a package attribute
-    monkeypatch.setattr(importlib.import_module("chipfire.rank"), "_KEYS_LIMIT", limit)
+    monkeypatch.setattr(rank_module, "_KEYS_LIMIT", limit)
     g = k4()
     got = []
     for vals in divisors:

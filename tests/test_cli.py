@@ -7,6 +7,7 @@ import pytest
 from chipfire import ParseError
 from chipfire.cli import (
     _COMMANDS,
+    _MAX_DIGITS,
     _jsonable,
     build_parser,
     main,
@@ -429,6 +430,34 @@ class TestPastTheDigitLimit:
         digits = "7" * 5000
         assert main(["reduce", edge_file, "--divisor", f"b={digits}", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["reduced"] == {"a": digits, "b": 0}
+
+    def test_the_longest_token_parses(self, edge_file, capsys):
+        digits = "7" * _MAX_DIGITS
+        assert main(["reduce", edge_file, "--divisor", f"b=-{digits}", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["reduced"] == {"a": "-" + digits, "b": 0}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("graph\nvertex a weight {}\nvertex b weight 0\nedge a b\n", "invalid weight"),
+            ("graph\nvertex a weight 0\nvertex b weight 0\nedge a b x{}\n", "invalid multiplicity"),
+        ],
+    )
+    def test_a_longer_graph_token_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "long.graph"
+        path.write_text(text.format("1" * (_MAX_DIGITS + 1)), encoding="utf-8")
+        assert main(["info", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_a_longer_divisor_value_exits_2(self, edge_file, capsys):
+        assert main(["reduce", edge_file, "--divisor", "a=+" + "1" * (_MAX_DIGITS + 1)]) == 2
+        assert "invalid integer" in capsys.readouterr().err
+
+    def test_a_longer_budget_exits_2(self, edge_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rank", edge_file, "--divisor", "a=1", "--budget", "1" * (_MAX_DIGITS + 1)])
+        assert excinfo.value.code == 2
+        assert "argument --budget: expected a nonnegative integer" in capsys.readouterr().err
 
     def test_callers_limit_is_restored(self, edge_file, capsys):
         if not hasattr(sys, "set_int_max_str_digits"):

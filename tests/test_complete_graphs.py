@@ -14,8 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from chipfire import Divisor, WeightedMultigraph, rank
-from chipfire.reduction import _reduce_tuple
+from chipfire import Divisor, WeightedMultigraph, rank, reduce_to
 from helpers import clip_degree, reference_complete_reduce, reference_complete_rank
 
 
@@ -31,7 +30,8 @@ def test_reference_reduction_matches_the_kernel(n):
     for _ in range(200):
         vals = [rng.randint(-6, 8) for _ in range(n)]
         for q in {0, rng.randrange(n)}:
-            assert reference_complete_reduce(vals, q) == list(_reduce_tuple(g, tuple(vals), q))
+            got = reduce_to(g, Divisor(g, vals), g.vertices[q]).values
+            assert reference_complete_reduce(vals, q) == list(got)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -78,6 +79,40 @@ def test_box_vectors_are_the_sorted_product_filter(lows, highs):
         got = list(box_vectors(lows, highs, total))
         assert got == expected  # same tuples, ascending lex order
         assert len(got) == count_box_vectors(lows, highs, total)
+
+
+def _inclusion_exclusion(widths, t):
+    """Vectors with 0 <= x_i <= widths[i] summing to t: all nonnegative
+    ones, C(t + n - 1, n - 1), less by inclusion-exclusion those above
+    their width on each set S of coordinates, which shift t down by the
+    sum of widths[i] + 1 over S."""
+    n = len(widths)
+    total = 0
+    for r in range(n + 1):
+        for over in combinations(widths, r):
+            rest = t - sum(w + 1 for w in over)
+            if rest >= 0:
+                total += (-1) ** r * comb(rest + n - 1, n - 1)
+    return total
+
+
+@pytest.mark.parametrize("lows", [(0, 0, 0, 0, 0), (-7, 3, 0, -20_000, 11)])
+@pytest.mark.parametrize("t", [-1, 0, 1, 37_123, 50_000, 99_999, 100_000, 100_001])
+def test_box_count_on_a_wide_box_is_inclusion_exclusion(lows, t):
+    """Width 20,000 at every coordinate: the count runs in time linear in
+    the chips, where a loop over every value for every partial sum would
+    take hours at t = 50,000."""
+    highs = [low + 20_000 for low in lows]
+    assert count_box_vectors(lows, highs, sum(lows) + t) == _inclusion_exclusion([20_000] * 5, t)
+
+
+def test_box_count_near_the_top_of_a_huge_box():
+    """A sum near the widths' total counts its shortfalls instead, and a
+    sum past it counts nothing, however wide the box."""
+    top = 5 * 10**12
+    assert count_box_vectors([0] * 5, [10**12] * 5, top - 2) == 15  # C(6, 4)
+    assert count_box_vectors([0] * 5, [10**12] * 5, top + 1) == 0
+    assert count_box_vectors([0] * 3, [5] * 3, 10**30) == 0
 
 
 def test_box_vectors_reject_unequal_bounds():

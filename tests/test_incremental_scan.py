@@ -30,8 +30,7 @@ from chipfire import (
     rank_oracle,
 )
 from chipfire.enumeration import DEFAULT_BUDGET
-from chipfire.reduction import _reduce_tuple
-from helpers import reference_burn, reference_off_base_min, reference_uncovered
+from helpers import reference_burn, reference_off_base_min, reference_uncovered, scratch_reduce
 from test_sparse_reduction import cycle, ladder, theta
 
 reduction = importlib.import_module("chipfire.reduction")
@@ -77,31 +76,53 @@ def _twin(g):
     return WeightedMultigraph(g.vertices, g.weights, g.edges)
 
 
-def _step(g, vals, u, p, s):
-    """The reduced form at u of vals as the scan's walk steps it from its
-    parent vals + s*e_p: the walk's one degree-1 candidate over one
-    coordinate at p whose first chip costs s.  Returns what the walk stored
-    for it, shifted by the chips at u."""
+def _rotated(g, r):
+    """An equal graph declared from its r-th vertex on, with its own, empty
+    caches: its base vertex, the lex-first name, sits at another index."""
+    verts = g.vertices
+    return WeightedMultigraph(verts[r:] + verts[:r], g.weights, g.edges)
+
+
+def _stored(g, vals):
+    """What g's reduce cache holds for vals, under its key with 0 at the
+    base vertex u, shifted by the chips of vals at u."""
+    u = g.vertex_index(g.base_vertex())
+    red = list(g._reduced[(*vals[:u], 0, *vals[u + 1 :])])
+    red[u] += vals[u]
+    return tuple(red)
+
+
+def _scan_reduce(g, vals):
+    """The reduced form at g's base vertex of vals, as the scan's walk
+    stores it for its one degree-0 candidate."""
+    rank_module._walk_off_base(g, vals, 0, ([], []), float("-inf"))
+    return _stored(g, vals)
+
+
+def _step(g, vals, p, s):
+    """The reduced form at g's base vertex u of vals as the scan's walk
+    steps it from its parent vals + s*e_p: the walk's one degree-1
+    candidate over one coordinate at p whose first chip costs s.  Returns
+    what the walk stored for it, shifted by the chips at u."""
     parent = list(vals)
     parent[p] += s
-    _, least = rank_module._walk_off_base(g, parent, u, 1, ([p], [[0, s]]), float("-inf"))
-    red = list(g._reduced[u][(*vals[:u], 0, *vals[u + 1 :])])  # its key: 0 at u
-    red[u] += vals[u]
-    assert least == red[u]
-    return tuple(red)
+    _, least = rank_module._walk_off_base(g, parent, 1, ([p], [[0, s]]), float("-inf"))
+    red = _stored(g, vals)
+    assert least == red[g.vertex_index(g.base_vertex())]
+    return red
 
 
 @pytest.mark.parametrize("name", STEP_GRAPHS)
 def test_step_matches_reduction_from_scratch(name, monkeypatch):
-    g = STEP_GRAPHS[name]
-    scratch = _twin(g)
     rng = random.Random(name)
     borrowed = 0
     for _ in range(3):
-        u = rng.randrange(g._n)
+        g = _rotated(STEP_GRAPHS[name], rng.randrange(STEP_GRAPHS[name]._n))
+        u = g.vertex_index(g.base_vertex())
         # a random u-reduced divisor: small signed chips, reduced at u
-        parent = _reduce_tuple(g, tuple(rng.randint(-2, 3) for _ in range(g._n)), u)
-        assert _reduce_tuple(g, parent, u) == parent  # and now cached as well
+        parent = _scan_reduce(g, tuple(rng.randint(-2, 3) for _ in range(g._n)))
+        assert scratch_reduce(g, parent, u) == parent
+        assert _scan_reduce(g, parent) == parent  # and now cached under its own key
         for p in range(g._n):
             for s in (1, 2):
                 vals = list(parent)
@@ -110,24 +131,22 @@ def test_step_matches_reduction_from_scratch(name, monkeypatch):
                 borrowed += p != u and parent[p] < s
                 with monkeypatch.context() as mp:
                     calls = _count_scratch_reductions(mp)
-                    got = _step(g, vals, u, p, s)
+                    got = _step(g, vals, p, s)
                 assert calls == []  # the parent was cached
-                scratch._reduced.clear()
-                assert got == _reduce_tuple(scratch, vals, u)
+                assert got == scratch_reduce(g, vals, u)
                 assert all(x >= 0 for i, x in enumerate(got) if i != u)
                 assert all(reference_burn(g, got, [u])[0])
-                assert _reduce_tuple(g, vals, u) == got
     assert borrowed > 0
 
 
 def test_step_without_a_cached_parent_reduces_it_from_scratch():
     g = complete(6)
     vals = (4, -3, 7, -1, 0, 2)
-    got = _step(g, vals, 0, 3, 2)
-    assert got == _reduce_tuple(_twin(g), vals, 0)
+    got = _step(g, vals, 3, 2)
+    assert got == scratch_reduce(g, vals, 0)
     parent = (0, -3, 7, 1, 0, 2)
-    assert g._reduced[0][parent] == _reduce_tuple(_twin(g), parent, 0)
-    assert g._reduced_size == 2
+    assert g._reduced[parent] == scratch_reduce(g, parent, 0)
+    assert len(g._reduced) == 2
 
 
 def _count_scratch_reductions(monkeypatch):
@@ -197,21 +216,21 @@ def test_levels_read_the_minima_only_where_they_may_fail(monkeypatch, verts, edg
 def test_borrow_guard_trips(monkeypatch):
     g = cycle(5)
     parent = (0, 0, 0, 0, 0)  # reduced at the first vertex: nothing off it
-    assert _reduce_tuple(g, parent, 0) == parent
+    assert _scan_reduce(g, parent) == parent
     monkeypatch.setattr(reduction, "_round_guard", lambda g, vals: 0)
     with pytest.raises(InternalError, match="borrowing"):
         # the debt at c02 takes 6 borrowing steps, past n = 5
-        _step(g, (0, 0, -1, 0, 0), 0, 2, 1)
+        _step(g, (0, 0, -1, 0, 0), 2, 1)
 
 
 def test_borrowing_within_n_steps_skips_the_guard(monkeypatch):
     g = complete(5)
     parent = (5, 0, 0, 0, 0)
-    assert _reduce_tuple(g, parent, 0) == parent
+    assert _scan_reduce(g, parent) == parent
     guards = []
     monkeypatch.setattr(reduction, "_round_guard", lambda g, vals: guards.append(1) or 0)
     # the debt at k1 takes 4 borrowing steps, within n = 5
-    assert _step(g, (5, -1, 0, 0, 0), 0, 1, 1) == (1, 0, 1, 1, 1)
+    assert _step(g, (5, -1, 0, 0, 0), 1, 1) == (1, 0, 1, 1, 1)
     assert guards == []
 
 
@@ -268,7 +287,7 @@ def _patch_reference(mp):
     calls = []
 
     def reference(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(args[2])
         return reference_uncovered(*args, **kwargs)
 
     mp.setattr(rank_module, "_uncovered", reference)
@@ -280,7 +299,7 @@ def _against_reference(call, spec, limit):
     on a fresh graph, and whether the reference scanned a level."""
     with pytest.MonkeyPatch.context() as mp:
         if limit is not None:
-            mp.setattr(reduction, "_CACHE_LIMIT", limit)
+            mp.setattr(rank_module, "_CACHE_LIMIT", limit)
         got = _outcome(lambda: call(WeightedMultigraph(*spec)))
         calls = _patch_reference(mp)
         want = _outcome(lambda: call(WeightedMultigraph(*spec)))
@@ -323,12 +342,12 @@ def test_scan_and_its_minima_match_the_scratch_scan(case, on_model):
     dests, costs = coords
     with pytest.MonkeyPatch.context() as mp:
         if limit is not None:
-            mp.setattr(reduction, "_CACHE_LIMIT", limit)
+            mp.setattr(rank_module, "_CACHE_LIMIT", limit)
         for lex in (True, False):
             mins = rank_module._Minima()
             for k in range(5):
-                got = rank_module._uncovered(g, vals, u, k, coords, mins, lex)
-                want = reference_uncovered(scratch, vals, u, k, coords)
+                got = rank_module._uncovered(g, vals, k, coords, mins, lex)
+                want = reference_uncovered(scratch, vals, k, coords)
                 if lex:
                     assert got == want
                 else:
@@ -337,10 +356,10 @@ def test_scan_and_its_minima_match_the_scratch_scan(case, on_model):
                     target = list(vals)
                     for to, cost, x in zip(dests, costs, got):
                         target[to] -= cost[x]
-                    assert sum(got) == k and _reduce_tuple(scratch, tuple(target), u)[u] < 0
+                    assert sum(got) == k and scratch_reduce(scratch, tuple(target), u)[u] < 0
                 assert set(mins) <= set(range(k + 1))
                 for j, least in mins.items():
-                    assert least == reference_off_base_min(scratch, vals, u, j, coords)
+                    assert least == reference_off_base_min(scratch, vals, j, coords)
                 if got is not None:
                     break
                 assert k in mins
@@ -386,18 +405,17 @@ def test_deep_carries_match_the_scratch_scan(monkeypatch, name, vals):
     got = _rank_and_next_level(lambda: _twin(g), vals)
     assert max(resets) >= 3
     calls = _patch_reference(monkeypatch)
-    shared = _twin(g)  # the reference reduces every target from scratch once
-    assert got == _rank_and_next_level(lambda: shared, vals)
+    assert got == _rank_and_next_level(lambda: _twin(g), vals)
     r = got[0][0]
     # every level of rank's scan, and the level past the rank for the bound
     assert calls[: r + 2] == list(range(r + 2)) and calls[-1] == r + 1
 
 
 def test_cache_limit_is_read_at_call_time(monkeypatch):
-    monkeypatch.setattr(reduction, "_CACHE_LIMIT", 8)
+    monkeypatch.setattr(rank_module, "_CACHE_LIMIT", 8)
     g = complete(5)
     rank(g, Divisor(g, [3, 0, 1, 2, 2]), shortcuts=False)
-    assert 0 < len(g._reduced[0]) == g._reduced_size <= 8
+    assert 0 < len(g._reduced) <= 8
 
 
 # -- rank against the oracle on long, large-valued graphs ------------------
