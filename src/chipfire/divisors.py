@@ -1,20 +1,24 @@
 """Divisors on a multigraph: arithmetic, principal divisors, linear equivalence.
 
 A divisor is an integer chip count on each vertex.  Linear equivalence is
-generated by set-firing moves; deciding it reduces to comparing canonical
-(base-vertex reduced) forms, which is exact over the integers.  Python ints
-are arbitrary precision, so chip counts never overflow.
+generated by set-firing moves.  It is decided without reducing anything:
+a degree-0 divisor is principal exactly when the reduced Laplacian sends
+some integer firing vector to it, which one exact integer solve settles
+(:func:`_principal`, the first step of Baker and Shokrieh's reduction).
+Canonical (base-vertex reduced) forms name the classes.  Python ints are
+arbitrary precision, so chip counts never overflow.
 """
 
 from __future__ import annotations
 
 from itertools import compress
+from math import gcd
 from operator import index
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .enumeration import DEFAULT_BUDGET, check_budget, compositions, count_compositions
 from .errors import DomainError
-from .graph import WeightedMultigraph
+from .graph import WeightedMultigraph, _bfs_order
 
 
 def _chip_counts(xs: Iterable) -> tuple[int, ...]:
@@ -188,18 +192,89 @@ def residual(g: WeightedMultigraph, d: Divisor) -> Divisor:
 def equivalent(g: WeightedMultigraph, d1: Divisor, d2: Divisor) -> bool:
     """True iff d1 - d2 is a sum of set-firing moves.
 
-    Decided by reducing the difference at the canonical base vertex: the
-    reduced form of a principal divisor is the zero divisor, and reduced
-    forms are unique in each class.
+    Divisors of different degrees never are.  Otherwise d1 - d2 has degree
+    0 and is decided by :func:`_principal`: it is principal iff the unique
+    rational firing vector that leaves the base vertex unfired is integral.
+    That vector solves the reduced Laplacian, which is positive definite,
+    so its elimination meets no zero pivot, and back-substitution checks
+    each firing count for exact divisibility.  Nothing is reduced, so the
+    cost is polynomial in the graph and the bit size of the chips.
     """
-    from .reduction import reduce_to
-
     if d1.graph != g or d2.graph != g:
         raise DomainError("divisors live on different graphs")
     if d1.degree != d2.degree:
         return False
-    diff = d1 - d2
-    return reduce_to(g, diff, g.base_vertex()).values == (0,) * g._n
+    return _principal(g, [a - b for a, b in zip(d1._values, d2._values)])
+
+
+def _principal(g: WeightedMultigraph, z) -> bool:
+    """True iff the degree-0 integer vector z (declaration order) is
+    principal, by one exact integer solve of the reduced Laplacian.
+
+    Firing vector x sends the chips to L x, with L the Laplacian (loops
+    move nothing).  Adding a constant to x changes nothing, so z is
+    principal iff L x = z for an integer x with x_u = 0 at the base vertex
+    u.  Row u is then implied by the others, since z and every column of L
+    sum to 0, so the system is L' x' = z' with u's row and column dropped.
+    L' is the reduced Laplacian of a connected graph, positive definite,
+    hence invertible: z is principal iff its unique rational solution is
+    integral.
+
+    Elimination runs from the far end of the BFS order from u toward u,
+    which keeps cycles, ladders and theta graphs banded.  Each row is kept
+    integral: a row that meets the pivot column is cross-multiplied with
+    the pivot row and divided by the gcd of its entries and right-hand
+    side.  So every row is the primitive positive multiple of a row of
+    the current Schur complement, which the determinant of the eliminated
+    block makes integral (Cramer's rule): its bit size stays polynomial.
+    The Schur complements of a positive definite matrix are positive
+    definite, so no pivot is ever zero.  Back-substitution from u's side
+    then finds each firing count from integral later ones: it is integral
+    iff the pivot divides what is left of its right-hand side exactly, and
+    the first remainder answers False.
+    """
+    order = _bfs_order(g, [g._lex_indices[0]])
+    u = order[0]
+    degree = g._loopless_degree
+    eqs = {}
+    for v in order[1:]:
+        row = {w: -m for w, m in g._rows[v] if w != u}
+        row[v] = degree[v]
+        eqs[v] = row
+    rhs = list(z)
+    pivots = []
+    for p in reversed(order[1:]):
+        prow = eqs.pop(p)
+        a, c = prow.pop(p), rhs[p]
+        for r in prow:
+            row = eqs[r]
+            b = row.pop(p)
+            k = gcd(a, b)
+            ak, bk = a // k, b // k
+            if ak != 1:
+                for w in row:
+                    row[w] *= ak
+            for w, e in prow.items():
+                y = row.get(w, 0) - bk * e
+                if y:
+                    row[w] = y
+                else:
+                    del row[w]
+            t = rhs[r] * ak - bk * c
+            k = gcd(t, *row.values())
+            if k > 1:
+                for w in row:
+                    row[w] //= k
+                t //= k
+            rhs[r] = t
+        pivots.append((p, a, c, prow))
+    x = [0] * g._n
+    for p, a, c, prow in reversed(pivots):
+        q, rem = divmod(c - sum(coef * x[w] for w, coef in prow.items()), a)
+        if rem:
+            return False
+        x[p] = q
+    return True
 
 
 def class_of(g: WeightedMultigraph, d: Divisor, u: str) -> DivisorClass:
@@ -219,16 +294,19 @@ def _placed(lex, combo, n) -> tuple[int, ...]:
 
 def _members(g: WeightedMultigraph, c: DivisorClass, vectors):
     """Yield, in the order given, the vectors (listed in canonical vertex
-    order) that lie in the class: those whose reduced form at the class's
-    base vertex is the class's canonical form."""
-    from .reduction import _reduce_off
+    order, each of the class degree) that lie in the class.
 
+    v lies in the class iff v - c.canonical is principal, which
+    :func:`_principal` decides by one exact solve per vector: the unique
+    rational firing vector with the base vertex unfired must be integral.
+    The reduced Laplacian is positive definite, so its elimination meets no
+    zero pivot, and back-substitution checks each division for exactness.
+    """
     lex, n = g._lex_indices, g._n
-    seed = [g.vertex_index(c.base_vertex)]
-    target = list(c.canonical.values)
+    target = c.canonical.values
     for combo in vectors:
         vals = _placed(lex, combo, n)
-        if _reduce_off(g, vals, seed) == target:
+        if _principal(g, [a - b for a, b in zip(vals, target)]):
             yield Divisor(g, vals)
 
 

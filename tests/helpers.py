@@ -3,7 +3,9 @@
 The brute-force routines here intentionally avoid the package's burning
 machinery so they can serve as independent cross-checks: reducedness is
 checked against the raw subset definition, and equivalence by bounded
-search over integer combinations of single-vertex firings.  The exceptions
+search over integer combinations of single-vertex firings, or by
+``rational_equivalent``, a Fraction solve of the reduced Laplacian that
+shares no code with the package's integer solve.  The exceptions
 are ``reference_model_rank``, the rank scan on the loopless weightless
 model, kept as the reference for ``rank``'s scan on the graph itself;
 ``reference_uncovered`` and ``reference_off_base_min``, the level scan
@@ -476,44 +478,53 @@ def reference_semibalanced_representative(g: WeightedMultigraph, c) -> Divisor:
     )
 
 
-def reduced_laplacian_inverse(g: WeightedMultigraph):
-    """Exact inverse of the Laplacian with the first vertex's row and column
-    deleted, by Fraction Gauss-Jordan elimination (loops do not enter)."""
+def rational_firing(g: WeightedMultigraph, z) -> list[Fraction]:
+    """The unique rational x with x[0] = 0 and L x = z off the first
+    declared vertex, L the Laplacian (loops do not enter).
+
+    Fraction elimination of the reduced Laplacian in minimum-degree order,
+    which keeps cycles, ladders and theta graphs sparse, built from
+    ``g.edges``; it shares no code with the package's solve.
+    """
     n = len(g.vertices)
     idx = g.vertex_index
-    lap = [[Fraction(0)] * n for _ in range(n)]
+    rows = {v: {} for v in range(1, n)}
     for a, b in g.edges:
         i, j = idx(a), idx(b)
-        if i != j:
-            lap[i][i] += 1
-            lap[j][j] += 1
-            lap[i][j] -= 1
-            lap[j][i] -= 1
-    m = n - 1
-    a = [row[1:] for row in lap[1:]]
-    inv = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(m):
-            f = a[r][col]
-            if r != col and f != 0:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+        if i == j:
+            continue
+        for p, q in ((i, j), (j, i)):
+            if p:
+                rows[p][p] = rows[p].get(p, 0) + Fraction(1)
+                if q:
+                    rows[p][q] = rows[p].get(q, 0) - 1
+    rhs = {v: Fraction(z[v]) for v in rows}
+    done = []
+    while rows:
+        p = min(rows, key=lambda v: (len(rows[v]), v))
+        prow = rows.pop(p)
+        for r in prow:
+            if r == p:
+                continue
+            row = rows[r]
+            f = row.pop(p) / prow[p]
+            for c, y in prow.items():
+                if c != p:
+                    row[c] = row.get(c, 0) - f * y
+                    if not row[c]:
+                        del row[c]
+            rhs[r] -= f * rhs[p]
+        done.append((p, prow))
+    x = [Fraction(0)] * n
+    for p, prow in reversed(done):
+        x[p] = (rhs[p] - sum(c * x[q] for q, c in prow.items() if q != p)) / prow[p]
+    return x
 
 
-def rational_equivalent(inv, d1: Divisor, d2: Divisor) -> bool:
-    """d1 ~ d2 iff they have equal degree and the reduced Laplacian system
-    L' x = (d2 - d1) off the first vertex has an integer solution x (the
-    firing counts); ``inv`` comes from :func:`reduced_laplacian_inverse`."""
+def rational_equivalent(g: WeightedMultigraph, d1: Divisor, d2: Divisor) -> bool:
+    """d1 ~ d2 iff they have equal degree and the firing vector
+    :func:`rational_firing` finds for d2 - d1 is integral."""
     if d1.degree != d2.degree:
         return False
-    rhs = [b - a for a, b in zip(d1.values[1:], d2.values[1:])]
-    return all(
-        sum(c * y for c, y in zip(row, rhs) if y).denominator == 1 for row in inv
-    )
+    z = [b - a for a, b in zip(d1.values, d2.values)]
+    return all(x.denominator == 1 for x in rational_firing(g, z))

@@ -459,6 +459,31 @@ class TestPastTheDigitLimit:
         assert excinfo.value.code == 2
         assert "argument --budget: expected a nonnegative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("site", ["weight", "multiplicity", "divisor", "budget"])
+    def test_an_over_long_token_is_quoted_by_its_prefix(self, tmp_path, edge_file, capsys, site):
+        """A 60,000-digit token makes one short stderr line at every site that
+        reads an integer: the message quotes a prefix and gives the length."""
+        token = "9" * 60_000
+        graph = tmp_path / "long.graph"
+        if site == "weight":
+            graph.write_text(f"graph\nvertex a weight {token}\n", encoding="utf-8")
+            argv = ["info", str(graph)]
+        elif site == "multiplicity":
+            graph.write_text(f"graph\nvertex a weight 0\nloop a x{token}\n", encoding="utf-8")
+            argv = ["info", str(graph)]
+        elif site == "divisor":
+            argv = ["reduce", edge_file, "--divisor", f"a={token}"]
+        else:
+            argv = ["rank", edge_file, "--divisor", "a=1", "--budget", token]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "9" * 31 + "'... (60,00" in err
+        assert max(map(len, err.splitlines())) <= 200
+
     def test_callers_limit_is_restored(self, edge_file, capsys):
         if not hasattr(sys, "set_int_max_str_digits"):
             pytest.skip("this CPython has no limit on int-to-str digits")

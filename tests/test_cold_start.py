@@ -3,10 +3,10 @@
 ``dataclasses`` pulls in ``inspect`` and costs several milliseconds per
 process, so the result records are named tuples; ``fractions`` pulls in
 ``decimal``, so only ``balance_bounds``, the one function that builds a
-``Fraction``, imports it, and the representative searches and the oracle
-run in integers.  None of these modules may come back onto the import
-path.  The check runs in a fresh interpreter without ``site``, so packages
-installed next to chipfire cannot load them first.
+``Fraction``, imports it, and the equivalence solve, the representative
+searches and the oracle run in integers.  None of these modules may come
+back onto the import path.  The check runs in a fresh interpreter without
+``site``, so packages installed next to chipfire cannot load them first.
 """
 
 import os
@@ -50,9 +50,11 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
     assert _loaded_by_cli_import({"fractions", "decimal"}) == []
 
 
-@pytest.mark.parametrize("command", ["report", "semibalanced"])
+@pytest.mark.parametrize("command", ["report", "semibalanced", "equivalent", "uniform"])
 def test_class_commands_load_neither_fractions_nor_decimal(tmp_path, command):
     path = tmp_path / "golden.txt"
     path.write_text(serialize_graph(golden_graph()))
     argv = [command, str(path), "--divisor", "v2=3,v3=1", "--json"]
+    if command == "equivalent":
+        argv += ["--divisor", "v1=3,v2=1"]
     assert _loaded_by_cli_import({"fractions", "decimal"}, RUN_PROBE, argv=argv) == []
