@@ -20,8 +20,9 @@ its class so results can be audited across runs.
 
 Every command runs through one pipeline.  ``_HANDLERS`` maps each command
 to its handler and to the number of ``--divisor`` options it takes; ``main``
-parses the graph and those divisors, fills in the report's ``inputs`` and
-hands the report to the handler, which fills in the result and the text
+parses the graph and those divisors, reduces each once at the base vertex,
+fills in the report's ``inputs`` and hands the report and each divisor
+with its class to the handler, which fills in the result and the text
 lines.  ``--json`` emits one object with a fixed field order through one
 encoder, ``_jsonable``: it renders each divisor as its chip map, and ints
 beyond 2**53 as decimal strings to protect downstream readers.  Ints in
@@ -63,12 +64,11 @@ from .graph import (
     valence,
 )
 from .rank import RankReport, rank
-from .reduction import effectivize, is_reduced, reduce_to, reduce_to_set
+from .reduction import effectivize, is_reduced, reduce_to_set
 from .reps import (
     NotCovered,
     clifford_representative,
     is_semibalanced,
-    is_special_class,
     is_uniform,
     semibalanced_representative,
     uniform_representative,
@@ -396,7 +396,7 @@ def _cmd_info(args, g: WeightedMultigraph, rep: _Report) -> None:
     rep.line(f"chain of 2-edge-connected components: {chain}")
 
 
-def _cmd_rank(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
+def _cmd_rank(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: DivisorClass) -> None:
     report = rank(g, d, shortcuts=not args.no_shortcuts, budget=args.budget)
     rep.result = {"rank": report.rank, "method": report.method, "witness": report.witness}
     rep.line(f"rank: {report.rank} (method: {report.method})")
@@ -404,7 +404,7 @@ def _cmd_rank(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
         rep.line(f"uncovered witness: {_divisor_text(report.witness)}")
 
 
-def _cmd_reduce(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
+def _cmd_reduce(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: DivisorClass) -> None:
     if args.set is not None:
         zone = _parse_vertex_set(args.set, g)
         out = reduce_to_set(g, d, zone)
@@ -414,19 +414,19 @@ def _cmd_reduce(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
         if not is_reduced(g, out, zone):
             raise InternalError(f"reduce_to_set gave a divisor not reduced with respect to {zone}")
     else:
-        base = rep.inputs["base"]
-        out = reduce_to(g, d, base)
-        rep.result = {"reduced": out, "base": base}
-        rep.line(f"reduced at {base}: {_divisor_text(out)}")
+        rep.result = {"reduced": c.canonical, "base": c.base_vertex}
+        rep.line(f"reduced at {c.base_vertex}: {_divisor_text(c.canonical)}")
 
 
-def _cmd_equivalent(args, g: WeightedMultigraph, rep: _Report, d1: Divisor, d2: Divisor) -> None:
+def _cmd_equivalent(
+    args, g: WeightedMultigraph, rep: _Report, d1: Divisor, c1: DivisorClass, d2: Divisor, c2: DivisorClass
+) -> None:
     eq = equivalent(g, d1, d2)
     rep.result = {"equivalent": eq}
     rep.line(f"equivalent: {eq}")
 
 
-def _cmd_effectivize(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
+def _cmd_effectivize(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: DivisorClass) -> None:
     out = effectivize(g, d)
     if out is None:
         rep.result = {"status": "NotEffective", "divisor": None}
@@ -437,7 +437,7 @@ def _cmd_effectivize(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> N
         rep.line(f"effective representative: {_divisor_text(out)}")
 
 
-def _cmd_rr_check(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
+def _cmd_rr_check(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: DivisorClass) -> None:
     res = rep.result = _riemann_roch(args, g, d)[1]
     rep.line(f"rank(d) - rank(residual) = {res['rank']} - ({res['residual_rank']}) = {res['lhs']}")
     rep.line(f"degree - genus + 1 = {res['degree']} - {res['genus']} + 1 = {res['rhs']}")
@@ -446,8 +446,8 @@ def _cmd_rr_check(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None
         rep.exit_code = 1
 
 
-def _cmd_clifford_rep(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
-    res = rep.result = _clifford(g, class_of(g, d, rep.inputs["base"]), rep, args.budget)
+def _cmd_clifford_rep(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: DivisorClass) -> None:
+    res = rep.result = _clifford(g, c, rep, args.budget)
     if res["status"] == "NotCovered":
         rep.line("NotCovered: the class is special but the construction hypotheses fail")
         rep.line(f"  chain of 2-edge-connected components: {res['chain_of_2ec']}")
@@ -460,8 +460,7 @@ def _cmd_clifford_rep(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> 
             rep.exit_code = 1
 
 
-def _cmd_semibalanced(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
-    c = class_of(g, d, rep.inputs["base"])
+def _cmd_semibalanced(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: DivisorClass) -> None:
     out = semibalanced_representative(g, c, budget=args.budget)
     rep.result = {
         "representative": out,
@@ -470,8 +469,7 @@ def _cmd_semibalanced(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> 
     rep.line(f"semibalanced representative: {_divisor_text(out)}")
 
 
-def _cmd_uniform(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
-    c = class_of(g, d, rep.inputs["base"])
+def _cmd_uniform(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: DivisorClass) -> None:
     out = uniform_representative(g, c, budget=args.budget)
     if out is None:
         rep.result = {"status": "NotFound", "representative": None}
@@ -482,11 +480,12 @@ def _cmd_uniform(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
         rep.line(f"uniform representative: {_divisor_text(out)}")
 
 
-def _cmd_report(args, g: WeightedMultigraph, rep: _Report, d: Divisor) -> None:
-    c = class_of(g, d, rep.inputs["base"])
+def _cmd_report(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: DivisorClass) -> None:
     deg, gen = d.degree, genus(g)
     r, rr = _riemann_roch(args, g, d)
-    special = is_special_class(g, c)
+    # a class is effective iff its rank is at least 0, so special (the
+    # class and its residual both effective) is read off the two ranks
+    special = r.rank >= 0 and rr["residual_rank"] >= 0
     in_range = 0 <= deg <= 2 * gen - 2
     clifford_ok = 2 * r.rank <= deg if in_range else None
     semi = is_semistable(g)
@@ -605,7 +604,7 @@ def _run(argv) -> int:
             raise ParseError(f"unknown vertex {args.base!r} for --base")
         handler, count = _HANDLERS[args.command]
         inputs: dict = {"graph_file": args.graph}
-        divisors: list[Divisor] = []
+        given: tuple = ()  # each divisor, then its class
         if count:
             literals = args.divisor or []
             if len(literals) != count:
@@ -617,9 +616,11 @@ def _run(argv) -> int:
             for t, d in zip(tags, divisors):
                 inputs["divisor" + t] = d
             for t, d in zip(tags, divisors):
-                inputs["canonical_form" + t] = reduce_to(g, d, base)
+                c = class_of(g, d, base)
+                inputs["canonical_form" + t] = c.canonical
+                given += (d, c)
         report = _Report(args.command, inputs)
-        handler(args, g, report, *divisors)
+        handler(args, g, report, *given)
         return report.emit(args.json)
     except (ParseError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -316,11 +316,13 @@ def effective_representatives(
     """All effective divisors in the class, sorted lexicographically.
 
     Enumerates every composition of the degree into |V| nonnegative parts
-    and keeps the ones whose reduced form matches the class; the list is
-    complete because any effective divisor of that degree is a composition.
-    Raises BudgetExceededError (reporting the candidate count) when the
-    composition count is out of budget.
+    and keeps the ones in the class, each decided by one exact solve
+    (:func:`_members`); the list is complete because any effective divisor
+    of that degree is a composition.  Raises BudgetExceededError (reporting
+    the candidate count) when the composition count is out of budget.
     """
+    if c.graph != g:
+        raise DomainError("class lives on a different graph")
     deg = c.degree
     if deg < 0:
         return []

@@ -385,8 +385,8 @@ def bullet_model(
     The model's vertices are g's, in g's order, then the satellites; the
     host of the model vertex ``g._n + t`` is ``g._hosts[t]``.  Returns the
     model and the (injective) embedding of original vertices.  The model
-    is built once per graph instance and then reused, so its reduce cache
-    stays warm from call to call.
+    is built once per graph instance and then reused, so the oracle's
+    lattice data and key sets kept on it (``rank._lattice_data``) are too.
     """
     embed = {v: v for v in g._vertices}
     if all(w == 0 for w in g._weights) and all(l == 0 for l in g._loops):

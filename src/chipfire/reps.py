@@ -21,7 +21,6 @@ from .divisors import (
     DivisorClass,
     _members,
     canonical_divisor,
-    class_of,
     residual,
 )
 from .enumeration import (
@@ -193,6 +192,8 @@ def semibalanced_representative(
     member; the budget counts the box, and each member is checked by
     one maximum flow.
     """
+    if c.graph != g:
+        raise DomainError("class lives on a different graph")
     _require_semistable(g)
     deg = c.degree
     top = 2 * g.genus - 2
@@ -236,6 +237,8 @@ def uniform_representative(
     negative.  A hit is guaranteed when the class is special and every
     weight-0 vertex carries a loop.
     """
+    if c.graph != g:
+        raise DomainError("class lives on a different graph")
     k_values = canonical_divisor(g).values
     highs = [k_values[i] for i in g._lex_indices]
     lows = [0] * g._n
@@ -313,10 +316,10 @@ def clifford_representative(
 def verify_certificate(g: WeightedMultigraph, cert: CliffordCertificate) -> bool:
     """Re-check a certificate from its own evidence, independently of how the
     representative was constructed.  Evidence inconsistent with the
-    representative fails verification, and so does a Uniform certificate
-    on a graph outside the hypotheses under which a uniform divisor of a
-    special class is a Clifford representative (a chain of 2-edge-connected
-    components, a loop at every weight-0 vertex)."""
+    representative fails verification.  A Uniform certificate is checked
+    by the hypotheses under which a uniform divisor of a special class is
+    a Clifford representative (a chain of 2-edge-connected components, a
+    loop at every weight-0 vertex), its bounds and uniformity itself."""
     rep = cert.representative
     if rep.graph != g:
         return False
@@ -330,9 +333,8 @@ def verify_certificate(g: WeightedMultigraph, cert: CliffordCertificate) -> bool
         for v, (value, cap) in bounds.items():
             if value != rep.value(v) or cap != k.value(v):
                 return False
-        if not is_uniform(g, rep):
-            return False
-        return is_special_class(g, class_of(g, rep, g.base_vertex()))
+        # rep and its residual are effective, so rep's class is special
+        return is_uniform(g, rep)
     if cert.branch == BRANCH_V_REDUCED:
         v = cert.evidence.get("vertex")
         if v is None or cert.evidence.get("value") != rep.value(v):

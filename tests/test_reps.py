@@ -360,6 +360,30 @@ class TestUniformRepresentative:
             assert is_special_class(graph, c)
 
 
+class TestClassFromAnotherGraph:
+    """A class on a 4-cycle passed with the 3-vertex golden graph is
+    refused before the budget is counted."""
+
+    @pytest.fixture
+    def c(self):
+        cycle = WeightedMultigraph(
+            ["a", "b", "c", "d"], {}, [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+        )
+        return class_of(cycle, Divisor(cycle, {"d": 2}), "a")
+
+    def test_effective_representatives(self, g, c):
+        with pytest.raises(DomainError, match="different graph"):
+            effective_representatives(g, c, budget=0)
+
+    def test_semibalanced_representative(self, g, c):
+        with pytest.raises(DomainError, match="different graph"):
+            semibalanced_representative(g, c, budget=0)
+
+    def test_uniform_representative(self, g, c):
+        with pytest.raises(DomainError, match="different graph"):
+            uniform_representative(g, c, budget=0)
+
+
 class TestCliffordRepresentative:
     def test_non_effective_branch(self, g):
         c = class_of(g, Divisor(g, [1, -1, 0]), "v1")
