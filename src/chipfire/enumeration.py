@@ -2,10 +2,12 @@
 
 All generators walk their vectors in ascending lexicographic order, which
 is what makes "first hit" equal to "lexicographically smallest hit"
-everywhere else in the package.
+everywhere else in the package.  :func:`compositions` serves the oracle
+and the effective representatives; the rank scan steps its own
+compositions in place, in the same order (:func:`.rank._walk_off_base`).
 """
 
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb
 
 from .errors import BudgetExceededError
@@ -28,35 +30,31 @@ def count_compositions(total: int, length: int) -> int:
     return comb(total + length - 1, length - 1)
 
 
-def composition_walk(total: int, length: int):
-    """Walk the compositions of total into length parts in lex order, in place.
+def compositions(total: int, length: int):
+    """Yield all nonnegative integer tuples of the given length summing to
+    total, in lex order, by stars and bars.
 
-    Yields one list, changed between yields, with the first position that
-    differs from the previous yield (0 for the first).  Each step moves one
-    chip from the last nonzero part j to part j - 1 and the rest of part j
-    to the last part; the parts between them stay 0.  So the last nonzero
-    part of a yield is the last part or, when that is 0, the reported one.
+    A composition is total stars and length - 1 bars in a row of total +
+    length - 1 slots, each part counting the stars between two bars.  The
+    bars' slots come from :func:`itertools.combinations` in lex order, and
+    at the first bar where two sets of slots differ, the lex-smaller set
+    puts fewer stars before it, so the tuples come in lex order too.
+    combinations holds a pool of every slot; from three parts on there are
+    more than total^2 / 2 compositions, so that pool is small beside any
+    walk of them, and one or two parts are listed without a pool.
     """
     if total < 0 or (length == 0 and total):
         return
-    last = length - 1
-    vec = [0] * last + [total] if length else []
-    yield vec, 0
-    j = last if total else 0  # the last nonzero part; at 0 (or none) the walk ends
-    while j > 0:
-        rest = vec[j] - 1
-        vec[j] = 0
-        vec[j - 1] += 1
-        vec[last] = rest
-        yield vec, j - 1
-        j = last if rest else j - 1
-
-
-def compositions(total: int, length: int):
-    """Yield all nonnegative integer tuples of the given length summing to
-    total, in lex order: a tuple view of :func:`composition_walk`."""
-    for vec, _ in composition_walk(total, length):
-        yield tuple(vec)
+    if length < 2:
+        yield (total,) * length
+    elif length == 2:
+        for a in range(total + 1):
+            yield a, total - a
+    else:
+        end = total + length - 1
+        for bars in combinations(range(end), length - 1):
+            ends = (-1, *bars, end)
+            yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
 
 
 def count_box_vectors(lows, highs, total: int) -> int:

@@ -16,8 +16,11 @@ deciders are provided:
   cost there.  It folds the base vertex out: the reduced form at the base
   does not depend on the chips there, so each candidate off the base is
   reduced once, and the fewest chips its degree leaves at the base decide
-  every level.  It steps each candidate's target from the previous
-  candidate's and its reduced form from its parent's, one degree down;
+  every level.  It steps its own compositions in lex order, in place, and
+  each candidate's target from the previous candidate's at the three parts
+  a step changes; a candidate missing from the cache is stepped from any
+  cached parent, one chip fewer at one part, preferring one that needs no
+  borrowing;
 * :func:`rank_oracle` shares none of that code: it works on the model,
   decides equivalence by exact integer lattice membership (adjugate and
   determinant of the reduced Laplacian) and enumerates effective divisors
@@ -44,7 +47,6 @@ from .divisors import Divisor, _placed, residual
 from .enumeration import (
     DEFAULT_BUDGET,
     check_budget,
-    composition_walk,
     compositions,
     count_compositions,
 )
@@ -148,67 +150,132 @@ def _walk_off_base(g, vals, j, coords, floor):
     docstring): the running target holds 0 at u, and the chips at u, those
     of vals less what the coordinates hosted at u cost, are an offset on
     the reduced form's value at u, so the steps of those coordinates change
-    no key.  The target steps from each candidate to the next over one
-    in-place composition walk, paying the cost change only at the parts
-    from the first changed one onward; one tuple per candidate is built,
-    the cache key.
-
-    A candidate missing from the cache is stepped from its parent, one chip
-    fewer at its last nonzero position, whose target holds s = cost[x] -
-    cost[x - 1] more chips at that position's vertex p; the walk builds the
-    parent's key by stepping the running target at p and back.  With R the
-    parent's reduced form (usually cached), R - s*e_p is equivalent to the
-    candidate.  It is already reduced when R(p) >= s, since fewer chips off
-    u only make the burn from u easier.  Otherwise p borrows
-    (:func:`.reduction._borrow`), and the least borrowing x from a divisor
-    below a reduced R is reduced too: if a set A could fire legally
-    afterwards, then either x - 1_A would still clear the negatives, or the
-    vertices of A that never borrowed could fire legally from R.  A step
-    of 0, a satellite's even chip, or at u leaves the parent's key, so
-    such a candidate, when missing, is reduced from scratch.
+    no key.  The walk steps the composition in place: with z its last
+    nonzero part, the lex-next composition moves one chip to part z - 1,
+    empties part z and puts the rest of z, less that chip, on the last
+    part; the walk ends when z is the first part or there is none.  So a
+    step changes the running target, or the offset, at those three parts
+    only, and one tuple per candidate is built, the cache key.  A
+    candidate missing from the cache is stepped from a parent
+    (:func:`_reduce_missing`).
     """
     dests, costs = coords
     cache, u = g._reduced, g._lex_indices[0]
-    n = len(dests)
-    target, held = list(vals), [0] * n  # held: the parts that target pays for
+    last = len(dests) - 1
+    if last < 0 and j:
+        return None, float("inf")
+    target = list(vals)
     offset, target[u] = target[u], 0
+    vec = [0] * (last + 1)
+    z = -1  # the last nonzero part, -1 when there is none
+    if j:
+        z, vec[last], to = last, j, dests[last]
+        if to == u:
+            offset -= costs[last][j]
+        else:
+            target[to] -= costs[last][j]
     least = float("inf")
-    for combo, i in composition_walk(j, n):
-        for p in range(i, n):
-            x = combo[p]
-            if x != held[p]:
-                cost = costs[p]
-                step = cost[x] - cost[held[p]]
-                if dests[p] == u:
-                    offset -= step
-                else:
-                    target[dests[p]] -= step
-                held[p] = x
+    while True:
         key = tuple(target)
         red = cache.get(key)
         if red is None:
-            s = 0
-            if j:
-                p = n - 1 if combo[-1] else i  # the last nonzero part
-                to, cost, x = dests[p], costs[p], combo[p]
-                s = 0 if to == u else cost[x] - cost[x - 1]
-            if s:
-                target[to] += s
-                parent = tuple(target)
-                target[to] -= s
-                work = list(cache.get(parent) or _lookup(g, cache, parent, u))
-                work[to] -= s
-                if work[to] < 0:
-                    _borrow(g, work, u, to)
-                red = _remember(cache, key, tuple(work))
-            else:
-                red = _lookup(g, cache, key, u)
+            red = _reduce_missing(g, key, target, vec, coords, z)
         at_u = red[u] + offset
         if at_u < floor:
-            return tuple(combo), None
+            return tuple(vec), None
         if at_u < least:
             least = at_u
-    return None, least
+        if z <= 0:
+            return None, least
+        # one chip more at part i = z - 1
+        i = z - 1
+        x, cost, to = vec[i], costs[i], dests[i]
+        vec[i] = x + 1
+        if to == u:
+            offset -= cost[x + 1] - cost[x]
+        else:
+            target[to] -= cost[x + 1] - cost[x]
+        # part z emptied, its chips less one on the last part
+        x, cost, to = vec[z], costs[z], dests[z]
+        rest = x - 1
+        if z == last:
+            vec[z] = rest
+            if to == u:
+                offset += cost[x] - cost[rest]
+            else:
+                target[to] += cost[x] - cost[rest]
+        else:
+            vec[z] = 0
+            if to == u:
+                offset += cost[x]
+            else:
+                target[to] += cost[x]
+            if rest:
+                vec[last], cost, to = rest, costs[last], dests[last]
+                if to == u:
+                    offset -= cost[rest]
+                else:
+                    target[to] -= cost[rest]
+        z = last if rest else i
+
+
+def _reduce_missing(g, key, target, vec, coords, z):
+    """The reduced form at g's base vertex u of key, the running target of
+    the walk's candidate vec, stepped from a parent and stored in g's
+    reduce cache.
+
+    A parent is vec with one chip fewer at a nonzero part, whose target
+    holds s = cost[x] - cost[x - 1] more chips at the part's vertex v, with
+    x the chips there; its key is the running target stepped at v and
+    back.  With R the parent's reduced form, R - s*e_v is equivalent to the
+    candidate.  It is already reduced when R(v) >= s, since fewer chips off
+    u only make the burn from u easier, so a cached parent that holds the
+    step's chips is taken first, trying the parts from z down.  Otherwise
+    a cached parent borrows at v (:func:`.reduction._borrow`), and the least
+    borrowing b from a divisor below a reduced R is reduced too: if a set A
+    could fire legally afterwards, then either b - 1_A would still clear
+    the negatives, or the vertices of A that never borrowed could fire
+    legally from R.  A step of 0, a satellite's even chip, or at u leaves
+    the key as it is, so it names no parent.  With no parent cached, the
+    one at z, the last nonzero part, is reduced from scratch and stored;
+    when z names none either, the candidate itself is.
+    """
+    dests, costs = coords
+    cache, u = g._reduced, g._lex_indices[0]
+    first = None  # the first cached parent that borrows: (its form, vertex, step)
+    scratch = None  # the parent at z, by its key, vertex and step
+    for p in range(z, -1, -1):
+        x = vec[p]
+        if not x:
+            continue
+        to, cost = dests[p], costs[p]
+        s = cost[x] - cost[x - 1]
+        if not s or to == u:
+            continue
+        target[to] += s
+        parent = tuple(target)
+        target[to] -= s
+        red = cache.get(parent)
+        if red is None:
+            if p == z:
+                scratch = parent, to, s
+        elif red[to] >= s:
+            work = list(red)
+            work[to] -= s
+            return _remember(cache, key, tuple(work))
+        elif first is None:
+            first = red, to, s
+    if first is None:
+        if scratch is None:
+            return _lookup(g, cache, key, u)
+        parent, to, s = scratch
+        first = _lookup(g, cache, parent, u), to, s
+    red, to, s = first
+    work = list(red)
+    work[to] -= s
+    if work[to] < 0:
+        _borrow(g, work, u, to)
+    return _remember(cache, key, tuple(work))
 
 
 class _Minima(dict):
@@ -302,7 +369,7 @@ def rank(
     those of degree k, each reduced once for all the levels above it.  On a
     weighted graph a level that those minima fail is decided without a
     walk.  Each candidate's target steps from the previous candidate's,
-    and its reduced form from its parent's, one degree down (see
+    and its reduced form from a cached parent's, one degree down (see
     :func:`_walk_off_base`).  The reduced form is unique, so the rank, the
     witness and every budget count are those of reducing every candidate
     of the full scan from scratch.  The model's base is g's base: a

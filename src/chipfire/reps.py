@@ -221,6 +221,8 @@ def is_uniform(g: WeightedMultigraph, d: Divisor) -> bool:
 def is_special_class(g: WeightedMultigraph, c: DivisorClass) -> bool:
     """True iff both the class and its residual class contain an effective
     divisor (decided by reduced-form effectivity)."""
+    if c.graph != g:
+        raise DomainError("class lives on a different graph")
     if not c.canonical.is_effective:
         return False
     res = reduce_to(g, residual(g, c.canonical), c.base_vertex)
@@ -269,6 +271,8 @@ def clifford_representative(
     Returns ``(representative, certificate)`` or a :class:`NotCovered`
     carrying both hypothesis evaluations.
     """
+    if c.graph != g:
+        raise DomainError("class lives on a different graph")
     deg = c.degree
     top = 2 * g.genus - 2
     if deg < 0:

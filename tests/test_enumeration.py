@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from chipfire.cli import main
 from chipfire.enumeration import (
     box_vectors,
-    composition_walk,
     compositions,
     count_box_vectors,
     count_compositions,
@@ -30,18 +29,8 @@ def test_compositions_are_the_sorted_product_filter(total, length):
 
 
 @given(st.integers(0, 9), st.integers(0, 7))
-def test_compositions_match_stars_and_bars_and_the_walk_reports_its_change(total, length):
+def test_compositions_match_stars_and_bars(total, length):
     assert list(compositions(total, length)) == list(reference_compositions(total, length))
-    prev = None
-    for vec, i in composition_walk(total, length):
-        if prev is None:
-            assert i == 0
-        else:
-            assert vec[:i] == prev[:i] and vec[i] != prev[i]
-        nonzero = [p for p, x in enumerate(vec) if x]
-        if nonzero:  # the rank scan finds the last nonzero part from this
-            assert nonzero[-1] == (length - 1 if vec[-1] else i)
-        prev = list(vec)
 
 
 def test_one_part_composition_holds_no_pool():

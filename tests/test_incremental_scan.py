@@ -1,8 +1,9 @@
 """The rank scan's incremental step against reduction from scratch.
 
-``rank._walk_off_base`` reduces a candidate missing from the reduce cache
-from the reduced form of its parent, zero, one or two chips richer at one
-vertex, and the scan folds the base vertex out, reducing each candidate
+``rank._walk_off_base`` steps its compositions in place and reduces a
+candidate missing from the reduce cache from the reduced form of a cached
+parent, one or two chips richer at one vertex, preferring one that needs
+no borrowing; the scan folds the base vertex out, reducing each candidate
 off it once for every level.  Both must equal the from-scratch reduction
 of every candidate of the full scan wherever they are used: on dense and
 sparse graphs, through the rank scan and its witness walk (against the
@@ -25,12 +26,20 @@ from chipfire import (
     InternalError,
     WeightedMultigraph,
     bullet_model,
+    canonical_divisor,
     rank,
     rank_lower_bound_edeg,
     rank_oracle,
 )
 from chipfire.enumeration import DEFAULT_BUDGET
-from helpers import reference_burn, reference_off_base_min, reference_uncovered, scratch_reduce
+from helpers import (
+    reference_burn,
+    reference_compositions,
+    reference_model_rank,
+    reference_off_base_min,
+    reference_uncovered,
+    scratch_reduce,
+)
 from test_sparse_reduction import cycle, ladder, theta
 
 reduction = importlib.import_module("chipfire.reduction")
@@ -149,6 +158,85 @@ def test_step_without_a_cached_parent_reduces_it_from_scratch():
     assert len(g._reduced) == 2
 
 
+@pytest.mark.parametrize("name", STEP_GRAPHS)
+def test_cold_walks_store_only_reduced_forms(name):
+    """Walks of degrees 1-3 over g's coordinates, each on an empty cache:
+    every candidate is stored, stepped from whichever parent is cached or
+    from one reduced from scratch, and every entry the walks store is the
+    reduction from scratch of its key.  That is checked as the reduced form
+    is defined, which is faster than reducing from scratch on the longest
+    ladders: the entry is reduced at u (``reference_burn``) and lies in its
+    key's class (the oracle's lattice test), and a class holds one divisor
+    reduced at u."""
+    rng = random.Random(name)
+    for j in (1, 2, 3):
+        g = _rotated(STEP_GRAPHS[name], rng.randrange(STEP_GRAPHS[name]._n))
+        u = g.vertex_index(g.base_vertex())
+        vals = tuple(rng.randint(-1, 3) for _ in range(g._n))
+        dests, costs = rank_module._coords(g, j)
+        rest = dests[1:], costs[1:]
+        assert rank_module._walk_off_base(g, vals, j, rest, float("-inf"))[0] is None
+        for combo in reference_compositions(j, len(rest[0])):
+            target = [0 if i == u else x for i, x in enumerate(vals)]
+            for to, cost, x in zip(*rest, combo):
+                target[to] -= cost[x]
+            assert tuple(target) in g._reduced
+        lattice = rank_module._lattice_data(g)
+        for key, red in g._reduced.items():
+            assert all(x >= 0 for i, x in enumerate(red) if i != u)
+            assert all(reference_burn(g, red, [u])[0])
+            assert rank_module._class_key(lattice, red) == rank_module._class_key(lattice, key)
+            if g._n <= 10:  # from scratch where that is fast
+                assert red == scratch_reduce(g, key, u)
+
+
+def _walk_one_miss(g, vals, p, q, monkeypatch):
+    """The degree-2 walk over one coordinate at p and one at q, each chip
+    costing 1, with every candidate but (1, 1) and both of its parents
+    cached: so (1, 1), whose last nonzero part is q, is the walk's one
+    miss.  Returns what the walk stored for it and the _borrow calls."""
+    for at_p, at_q in ((1, 0), (0, 1), (2, 0), (0, 2)):
+        target = list(vals)
+        target[p] -= at_p
+        target[q] -= at_q
+        _scan_reduce(g, tuple(target))
+    borrows = []
+    borrow = rank_module._borrow
+    monkeypatch.setattr(rank_module, "_borrow", lambda *a: borrows.append(a[3]) or borrow(*a))
+    rank_module._walk_off_base(g, vals, 2, ([p, q], [[0, 1, 2]] * 2), float("-inf"))
+    target = list(vals)
+    target[p] -= 1
+    target[q] -= 1
+    return _stored(g, tuple(target)), borrows
+
+
+def test_miss_steps_from_a_cached_parent_that_holds_the_chips(monkeypatch):
+    """On K4, (1, 1) at k2 and k3 has two parents.  The one at its last
+    nonzero part, (1, 0), reduces to 0, which holds no chip at k3; the
+    other, (0, 1), reduces to (-3, 1, 2, 0), which holds one at k2.  So
+    the candidate is that form less a chip at k2, with no borrowing."""
+    g = complete(4)
+    vals = (0, 0, 1, 0)
+    assert _scan_reduce(g, (0, 0, 0, 0)) == (0, 0, 0, 0)
+    assert _scan_reduce(g, (0, 0, 1, -1)) == (-3, 1, 2, 0)
+    got, borrows = _walk_one_miss(g, vals, 2, 3, monkeypatch)
+    assert got == (-3, 1, 1, 0) == scratch_reduce(g, (0, 0, 0, -1), 0)
+    assert borrows == []
+
+
+def test_miss_borrows_when_no_cached_parent_holds_the_chips(monkeypatch):
+    """On K4, (1, 1) at k1 and k3: its parent (1, 0) reduces to (-2, 1, 2,
+    0), with no chip at k3, and (0, 1) to (0, 0, 0, 1), with none at k1.
+    So a parent borrows, once, and gets the reduction from scratch."""
+    g = complete(4)
+    vals = (0, 0, 0, 2)
+    assert _scan_reduce(g, (0, -1, 0, 2)) == (-2, 1, 2, 0)
+    assert _scan_reduce(g, (0, 0, 0, 1)) == (0, 0, 0, 1)
+    got, borrows = _walk_one_miss(g, vals, 1, 3, monkeypatch)
+    assert got == scratch_reduce(g, (0, -1, 0, 1), 0)
+    assert len(borrows) == 1
+
+
 def _count_scratch_reductions(monkeypatch):
     calls = []
     phase1 = reduction._make_effective_off
@@ -175,6 +263,30 @@ def test_each_inflated_level_steps_from_the_last(monkeypatch, name):
     calls = _count_scratch_reductions(monkeypatch)
     d = Divisor(g, [6, 2, 3, 1, 4] + [2] * (g._n - 5))
     assert [rank_lower_bound_edeg(g, d, s) for s in range(4)] == [True] * 4
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("moved", [None, ("w0", "w1"), ("w2", "w3")])
+def test_witness_walk_steps_from_cached_parents(monkeypatch, moved):
+    """Cold ranks of K, and of K with one chip moved, on the 5-cycle with
+    weights (1, 0, 2, 0, 0) and a loop: the level scan runs over g's
+    coordinates and the witness walk over the model's, whose candidates
+    the level scan never walked.  Every miss of either finds a cached
+    parent, one chip fewer at any nonzero part, so the only reduction from
+    scratch is level 0's one candidate, where stepping from the last
+    nonzero part alone took 12 to 17."""
+    g = _twin(STEP_GRAPHS["wcycle5"])
+    d = canonical_divisor(g)
+    if moved is not None:
+        d = d + Divisor(g, {moved[0]: -1, moved[1]: 1})
+    want = reference_model_rank(_twin(g), Divisor(_twin(g), d.values), shortcuts=False)
+    calls = []
+    reduce_off = reduction._reduce_off
+    for module in (reduction, rank_module):
+        monkeypatch.setattr(module, "_reduce_off", lambda *a: calls.append(1) or reduce_off(*a))
+    got = rank(g, d, shortcuts=False)
+    assert (got.rank, got.witness.values) == (want.rank, want.witness.values)
+    assert got.witness.graph is bullet_model(g)[0]
     assert len(calls) == 1
 
 
@@ -393,20 +505,18 @@ def test_deep_carries_match_the_scratch_scan(monkeypatch, name, vals):
     running target at several parts at once; the scan must still agree
     with the from-scratch one on rank, witness, method and the next level."""
     g = STEP_GRAPHS[name]
-    resets = []
-    walk = rank_module.composition_walk
-
-    def recorded(total, length):
-        for vec, i in walk(total, length):
-            resets.append(length - 1 - i)
-            yield vec, i
-
-    monkeypatch.setattr(rank_module, "composition_walk", recorded)
     got = _rank_and_next_level(lambda: _twin(g), vals)
+    r = got[0][0]
+    # the passing level r walks every off-base candidate of degree r; a
+    # step resets the parts after the first one it changes
+    walk = list(reference_compositions(r, g._n - 1))
+    resets = [
+        g._n - 2 - next(i for i, (a, b) in enumerate(zip(prev, vec)) if a != b)
+        for prev, vec in zip(walk, walk[1:])
+    ]
     assert max(resets) >= 3
     calls = _patch_reference(monkeypatch)
     assert got == _rank_and_next_level(lambda: _twin(g), vals)
-    r = got[0][0]
     # every level of rank's scan, and the level past the rank for the bound
     assert calls[: r + 2] == list(range(r + 2)) and calls[-1] == r + 1
 

@@ -30,6 +30,7 @@ from helpers import (
     random_connected_graph,
     random_divisor,
     random_principal_shift,
+    reference_compositions,
     reference_model_rank,
 )
 
@@ -332,33 +333,31 @@ class TestGraphScanMatchesModelScan:
             got, want = rank(g, d, shortcuts=False), reference_model_rank(g, d, shortcuts=False)
             assert (got.rank, got.witness.values) == (want.rank, want.witness.values)
 
-    def test_witness_walk_steps_through_a_satellite_pair(self, monkeypatch):
+    def test_witness_walk_steps_through_a_satellite_pair(self):
         # x chips on a satellite cost x + x mod 2 at its host, so a second
-        # chip there leaves its parent's target and so its cache key: the
-        # walk steps by 0.  The witness itself never holds an even count >= 2
-        # on a satellite: one chip fewer there costs the same, so moving that
-        # chip to a later coordinate gives a lex-smaller failure, and with
-        # none later the target was already covered at level k - 1.
-        rank_module = importlib.import_module("chipfire.rank")
+        # chip there leaves its parent's target and so its cache key: that
+        # parent is no step away, and the walk steps from another one or
+        # reduces from scratch.  The witness itself never holds an even
+        # count >= 2 on a satellite: one chip fewer there costs the same, so
+        # moving that chip to a later coordinate gives a lex-smaller
+        # failure, and with none later the target was already covered at
+        # level k - 1.
         g = WeightedMultigraph(["a", "b"], {"a": 1, "b": 1}, [("a", "b"), ("a", "b")])
         model = bullet_model(g)[0]
-        # the satellites' places in the model walk, which leaves the base out
-        satellites = {i - 1 for i, pos in enumerate(model._lex_indices) if pos >= g._n}
-        pairs = []
-        walk = rank_module.composition_walk
-
-        def recorded(total, length):
-            for vec, i in walk(total, length):
-                last = max((p for p, x in enumerate(vec) if x), default=None)
-                on_model = length == model._n - 1
-                pairs.append(on_model and last in satellites and vec[last] >= 2)
-                yield vec, i
-
-        monkeypatch.setattr(rank_module, "composition_walk", recorded)
+        satellites = {i for i, pos in enumerate(model._lex_indices) if pos >= g._n}
         d = Divisor(g, [4, 3])
         got = rank(g, d, shortcuts=False)
         assert got == reference_model_rank(g, d, shortcuts=False)
         assert got.witness.as_dict() == {"a": 1, "b": 0, "a#w0": 1, "b#w0": 3}
+        # the witness walk visits the model's candidates of its degree in
+        # lex order up to the witness; some of them end in a satellite pair
+        witness = tuple(got.witness.values[pos] for pos in model._lex_indices)
+        pairs = []
+        for vec in reference_compositions(sum(witness), model._n):
+            if vec == witness:
+                break
+            last = max(p for p, x in enumerate(vec) if x)
+            pairs.append(last in satellites and vec[last] >= 2)
         assert any(pairs)
 
     @pytest.mark.parametrize(

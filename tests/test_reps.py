@@ -362,13 +362,16 @@ class TestUniformRepresentative:
 
 class TestClassFromAnotherGraph:
     """A class on a 4-cycle passed with the 3-vertex golden graph is
-    refused before the budget is counted."""
+    refused before the budget is counted, or any other check is made."""
 
     @pytest.fixture
-    def c(self):
-        cycle = WeightedMultigraph(
+    def cycle(self):
+        return WeightedMultigraph(
             ["a", "b", "c", "d"], {}, [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
         )
+
+    @pytest.fixture
+    def c(self, cycle):
         return class_of(cycle, Divisor(cycle, {"d": 2}), "a")
 
     def test_effective_representatives(self, g, c):
@@ -382,6 +385,18 @@ class TestClassFromAnotherGraph:
     def test_uniform_representative(self, g, c):
         with pytest.raises(DomainError, match="different graph"):
             uniform_representative(g, c, budget=0)
+
+    def test_is_special_class(self, g, cycle):
+        # the class of -e_d, whose canonical form is not effective
+        c = class_of(cycle, Divisor(cycle, {"d": -1}), "a")
+        with pytest.raises(DomainError, match="different graph"):
+            is_special_class(g, c)
+
+    def test_clifford_representative(self, g, cycle):
+        # degree 30, past the golden graph's 2*genus - 2 = 10
+        c = class_of(cycle, Divisor(cycle, {"d": 30}), "a")
+        with pytest.raises(DomainError, match="different graph"):
+            clifford_representative(g, c, budget=0)
 
 
 class TestCliffordRepresentative:
