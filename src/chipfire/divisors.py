@@ -16,7 +16,7 @@ from math import gcd
 from operator import index
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .enumeration import DEFAULT_BUDGET, check_budget, compositions, count_compositions
+from .enumeration import DEFAULT_BUDGET, box_vectors, check_budget, count_compositions
 from .errors import DomainError
 from .graph import WeightedMultigraph, _bfs_order
 
@@ -93,10 +93,14 @@ class Divisor:
             raise DomainError("divisors live on different graphs")
 
     def __add__(self, other: "Divisor") -> "Divisor":
+        if not isinstance(other, Divisor):
+            return NotImplemented
         self._check_same_graph(other)
         return Divisor(self.graph, [a + b for a, b in zip(self._values, other._values)])
 
     def __sub__(self, other: "Divisor") -> "Divisor":
+        if not isinstance(other, Divisor):
+            return NotImplemented
         self._check_same_graph(other)
         return Divisor(self.graph, [a - b for a, b in zip(self._values, other._values)])
 
@@ -292,10 +296,11 @@ def _placed(lex, combo, n) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def _members(g: WeightedMultigraph, c: DivisorClass, vectors):
-    """Yield, in the order given, the vectors (listed in canonical vertex
-    order, each of the class degree) that lie in the class.
+def _members(g: WeightedMultigraph, c: DivisorClass, lows, highs):
+    """Yield, in lex order, the vectors of the class in the box [lows,
+    highs], both listed in canonical vertex order.
 
+    The box is walked at the class degree (:func:`.enumeration.box_vectors`).
     v lies in the class iff v - c.canonical is principal, which
     :func:`_principal` decides by one exact solve per vector: the unique
     rational firing vector with the base vertex unfired must be integral.
@@ -304,7 +309,7 @@ def _members(g: WeightedMultigraph, c: DivisorClass, vectors):
     """
     lex, n = g._lex_indices, g._n
     target = c.canonical.values
-    for combo in vectors:
+    for combo in box_vectors(lows, highs, c.degree):
         vals = _placed(lex, combo, n)
         if _principal(g, [a - b for a, b in zip(vals, target)]):
             yield Divisor(g, vals)
@@ -315,11 +320,13 @@ def effective_representatives(
 ) -> list[Divisor]:
     """All effective divisors in the class, sorted lexicographically.
 
-    Enumerates every composition of the degree into |V| nonnegative parts
-    and keeps the ones in the class, each decided by one exact solve
+    Walks the box [0, degree] in every coordinate at the degree, that is
+    every composition of the degree into |V| nonnegative parts, and keeps
+    the ones in the class, each decided by one exact solve
     (:func:`_members`); the list is complete because any effective divisor
-    of that degree is a composition.  Raises BudgetExceededError (reporting
-    the candidate count) when the composition count is out of budget.
+    of that degree is such a composition.  Raises BudgetExceededError
+    (reporting the candidate count) when the composition count is out of
+    budget.
     """
     if c.graph != g:
         raise DomainError("class lives on a different graph")
@@ -327,7 +334,7 @@ def effective_representatives(
     if deg < 0:
         return []
     check_budget(count_compositions(deg, g._n), budget, "effective_representatives")
-    return list(_members(g, c, compositions(deg, g._n)))
+    return list(_members(g, c, [0] * g._n, [deg] * g._n))
 
 
 def e_deg(g: WeightedMultigraph, e: Divisor) -> Divisor:

@@ -1,13 +1,18 @@
 """Budget-guarded integer-vector enumeration used by the search routines.
 
-All generators walk their vectors in ascending lexicographic order, which
-is what makes "first hit" equal to "lexicographically smallest hit"
-everywhere else in the package.  :func:`compositions` serves the oracle
-and the effective representatives; the rank scan steps its own
-compositions in place, in the same order (:func:`.rank._walk_off_base`).
+:func:`box_vectors` is the one enumerator outside the rank scan: the
+oracle walks the compositions of k into n parts as the full box [0, k]^n
+at sum k, and the representative searches walk their boxes through
+:func:`.divisors._members`.  It walks in ascending lexicographic order,
+which is what makes "first hit" equal to "lexicographically smallest hit"
+everywhere else in the package.  The rank scan steps its own compositions
+in place, in the same order (:func:`.rank._walk_off_base`): it updates each
+candidate's target at the three parts a step changes, which a walk that
+yields whole tuples cannot, and routing the scan through
+:func:`box_vectors` cost it a third of its speed.
 """
 
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb
 
 from .errors import BudgetExceededError
@@ -28,33 +33,6 @@ def count_compositions(total: int, length: int) -> int:
     if length == 0:
         return 1 if total == 0 else 0
     return comb(total + length - 1, length - 1)
-
-
-def compositions(total: int, length: int):
-    """Yield all nonnegative integer tuples of the given length summing to
-    total, in lex order, by stars and bars.
-
-    A composition is total stars and length - 1 bars in a row of total +
-    length - 1 slots, each part counting the stars between two bars.  The
-    bars' slots come from :func:`itertools.combinations` in lex order, and
-    at the first bar where two sets of slots differ, the lex-smaller set
-    puts fewer stars before it, so the tuples come in lex order too.
-    combinations holds a pool of every slot; from three parts on there are
-    more than total^2 / 2 compositions, so that pool is small beside any
-    walk of them, and one or two parts are listed without a pool.
-    """
-    if total < 0 or (length == 0 and total):
-        return
-    if length < 2:
-        yield (total,) * length
-    elif length == 2:
-        for a in range(total + 1):
-            yield a, total - a
-    else:
-        end = total + length - 1
-        for bars in combinations(range(end), length - 1):
-            ends = (-1, *bars, end)
-            yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
 
 
 def count_box_vectors(lows, highs, total: int) -> int:

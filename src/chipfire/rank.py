@@ -24,7 +24,8 @@ deciders are provided:
 * :func:`rank_oracle` shares none of that code: it works on the model,
   decides equivalence by exact integer lattice membership (adjugate and
   determinant of the reduced Laplacian) and enumerates effective divisors
-  outright.
+  outright, as full boxes (:func:`.enumeration.box_vectors`, which
+  :func:`rank` never calls).
 
 Agreement between the two on shared inputs is the package's strongest
 self-check.
@@ -44,12 +45,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .divisors import Divisor, _placed, residual
-from .enumeration import (
-    DEFAULT_BUDGET,
-    check_budget,
-    compositions,
-    count_compositions,
-)
+from .enumeration import DEFAULT_BUDGET, box_vectors, check_budget, count_compositions
 from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, bullet_model, bullet_model_size
 from .reduction import _borrow, _reduce_off
@@ -492,7 +488,8 @@ def _effective_keys(g: WeightedMultigraph, m: int, budget: int, level: int) -> f
         return hit
     check_budget(count_compositions(m, g._n), budget, "oracle", level)
     data = cache["lattice"]
-    keys = frozenset(_class_key(data, combo) for combo in compositions(m, g._n))
+    n = g._n
+    keys = frozenset(_class_key(data, combo) for combo in box_vectors((0,) * n, (m,) * n, m))
     if sum(map(len, keysets.values())) + len(keys) > _KEYS_LIMIT:
         keysets.clear()
     keysets[m] = keys
@@ -526,7 +523,7 @@ def rank_oracle(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDG
         if m < 0:
             return k - 1  # nothing effective has negative degree
         keys = _effective_keys(gb, m, budget, k)
-        for combo in compositions(k, nb):
+        for combo in box_vectors((0,) * nb, (k,) * nb, k):
             target = [a - b for a, b in zip(base_vals, combo)]
             if _class_key(data, target) not in keys:
                 return k - 1

@@ -23,12 +23,7 @@ from .divisors import (
     canonical_divisor,
     residual,
 )
-from .enumeration import (
-    DEFAULT_BUDGET,
-    box_vectors,
-    check_budget,
-    count_box_vectors,
-)
+from .enumeration import DEFAULT_BUDGET, check_budget, count_box_vectors
 from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, is_chain_of_2ec, is_semistable
 from .reduction import is_reduced, reduce_to
@@ -204,7 +199,7 @@ def semibalanced_representative(
         for v in g._lex_indices
     ))
     check_budget(count_box_vectors(lows, highs, deg), budget, "box")
-    for cand in _members(g, c, box_vectors(lows, highs, deg)):
+    for cand in _members(g, c, lows, highs):
         if _balanced(g, k_values, cand.values):
             return cand
     raise InternalError("semistable graphs always admit a semibalanced representative")
@@ -245,7 +240,7 @@ def uniform_representative(
     highs = [k_values[i] for i in g._lex_indices]
     lows = [0] * g._n
     check_budget(count_box_vectors(lows, highs, c.degree), budget, "box")
-    return next(_members(g, c, box_vectors(lows, highs, c.degree)), None)
+    return next(_members(g, c, lows, highs), None)
 
 
 def _loop_hypothesis(g: WeightedMultigraph) -> bool:
@@ -319,38 +314,34 @@ def clifford_representative(
 
 def verify_certificate(g: WeightedMultigraph, cert: CliffordCertificate) -> bool:
     """Re-check a certificate from its own evidence, independently of how the
-    representative was constructed.  Evidence inconsistent with the
-    representative fails verification.  A Uniform certificate is checked
-    by the hypotheses under which a uniform divisor of a special class is
-    a Clifford representative (a chain of 2-edge-connected components, a
-    loop at every weight-0 vertex), its bounds and uniformity itself."""
-    rep = cert.representative
-    if rep.graph != g:
+    representative was constructed.  Evidence that is malformed or
+    inconsistent with the representative fails verification, and never
+    raises.  A Uniform certificate is checked by the hypotheses under which
+    a uniform divisor of a special class is a Clifford representative (a
+    chain of 2-edge-connected components, a loop at every weight-0 vertex),
+    its bounds, which must map each vertex to the pair (its value, its
+    canonical value), and uniformity itself."""
+    rep, evidence = cert.representative, cert.evidence
+    if rep.graph != g or not isinstance(evidence, dict):
         return False
     if cert.branch == BRANCH_UNIFORM:
         if not (is_chain_of_2ec(g) and _loop_hypothesis(g)):
             return False
-        bounds = cert.evidence.get("bounds")
-        if bounds is None or set(bounds) != set(g.vertices):
-            return False
         k = canonical_divisor(g)
-        for v, (value, cap) in bounds.items():
-            if value != rep.value(v) or cap != k.value(v):
-                return False
+        if evidence.get("bounds") != {v: (rep.value(v), k.value(v)) for v in g.vertices}:
+            return False
         # rep and its residual are effective, so rep's class is special
         return is_uniform(g, rep)
+    v = evidence.get("vertex")
+    if v not in g.vertices:
+        return False
     if cert.branch == BRANCH_V_REDUCED:
-        v = cert.evidence.get("vertex")
-        if v is None or cert.evidence.get("value") != rep.value(v):
+        if evidence.get("value") != rep.value(v):
             return False
         return is_reduced(g, rep, [v]) and rep.value(v) < 0
     if cert.branch == BRANCH_RESIDUAL:
-        v = cert.evidence.get("vertex")
-        recorded = cert.evidence.get("residual_reduced")
-        if v is None or recorded is None:
-            return False
         res = residual(g, rep)
-        if recorded != res:
+        if evidence.get("residual_reduced") != res:
             return False
         return is_reduced(g, res, [v]) and res.value(v) < 0
     return False

@@ -35,7 +35,6 @@ from chipfire import (
     uniform_representative,
     verify_certificate,
 )
-from chipfire.enumeration import compositions
 from chipfire.rank import _lattice_data
 from chipfire.reps import BRANCH_RESIDUAL, BRANCH_UNIFORM, BRANCH_V_REDUCED, NotCovered
 from helpers import (
@@ -46,6 +45,7 @@ from helpers import (
     random_divisor,
     random_principal_shift,
     rational_equivalent,
+    reference_compositions,
     star_blob_graph,
 )
 
@@ -128,7 +128,7 @@ def _weightless_multigraphs(max_vertices=4, max_edges=6):
         verts = names[:n]
         pairs = list(combinations(range(n), 2))
         for total in range(n - 1, max_edges + 1):
-            for mults in compositions(total, len(pairs)):
+            for mults in reference_compositions(total, len(pairs)):
                 edges = []
                 for (i, j), m in zip(pairs, mults):
                     edges += [(verts[i], verts[j])] * m

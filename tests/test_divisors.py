@@ -19,7 +19,7 @@ from chipfire import (
     t_set,
 )
 from chipfire.rank import _class_key, _lattice_data
-from helpers import golden_graph, random_divisor, random_principal_shift
+from helpers import golden_graph, random_divisor, random_principal_shift, reference_compositions
 
 
 @pytest.fixture
@@ -59,6 +59,17 @@ class TestDivisorBasics:
         other = WeightedMultigraph(["a"], {}, [])
         with pytest.raises(DomainError):
             Divisor(g, [1, 0, 0]) + Divisor(other, [1])
+        with pytest.raises(DomainError):
+            Divisor(g, [1, 0, 0]) - Divisor(other, [1])
+
+    @pytest.mark.parametrize("other", [1, 0, "v1", None, (1, 0, 0)])
+    def test_arithmetic_with_a_non_divisor_is_a_type_error(self, g, other):
+        d = Divisor(g, [1, 2, 3])
+        for op in (lambda: d + other, lambda: d - other, lambda: other + d, lambda: other - d):
+            with pytest.raises(TypeError):
+                op()
+        assert d.__add__(other) is NotImplemented
+        assert d.__sub__(other) is NotImplemented
 
 
 class TestTSet:
@@ -198,11 +209,9 @@ class TestEffectiveRepresentatives:
         c = class_of(g, Divisor(g, [0, 3, 2]), "v1")
         data = _lattice_data(g)
         want = _class_key(data, c.canonical.values)
-        from chipfire.enumeration import compositions
-
         brute = [
             combo
-            for combo in compositions(5, 3)
+            for combo in reference_compositions(5, 3)
             if _class_key(data, combo) == want
         ]
         assert brute == [r.values for r in effective_representatives(g, c)]

@@ -10,11 +10,16 @@ from hypothesis import strategies as st
 from chipfire.cli import main
 from chipfire.enumeration import (
     box_vectors,
-    compositions,
     count_box_vectors,
     count_compositions,
 )
 from helpers import reference_compositions
+
+
+def full_box(total, length):
+    """The compositions of total into length parts, walked as the full box
+    [0, total] in every part at sum total."""
+    return box_vectors((0,) * length, (total,) * length, total)
 
 
 @pytest.mark.parametrize("length", range(6))
@@ -23,22 +28,23 @@ def test_compositions_are_the_sorted_product_filter(total, length):
     expected = sorted(
         v for v in product(range(max(total, 0) + 1), repeat=length) if sum(v) == total
     )
-    got = list(compositions(total, length))
+    got = list(full_box(total, length))
     assert got == expected  # same tuples, ascending lex order
     assert len(got) == count_compositions(total, length)
 
 
 @given(st.integers(0, 9), st.integers(0, 7))
 def test_compositions_match_stars_and_bars(total, length):
-    assert list(compositions(total, length)) == list(reference_compositions(total, length))
+    assert list(full_box(total, length)) == list(reference_compositions(total, length))
 
 
 def test_one_part_composition_holds_no_pool():
-    """compositions(total, 1) has one tuple; building it must not take memory
-    in proportion to total (a pool of total + 1 values took 38 MB here)."""
+    """The box [0, total] at sum total has one tuple; walking it must not
+    take memory in proportion to total (a pool of total + 1 values took
+    38 MB)."""
     tracemalloc.start()
     try:
-        got = list(compositions(10**6, 1))
+        got = list(full_box(10**6, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

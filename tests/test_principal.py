@@ -25,7 +25,6 @@ from chipfire import (
     t_set,
 )
 from chipfire.divisors import _members
-from chipfire.enumeration import box_vectors
 from helpers import (
     chain_blob_graph,
     golden_graph,
@@ -126,7 +125,7 @@ def test_equivalent_and_members_reduce_nothing(monkeypatch):
     for name in ("_reduce_off", "_burn", "_make_effective_off", "_superstabilize"):
         monkeypatch.setattr(f"chipfire.reduction.{name}", refuse)
     assert equivalent(g, d1, d2)
-    assert len(list(_members(c.graph, c, box_vectors([0] * 3, [5] * 3, 5)))) == 9
+    assert len(list(_members(c.graph, c, [0] * 3, [5] * 3))) == 9
 
 
 @pytest.mark.parametrize("make", [golden_graph, chain_blob_graph, star_blob_graph])
@@ -143,6 +142,6 @@ def test_members_keeps_the_reference_box_members(make):
         canon = [c.canonical.value(v) for v in g.vertices_sorted]
         for lows, highs in (([0] * len(k), k), ([x - 1 for x in canon], [x + 1 for x in canon])):
             want = reference_box_members(g, c, lows, highs)
-            assert list(_members(g, c, box_vectors(lows, highs, c.degree))) == want
+            assert list(_members(g, c, lows, highs)) == want
             found += len(want)
     assert found

@@ -485,3 +485,56 @@ class TestCliffordRepresentative:
             evidence=cert.evidence,
         )
         assert not verify_certificate(g, bad)
+
+
+class TestMalformedEvidence:
+    """Malformed evidence fails verification instead of raising.  Each case
+    takes a certificate the constructor made, which verifies, and replaces
+    its evidence."""
+
+    @staticmethod
+    def certificate(graph, chips, branch):
+        c = class_of(graph, Divisor(graph, chips), graph.base_vertex())
+        _, cert = clifford_representative(graph, c)
+        assert cert.branch == branch and verify_certificate(graph, cert)
+        return cert
+
+    @pytest.fixture
+    def pair(self):
+        """a and b, each of weight 1, joined by a double edge."""
+        return WeightedMultigraph(["a", "b"], {"a": 1, "b": 1}, [("a", "b"), ("a", "b")])
+
+    @pytest.mark.parametrize(
+        "evidence",
+        [
+            {"vertex": "zz", "value": 0},
+            {"vertex": ["v1"], "value": 0},
+            {"vertex": {"v1"}, "value": 0},
+            [("vertex", "v1"), ("value", -1)],
+            None,
+        ],
+    )
+    def test_v_reduced(self, g, evidence):
+        cert = self.certificate(g, {"v1": 1, "v2": -1}, BRANCH_V_REDUCED)
+        assert not verify_certificate(g, cert._replace(evidence=evidence))
+
+    @pytest.mark.parametrize("vertex", ["zz", ["v1"]])
+    def test_residual(self, g, vertex):
+        cert = self.certificate(g, {"v2": 9, "v3": 1}, BRANCH_RESIDUAL)
+        evidence = {**cert.evidence, "vertex": vertex}
+        assert not verify_certificate(g, cert._replace(evidence=evidence))
+        assert not verify_certificate(g, cert._replace(evidence=None))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"a": 5, "b": 5},
+            {"a": (1, 2, 0), "b": (1, 2, 0)},
+            ["a", "b"],
+            "ab",
+        ],
+    )
+    def test_uniform(self, pair, bounds):
+        cert = self.certificate(pair, {"a": 1, "b": 1}, BRANCH_UNIFORM)
+        assert not verify_certificate(pair, cert._replace(evidence={"bounds": bounds}))
+        assert not verify_certificate(pair, cert._replace(evidence=None))
