@@ -330,7 +330,8 @@ class _Report:
 
 def _riemann_roch(args, g: WeightedMultigraph, d: Divisor) -> tuple[RankReport, dict]:
     """rank(d) under the command's options, and the Riemann-Roch fields:
-    rank(d) - rank(K - d) against deg d - genus + 1."""
+    rank(d) - rank(K - d) against deg d - genus + 1.  Every field is a class
+    invariant, so the commands pass their class's canonical form."""
     r_d = rank(g, d, shortcuts=not args.no_shortcuts, budget=args.budget)
     r_res = rank(g, residual(g, d), shortcuts=not args.no_shortcuts, budget=args.budget)
     deg, gen = d.degree, genus(g)
@@ -397,7 +398,7 @@ def _cmd_info(args, g: WeightedMultigraph, rep: _Report) -> None:
 
 
 def _cmd_rank(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: DivisorClass) -> None:
-    report = rank(g, d, shortcuts=not args.no_shortcuts, budget=args.budget)
+    report = rank(g, c.canonical, shortcuts=not args.no_shortcuts, budget=args.budget)
     rep.result = {"rank": report.rank, "method": report.method, "witness": report.witness}
     rep.line(f"rank: {report.rank} (method: {report.method})")
     if report.witness is not None:
@@ -438,7 +439,7 @@ def _cmd_effectivize(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: D
 
 
 def _cmd_rr_check(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: DivisorClass) -> None:
-    res = rep.result = _riemann_roch(args, g, d)[1]
+    res = rep.result = _riemann_roch(args, g, c.canonical)[1]
     rep.line(f"rank(d) - rank(residual) = {res['rank']} - ({res['residual_rank']}) = {res['lhs']}")
     rep.line(f"degree - genus + 1 = {res['degree']} - {res['genus']} + 1 = {res['rhs']}")
     rep.line(f"identity holds: {res['identity_holds']}")
@@ -482,7 +483,7 @@ def _cmd_uniform(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: Divis
 
 def _cmd_report(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: DivisorClass) -> None:
     deg, gen = d.degree, genus(g)
-    r, rr = _riemann_roch(args, g, d)
+    r, rr = _riemann_roch(args, g, c.canonical)
     # a class is effective iff its rank is at least 0, so special (the
     # class and its residual both effective) is read off the two ranks
     special = r.rank >= 0 and rr["residual_rank"] >= 0

@@ -85,9 +85,6 @@ class Divisor:
         """Values listed in canonical vertex order; the package-wide lex key."""
         return tuple(self._values[i] for i in self.graph._lex_indices)
 
-    def support(self) -> tuple[str, ...]:
-        return tuple(v for v, x in zip(self.graph.vertices, self._values) if x != 0)
-
     def _check_same_graph(self, other: "Divisor") -> None:
         if self.graph != other.graph:
             raise DomainError("divisors live on different graphs")

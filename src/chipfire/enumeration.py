@@ -12,7 +12,6 @@ yields whole tuples cannot, and routing the scan through
 :func:`box_vectors` cost it a third of its speed.
 """
 
-from itertools import accumulate
 from math import comb
 
 from .errors import BudgetExceededError
@@ -41,21 +40,26 @@ def count_box_vectors(lows, highs, total: int) -> int:
     Shifted so each coordinate runs from 0 to its width w, the count is
     that of the sum t = total - sum(lows), or of W - t with W the sum of
     the widths (reflect each coordinate, x to w - x), whichever is smaller,
-    call it m.  One list holds, for each s <= m, the vectors over the
-    coordinates so far with sum s; a coordinate of width w replaces entry s
-    by the sum of the w + 1 entries ending at s, a window read off one
-    prefix-sum list.  So the count costs O(n * m) additions.
+    call it m.  A coordinate of width w has the generating function
+    (1 - x^(w+1)) / (1 - x), so the count is the coefficient of x^m in
+    prod(1 - x^(w+1)) / (1 - x)^n: the sum of c * C(m - e + n - 1, n - 1)
+    over the terms c x^e of the product with e <= m.  Only a coordinate
+    with w < m adds such terms, so the product is expanded over those k
+    coordinates alone, in at most min(2^k, m + 1) terms.
     """
     widths = [h - l for l, h in zip(lows, highs)]
     t = total - sum(lows)
     m = min(t, sum(widths) - t)
     if m < 0 or any(w < 0 for w in widths):
         return 0
-    counts = [1] + [0] * m
+    terms = {0: 1}  # exponent e -> coefficient of x^e
     for w in widths:
-        prefix = [0, *accumulate(counts)]  # prefix[s]: entries below s
-        counts = [prefix[s + 1] - prefix[max(0, s - w)] for s in range(m + 1)]
-    return counts[m]
+        if w < m:
+            for e, c in list(terms.items()):
+                if e + w < m:
+                    terms[e + w + 1] = terms.get(e + w + 1, 0) - c
+    n = len(widths)
+    return sum(c * count_compositions(m - e, n) for e, c in terms.items())
 
 
 def box_vectors(lows, highs, total: int):

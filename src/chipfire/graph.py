@@ -202,11 +202,6 @@ class EdgeCut(NamedTuple):
             if at in self.bridge_indices
         )
 
-    @property
-    def non_bridges(self) -> tuple[tuple[str, str], ...]:
-        edges = self.graph.edges
-        return tuple(e for i, e in enumerate(edges) if i not in self.bridge_indices)
-
 
 class StabilityVerdict(NamedTuple):
     """Boolean verdict plus an applicability diagnostic for genus < 2 inputs."""

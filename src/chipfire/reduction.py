@@ -47,11 +47,11 @@ class DharResult(NamedTuple):
     chain: tuple[frozenset[str], ...]
 
 
-def _burn(
-    g: WeightedMultigraph, vals, seed: Iterable[int], want_chain: bool = False
-):
-    """Run the burning iteration; returns (burnt mask, cut, chain or None).
+def _burn(g: WeightedMultigraph, vals, seed: Iterable[int]):
+    """Run the burning iteration; returns (rounds, cut).
 
+    ``rounds[v]`` is the round in which v caught fire: 1 for the seed, 0
+    when v never burns, so it serves as the burnt mask.
     ``cut`` lists each unburnt vertex with edges into the final burnt set
     as ``(w, edge count)``, in the order the burn first reached it; it is
     empty exactly when everything burns, the graph being connected.
@@ -65,34 +65,33 @@ def _burn(
     still pseudo-polynomial in the chips (slow inputs in the module
     docstring).
     """
-    burnt = [False] * g._n
+    rounds = [0] * g._n
     inflow = [0] * g._n
     rows = g._rows
     frontier = []
     for s in seed:
-        if not burnt[s]:
-            burnt[s] = True
+        if not rounds[s]:
+            rounds[s] = 1
             frontier.append(s)
-    chain = [frozenset(frontier)] if want_chain else None
     reached = []
+    r = 1
     while frontier:
+        r += 1
         newly = []
         for v in frontier:
             for w, m in rows[v]:
-                if burnt[w]:
+                if rounds[w]:
                     continue
                 x = inflow[w] + m
                 if x > vals[w]:
-                    burnt[w] = True
+                    rounds[w] = r
                     newly.append(w)
                 else:
                     if x == m:  # the first edge from the burnt side to reach w
                         reached.append(w)
                     inflow[w] = x
-        if want_chain and newly:
-            chain.append(chain[-1].union(newly))
         frontier = newly
-    return burnt, [(w, inflow[w]) for w in reached if not burnt[w]], chain
+    return rounds, [(w, inflow[w]) for w in reached if not rounds[w]]
 
 
 def _seeds(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> list[int]:
@@ -110,8 +109,9 @@ def dhar(g: WeightedMultigraph, d: Divisor, seed: Iterable[str]) -> DharResult:
     """Burning decomposition of the graph with respect to a seed set.
 
     Every round absorbs all qualifying vertices at once, so the chain is
-    canonical and no tie-breaking is involved.  Requires d effective away
-    from the seed.
+    canonical and no tie-breaking is involved.  All three fields are read
+    off the burn's rounds: ``chain[r - 1]`` holds the vertices that caught
+    fire in rounds 1 to r.  Requires d effective away from the seed.
     """
     seeds = _seeds(g, d, seed)
     vals = d.values
@@ -121,12 +121,13 @@ def dhar(g: WeightedMultigraph, d: Divisor, seed: Iterable[str]) -> DharResult:
             raise DomainError(
                 f"divisor is negative at {g.vertices[i]!r}, outside the seed"
             )
-    burnt, _, chain = _burn(g, vals, seeds, want_chain=True)
-    names = g.vertices
-    fixed = frozenset(names[i] for i in range(g._n) if burnt[i])
-    unburnt = frozenset(names[i] for i in range(g._n) if not burnt[i])
-    chain_named = tuple(frozenset(names[i] for i in part) for part in chain)
-    return DharResult(fixed_set=fixed, dhar_set=unburnt, chain=chain_named)
+    rounds, _ = _burn(g, vals, seeds)
+    named = list(zip(g.vertices, rounds))
+    chain = tuple(
+        frozenset(v for v, x in named if 0 < x <= r) for r in range(1, max(rounds) + 1)
+    )
+    unburnt = frozenset(v for v, x in named if not x)
+    return DharResult(fixed_set=chain[-1], dhar_set=unburnt, chain=chain)
 
 
 def is_reduced(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> bool:
@@ -185,7 +186,7 @@ def _superstabilize(g, vals: list[int], seed: list[int]) -> None:
     rows = g._rows
     rounds = 0
     while True:
-        burnt, cut, _ = _burn(g, vals, seed)
+        burnt, cut = _burn(g, vals, seed)
         if not cut:
             if not all(burnt):
                 raise InternalError("unburnt set with empty cut on a connected graph")
@@ -273,15 +274,14 @@ def effectivize(g: WeightedMultigraph, d: Divisor) -> Divisor | None:
     """An effective divisor equivalent to d, or None if the class has none.
 
     d itself when it is effective.  Otherwise the reduced form at the base
-    vertex: a class is effective iff that form is (it is effective off the
-    base, and any effective member reduces to it without losing chips at
-    the base), so the form is the answer when it is effective and shows
-    the class has none when it is not.
+    vertex, :func:`reduce_to` there: a class is effective iff that form is
+    (it is effective off the base, and any effective member reduces to it
+    without losing chips at the base), so the form is the answer when it
+    is effective and shows the class has none when it is not.
     """
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")
     if d.is_effective:
         return d
-    u = g.vertex_index(g.base_vertex())
-    reduced = _reduce_off(g, d.values, [u])
-    return Divisor(g, reduced) if reduced[u] >= 0 else None
+    reduced = reduce_to(g, d, g.base_vertex())
+    return reduced if reduced.is_effective else None

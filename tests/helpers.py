@@ -284,6 +284,22 @@ def reference_compositions(total: int, length: int):
         yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
 
 
+def reference_box_count(lows, highs, total: int) -> int:
+    """Integer vectors in the box [lows, highs] summing to total, by a DP
+    over the coordinates: entry s counts the vectors so far with shifted
+    sum s, and a coordinate of width w replaces it by the sum of the w + 1
+    entries ending at s.  O(n * t) time for shifted sum t, so only for
+    small boxes; shares no code with ``chipfire.enumeration``."""
+    widths = [h - l for l, h in zip(lows, highs)]
+    t = total - sum(lows)
+    if t < 0 or any(w < 0 for w in widths):
+        return 0
+    counts = [1] + [0] * t
+    for w in widths:
+        counts = [sum(counts[max(0, s - w): s + 1]) for s in range(t + 1)]
+    return counts[t]
+
+
 def reference_model_rank(
     g: WeightedMultigraph, d: Divisor, *, shortcuts: bool = True, budget: int = DEFAULT_BUDGET
 ) -> RankReport:

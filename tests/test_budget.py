@@ -5,6 +5,7 @@ import pytest
 from chipfire import (
     BudgetExceededError,
     Divisor,
+    WeightedMultigraph,
     canonical_divisor,
     class_of,
     effective_representatives,
@@ -14,6 +15,7 @@ from chipfire import (
     semibalanced_representative,
     uniform_representative,
 )
+from chipfire.cli import main, serialize_graph
 from helpers import golden_graph
 
 # golden graph: 3 vertices, model of 3 + 4 satellites = 7 vertices
@@ -49,3 +51,17 @@ def test_plain_error_keeps_its_message():
     exc = BudgetExceededError(12, 10)
     assert (exc.count, exc.budget, exc.stage, exc.level) == (12, 10, None, None)
     assert str(exc) == "enumeration of 12 candidates exceeds budget 10"
+
+
+def test_box_error_on_a_million_wide_box_comes_at_once(tmp_path, capsys):
+    """A 5-cycle of weight 10^6 at every vertex: the uniform search's box
+    [0, 2 * 10^6]^5 at sum 5 * 10^6 is refused from its exact count, which
+    a DP over the sums reached only after filling five lists of 5 * 10^6
+    entries."""
+    names = [f"v{i}" for i in range(5)]
+    g = WeightedMultigraph(names, dict.fromkeys(names, 10**6), list(zip(names, names[1:] + names[:1])))
+    path = tmp_path / "cycle5.graph"
+    path.write_text(serialize_graph(g), encoding="utf-8")
+    assert main(["clifford-rep", str(path), "--divisor", "v0=5000000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: box: enumeration of 9583352500015416672500001 candidates exceeds budget 10000000\n"

@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 from itertools import combinations, product
 from math import comb
@@ -13,7 +14,7 @@ from chipfire.enumeration import (
     count_box_vectors,
     count_compositions,
 )
-from helpers import reference_compositions
+from helpers import reference_box_count, reference_compositions
 
 
 def full_box(total, length):
@@ -108,6 +109,37 @@ def test_box_count_near_the_top_of_a_huge_box():
     assert count_box_vectors([0] * 5, [10**12] * 5, top - 2) == 15  # C(6, 4)
     assert count_box_vectors([0] * 5, [10**12] * 5, top + 1) == 0
     assert count_box_vectors([0] * 3, [5] * 3, 10**30) == 0
+
+
+def test_box_count_matches_a_dp_and_the_walk_on_random_boxes():
+    """Boxes of 0 to 6 coordinates, some of them wider than the sum, so the
+    expansion runs over a strict subset of the coordinates."""
+    rng = random.Random(28)
+    for _ in range(2000):
+        n = rng.randint(0, 6)
+        lows = [rng.randint(-4, 4) for _ in range(n)]
+        highs = [low + rng.randint(-1, 9) for low in lows]
+        total = sum(lows) + rng.randint(-2, sum(h - l for l, h in zip(lows, highs)) + 2)
+        got = count_box_vectors(lows, highs, total)
+        assert got == reference_box_count(lows, highs, total), (lows, highs, total)
+        if got <= 2000:
+            assert got == sum(1 for _ in box_vectors(lows, highs, total))
+
+
+def test_box_count_of_a_million_wide_box_is_immediate():
+    """The uniform search's box on a 5-cycle of weight 10^6 with 5 * 10^6
+    chips: width 2 * 10^6 at each vertex, sum 5 * 10^6.  The expansion
+    keeps three exponents, 0, 2 * 10^6 + 1 and 4 * 10^6 + 2, where a DP
+    over the sums would fill five lists of 5 * 10^6 entries."""
+    tracemalloc.start()
+    try:
+        got = count_box_vectors([0] * 5, [2 * 10**6] * 5, 5 * 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == 9583352500015416672500001
+    assert got == _inclusion_exclusion([2 * 10**6] * 5, 5 * 10**6)
+    assert peak < 1 << 20
 
 
 def test_box_vectors_reject_unequal_bounds():

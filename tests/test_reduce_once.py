@@ -4,12 +4,14 @@
 its canonical form and hands it to the command, so no command reduces its
 input again.  The counts below are calls of the reduction kernel
 ``chipfire.reduction._reduce_off`` (the rank scan keeps its own reference
-to the kernel and is not counted).  Two facts let ``report`` and
-``verify_certificate`` skip reductions, and both are checked here against
-``is_special_class``: a class is special iff rank(d) >= 0 and
-rank(K - d) >= 0, and a uniform divisor's class is always special.
+to the kernel, which only ``unreduced_inputs`` counts).  Two facts let
+``report`` and ``verify_certificate`` skip reductions, and both are
+checked here against ``is_special_class``: a class is special iff
+rank(d) >= 0 and rank(K - d) >= 0, and a uniform divisor's class is
+always special.
 """
 
+import importlib
 import json
 import random
 
@@ -96,6 +98,45 @@ def test_each_input_is_reduced_once(argv, expected, files, reductions, capsys):
     code = main(argv)
     assert code in (0, 1), capsys.readouterr().err
     assert len(reductions) == expected
+
+
+@pytest.fixture
+def unreduced_inputs(monkeypatch):
+    """The inputs of the kernel calls that changed them, counted through
+    ``reduction`` and through the rank scan's own reference in ``rank``: a
+    call whose input is already reduced hands it back unchanged after one
+    burn."""
+    calls = []
+    kernel = reduction._reduce_off
+
+    def counted(g, vals, seeds):
+        out = kernel(g, vals, seeds)
+        if out != list(vals):
+            calls.append(tuple(vals))
+        return out
+
+    for module in (reduction, importlib.import_module("chipfire.rank")):
+        monkeypatch.setattr(module, "_reduce_off", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["rank", "golden", "--divisor", "v1=-1,v2=3,v3=2"], 1),
+        (["rank", "golden", "--divisor", "v1=4,v2=-1", "--no-shortcuts"], 1),
+        (["rank", "loops", "--divisor", "a=3,b=-1,c=2"], 1),
+        # the residual K - d is a second divisor, reduced by the scan
+        (["rr-check", "golden", "--divisor", "v1=4,v2=-1"], 2),
+    ],
+)
+def test_the_rank_scan_starts_from_the_reduced_input(argv, expected, files, unreduced_inputs, capsys):
+    """The rank commands rank the class's canonical form, so the scan's
+    level 0 finds the input already reduced; ranking the input as given
+    reduced it from scratch a second time."""
+    argv = [argv[0], files[argv[1]], *argv[2:], "--json"]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert len(unreduced_inputs) == expected
 
 
 def test_a_verified_uniform_certificate_costs_no_reduction(reductions):

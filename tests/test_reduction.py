@@ -249,7 +249,7 @@ class TestSuperstabilize:
     def test_empty_cut_with_unburnt_vertices_is_an_internal_error(self, monkeypatch):
         graph = golden_graph()
         monkeypatch.setattr(
-            "chipfire.reduction._burn", lambda g, vals, seed: ([True, False, False], [], None)
+            "chipfire.reduction._burn", lambda g, vals, seed: ([1, 0, 0], [])
         )
         with pytest.raises(InternalError, match="empty cut"):
             _superstabilize(graph, [0, 5, 5], [0])

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from chipfire import Divisor, WeightedMultigraph, dhar, effectivize, reduce_to
+from chipfire import Divisor, WeightedMultigraph, dhar, effectivize, is_reduced, reduce_to
 from chipfire.reduction import _burn
 from helpers import (
     clip_degree,
@@ -67,11 +67,16 @@ def reference_cut(burnt, inflow):
     return [(w, x) for w, x in enumerate(inflow) if x and not burnt[w]]
 
 
-def sorted_burn(g, vals, seed, want_chain=True):
-    """The package's burn with its cut in index order, comparable with the
-    reference burn's mask, :func:`reference_cut` and chain."""
-    burnt, cut, chain = _burn(g, vals, seed, want_chain)
-    return burnt, sorted(cut), chain
+def sorted_burn(g, vals, seed):
+    """The package's burn as the reference burn's mask, :func:`reference_cut`
+    and chain: the mask and the chain are read off the rounds (the chain's
+    r-th set holds the vertices that burnt in rounds 1 to r), the cut is put
+    in index order."""
+    rounds, cut = _burn(g, vals, seed)
+    chain = [
+        frozenset(v for v, x in enumerate(rounds) if 0 < x <= r) for r in range(1, max(rounds) + 1)
+    ]
+    return [x > 0 for x in rounds], sorted(cut), chain
 
 
 @pytest.mark.parametrize("name", GRAPHS)
@@ -95,17 +100,24 @@ def test_reduce_everywhere_matches_references(name):
 
 @pytest.mark.parametrize("name", ["cycle20", "theta18", "ladder22"])
 def test_burn_matches_reference_on_unreduced_divisors(name):
-    """Burns that stop short, from random seed sets, as the firing loops see them."""
+    """Burns that stop short, from random seed sets, as the firing loops see
+    them, and as ``dhar`` and ``is_reduced`` report them."""
     g = GRAPHS[name]
     rng = random.Random(name)
-    n = len(g.vertices)
+    names = g.vertices
+    n = len(names)
     for _ in range(40):
         seed = rng.sample(range(n), rng.randint(1, 3))
         vals = [rng.randint(-2, 2) if i in seed else rng.randint(0, 2) for i in range(n)]
         burnt, inflow, chain = reference_burn(g, vals, seed)
         cut = reference_cut(burnt, inflow)
         assert sorted_burn(g, vals, seed) == (burnt, cut, chain)
-        assert sorted_burn(g, vals, seed, want_chain=False) == (burnt, cut, None)
+        d, zone = Divisor(g, vals), [names[i] for i in seed]
+        res = dhar(g, d, zone)
+        assert res.fixed_set == {names[i] for i in range(n) if burnt[i]}
+        assert res.dhar_set == {names[i] for i in range(n) if not burnt[i]}
+        assert res.chain == tuple(frozenset(names[i] for i in part) for part in chain)
+        assert is_reduced(g, d, zone) == all(burnt)
 
 
 def test_rational_equivalence_rejects_a_shifted_chip():
