@@ -428,6 +428,8 @@ def _cmd_equivalent(
 
 
 def _cmd_effectivize(args, g: WeightedMultigraph, rep: _Report, d: Divisor, c: DivisorClass) -> None:
+    if not d.is_effective and c.base_vertex == g.base_vertex():
+        d = c.canonical  # effectivize's own reduction, already made
     out = effectivize(g, d)
     if out is None:
         rep.result = {"status": "NotEffective", "divisor": None}
@@ -594,7 +596,7 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.graph, encoding="utf-8") as fh:
+        with open(args.graph, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -105,6 +105,10 @@ class Divisor:
         return Divisor(self.graph, [-a for a in self._values])
 
     def __mul__(self, k: int) -> "Divisor":
+        try:
+            k = index(k)
+        except TypeError:
+            return NotImplemented
         return Divisor(self.graph, [k * a for a in self._values])
 
     __rmul__ = __mul__

@@ -111,8 +111,7 @@ class WeightedMultigraph:
         self._key = (verts, weight_list, tuple(sorted(pairs)))
         self._hash = hash(self._key)
         # per-instance memos:
-        # - the loopless weightless model and the host index of each of its
-        #   satellites (see bullet_model)
+        # - the loopless weightless model (see bullet_model)
         # - the rank scan's reduced forms at the base vertex, one map keyed
         #   by the chips with 0 there, bounded by the rank module's cache
         #   limit; no other reduction stores anything
@@ -122,7 +121,6 @@ class WeightedMultigraph:
         # - the oracle's lattice data and key sets, kept apart from the
         #   reduced forms
         self._model: WeightedMultigraph | None = None
-        self._hosts: tuple[int, ...] = ()
         self._reduced: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._scan_coords: dict[bool, tuple] = {}
         self._oracle: dict = {}
@@ -377,11 +375,12 @@ def bullet_model(
     Each unit of vertex weight becomes a subdivided loop: a fresh degree-2
     satellite joined to the vertex by two parallel edges.  Pre-existing
     loops are subdivided the same way, so the result has no loops at all.
-    The model's vertices are g's, in g's order, then the satellites; the
-    host of the model vertex ``g._n + t`` is ``g._hosts[t]``.  Returns the
-    model and the (injective) embedding of original vertices.  The model
-    is built once per graph instance and then reused, so the oracle's
-    lattice data and key sets kept on it (``rank._lattice_data``) are too.
+    The model's vertices are g's, in g's order, then the satellites; a
+    satellite's row is ``((host, 2),)``.  Returns the model and the
+    (injective) embedding of original vertices.  The model is built once
+    per graph instance, published by one store, and then reused, so the
+    oracle's lattice data and key sets kept on it (``rank._lattice_data``)
+    are too.
     """
     embed = {v: v for v in g._vertices}
     if all(w == 0 for w in g._weights) and all(l == 0 for l in g._loops):
@@ -392,14 +391,11 @@ def bullet_model(
     used = set(g._vertices)
     verts = list(g._vertices)
     edges = [(g._vertices[i], g._vertices[j], m) for i, j, m in g._pairs if i != j]
-    hosts = []
     for i, v in enumerate(g._vertices):
         tags = [f"l{j}" for j in range(g._loops[i])] + [f"w{t}" for t in range(g._weights[i])]
         for tag in tags:
             s = _fresh_name(f"{v}#{tag}", used)
             verts.append(s)
             edges.append((v, s, 2))
-            hosts.append(i)
     g._model = WeightedMultigraph(verts, {}, edges)
-    g._hosts = tuple(hosts)
     return g._model, embed

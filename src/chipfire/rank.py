@@ -109,9 +109,10 @@ def _coords(g, top, model=None):
     Over g's own vertices x chips at v cost x + min(x, weight + loops),
     which is x on a weightless, loopless graph.  Over the model's
     vertices, x chips cost x at a vertex of g and x + x mod 2 at the host
-    of a satellite.  Equal costs share one table.  g keeps one set of each,
-    for the largest top asked for up to ``_COORDS_KEPT``: a table for a
-    smaller top is a prefix of it.
+    of a satellite, the one vertex in the satellite's row of the model.
+    Equal costs share one table.  g keeps one set of each, for the largest
+    top asked for up to ``_COORDS_KEPT``: a table for a smaller top is a
+    prefix of it.
     """
     kept = g._scan_coords.get(model is None)
     if kept is not None and len(kept[1][0]) > top:
@@ -123,11 +124,11 @@ def _coords(g, top, model=None):
         tables = {c: [*range(0, 2 * c + 1, 2), *range(2 * c + 1, top + c + 1)] for c in set(caps)}
         coords = lex, [tables[c] for c in caps]
     else:
-        n, hosts = g._n, g._hosts
+        n, rows = g._n, model._rows
         single, paired = list(range(top + 1)), [x + (x & 1) for x in range(top + 1)]
         lex = model._lex_indices
         coords = (
-            [pos if pos < n else hosts[pos - n] for pos in lex],
+            [pos if pos < n else rows[pos][0][0] for pos in lex],
             [single if pos < n else paired for pos in lex],
         )
     if top <= _COORDS_KEPT:
@@ -142,18 +143,17 @@ def _walk_off_base(g, vals, j, coords, floor):
     does, (None, the fewest chips at u among them; infinity when there is
     no candidate).
 
-    The walk runs in the frame of g's reduce cache (see the module
-    docstring): the running target holds 0 at u, and the chips at u, those
-    of vals less what the coordinates hosted at u cost, are an offset on
-    the reduced form's value at u, so the steps of those coordinates change
-    no key.  The walk steps the composition in place: with z its last
-    nonzero part, the lex-next composition moves one chip to part z - 1,
-    empties part z and puts the rest of z, less that chip, on the last
-    part; the walk ends when z is the first part or there is none.  So a
-    step changes the running target, or the offset, at those three parts
-    only, and one tuple per candidate is built, the cache key.  A
-    candidate missing from the cache is stepped from a parent
-    (:func:`_reduce_missing`).
+    The walk steps the composition in place: with z its last nonzero part,
+    the lex-next composition moves one chip to part z - 1, empties part z
+    and puts the rest of z, less that chip, on the last part; the walk ends
+    when z is the first part or there is none.  So a step changes the
+    running target at those three parts only, and one tuple per candidate
+    is built, the cache key.  The key is the target with 0 at u, in the
+    frame of g's reduce cache (see the module docstring): the target's
+    chips at u, those of vals less what the coordinates hosted at u cost,
+    are set aside while the key is formed and a miss is reduced, and are
+    added back to the reduced form's value at u.  A candidate missing from
+    the cache is stepped from a parent (:func:`_reduce_missing`).
     """
     dests, costs = coords
     cache, u = g._reduced, g._lex_indices[0]
@@ -161,22 +161,20 @@ def _walk_off_base(g, vals, j, coords, floor):
     if last < 0 and j:
         return None, float("inf")
     target = list(vals)
-    offset, target[u] = target[u], 0
     vec = [0] * (last + 1)
     z = -1  # the last nonzero part, -1 when there is none
     if j:
-        z, vec[last], to = last, j, dests[last]
-        if to == u:
-            offset -= costs[last][j]
-        else:
-            target[to] -= costs[last][j]
+        z, vec[last] = last, j
+        target[dests[last]] -= costs[last][j]
     least = float("inf")
     while True:
+        at_u, target[u] = target[u], 0
         key = tuple(target)
         red = cache.get(key)
         if red is None:
             red = _reduce_missing(g, key, target, vec, coords, z)
-        at_u = red[u] + offset
+        target[u] = at_u
+        at_u += red[u]
         if at_u < floor:
             return tuple(vec), None
         if at_u < least:
@@ -185,60 +183,49 @@ def _walk_off_base(g, vals, j, coords, floor):
             return None, least
         # one chip more at part i = z - 1
         i = z - 1
-        x, cost, to = vec[i], costs[i], dests[i]
+        x, cost = vec[i], costs[i]
         vec[i] = x + 1
-        if to == u:
-            offset -= cost[x + 1] - cost[x]
-        else:
-            target[to] -= cost[x + 1] - cost[x]
+        target[dests[i]] -= cost[x + 1] - cost[x]
         # part z emptied, its chips less one on the last part
-        x, cost, to = vec[z], costs[z], dests[z]
+        x, cost = vec[z], costs[z]
         rest = x - 1
         if z == last:
             vec[z] = rest
-            if to == u:
-                offset += cost[x] - cost[rest]
-            else:
-                target[to] += cost[x] - cost[rest]
+            target[dests[z]] += cost[x] - cost[rest]
         else:
             vec[z] = 0
-            if to == u:
-                offset += cost[x]
-            else:
-                target[to] += cost[x]
+            target[dests[z]] += cost[x]
             if rest:
-                vec[last], cost, to = rest, costs[last], dests[last]
-                if to == u:
-                    offset -= cost[rest]
-                else:
-                    target[to] -= cost[rest]
+                vec[last] = rest
+                target[dests[last]] -= costs[last][rest]
         z = last if rest else i
 
 
 def _reduce_missing(g, key, target, vec, coords, z):
     """The reduced form at g's base vertex u of key, the running target of
-    the walk's candidate vec, stepped from a parent and stored in g's
-    reduce cache.
+    the walk's candidate vec with 0 at u, stepped from a parent and stored
+    in g's reduce cache.
 
     A parent is vec with one chip fewer at a nonzero part, whose target
     holds s = cost[x] - cost[x - 1] more chips at the part's vertex v, with
     x the chips there; its key is the running target stepped at v and
     back.  With R the parent's reduced form, R - s*e_v is equivalent to the
-    candidate.  It is already reduced when R(v) >= s, since fewer chips off
-    u only make the burn from u easier, so a cached parent that holds the
-    step's chips is taken first, trying the parts from z down.  Otherwise
-    a cached parent borrows at v (:func:`.reduction._borrow`), and the least
-    borrowing b from a divisor below a reduced R is reduced too: if a set A
-    could fire legally afterwards, then either b - 1_A would still clear
-    the negatives, or the vertices of A that never borrowed could fire
-    legally from R.  A step of 0, a satellite's even chip, or at u leaves
-    the key as it is, so it names no parent.  With no parent cached, the
-    one at z, the last nonzero part, is reduced from scratch and stored;
-    when z names none either, the candidate itself is.
+    candidate, and every miss that names a parent is that step, borrowing
+    at v when R(v) < s (:func:`.reduction._borrow`).  Trying the parts from
+    z down, the first cached parent that holds the step's chips is taken:
+    R - s*e_v is then already reduced, since fewer chips off u only make
+    the burn from u easier.  Failing that, the first cached parent is, and
+    the least borrowing b from a divisor below a reduced R is reduced too:
+    if a set A could fire legally afterwards, then either b - 1_A would
+    still clear the negatives, or the vertices of A that never borrowed
+    could fire legally from R.  A step of 0, a satellite's even chip, or
+    at u leaves the key as it is, so it names no parent.  With no parent
+    cached, the one at z, the last nonzero part, is reduced from scratch
+    and stored; when z names none either, the candidate itself is.
     """
     dests, costs = coords
     cache, u = g._reduced, g._lex_indices[0]
-    first = None  # the first cached parent that borrows: (its form, vertex, step)
+    first = None  # the cached parent stepped from: (its form, vertex, step)
     scratch = None  # the parent at z, by its key, vertex and step
     for p in range(z, -1, -1):
         x = vec[p]
@@ -256,9 +243,8 @@ def _reduce_missing(g, key, target, vec, coords, z):
             if p == z:
                 scratch = parent, to, s
         elif red[to] >= s:
-            work = list(red)
-            work[to] -= s
-            return _remember(cache, key, tuple(work))
+            first = red, to, s
+            break
         elif first is None:
             first = red, to, s
     if first is None:

@@ -102,6 +102,23 @@ class TestLifetime:
         assert rank(one, Divisor(one, [40]), shortcuts=False).rank == 40
         assert len(one._scan_coords[True][1][0]) == 9
 
+    def test_a_rank_call_that_sees_the_new_model_gets_the_same_report(self):
+        """bullet_model publishes the model in one store, so a rank call made
+        the moment the model is stored finds everything its witness scan
+        reads and answers as the call that built it."""
+        inner = []
+
+        class Hooked(WeightedMultigraph):
+            def __setattr__(self, name, value):
+                super().__setattr__(name, value)
+                if name == "_model" and value is not None:
+                    inner.append(rank(self, canonical_divisor(self)))
+
+        g = Hooked(["a", "b", "c"], {"b": 1}, [("a", "b"), ("b", "c"), ("a", "c"), ("a", "a")])
+        outer = rank(g, canonical_divisor(g))
+        assert outer.witness.graph is g._model
+        assert inner == [outer]
+
     def test_equal_graphs_keep_separate_caches(self):
         g1, g2 = golden_graph(), golden_graph()
         assert g1 == g2

@@ -174,6 +174,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "genus: 6" in out
 
+    def test_a_byte_order_mark_is_read_past(self, golden_file, tmp_path, capsys):
+        marked = tmp_path / "marked.graph"
+        marked.write_bytes(b"\xef\xbb\xbf" + GOLDEN_TEXT.encode("utf-8"))
+        outputs = []
+        for path in (golden_file, str(marked)):
+            assert main(["report", path, "--divisor", "v2=3,v3=2", "--json"]) == 0
+            obj = json.loads(capsys.readouterr().out)
+            del obj["timing"], obj["inputs"]["graph_file"]
+            outputs.append(obj)
+        assert outputs[0] == outputs[1]
+
     def test_info_json(self, golden_file, capsys):
         assert main(["info", golden_file, "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)

@@ -71,6 +71,21 @@ class TestDivisorBasics:
         assert d.__add__(other) is NotImplemented
         assert d.__sub__(other) is NotImplemented
 
+    @pytest.mark.parametrize("k", [1.5, "2", None, (1, 0, 0), 2.0])
+    def test_scaling_by_a_non_integer_is_a_type_error(self, g, k):
+        d = Divisor(g, [1, 2, 3])
+        for op in (lambda: d * k, lambda: k * d, lambda: d * d):
+            with pytest.raises(TypeError):
+                op()
+        assert d.__mul__(k) is NotImplemented
+        assert d.__mul__(d) is NotImplemented
+
+    def test_scaling_by_an_integer(self, g):
+        d = Divisor(g, [1, -2, 3])
+        assert d * 3 == 3 * d == Divisor(g, [3, -6, 9])
+        assert d * True == d and False * d == Divisor.zero(g)
+        assert d * -1 == -d
+
 
 class TestTSet:
     def test_golden_singleton(self, g):

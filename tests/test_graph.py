@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 
 import pytest
@@ -274,11 +275,21 @@ class TestBulletModel:
     @given(small_graphs())
     @settings(deadline=None)
     def test_hosts_follow_the_satellite_edges(self, g):
+        """The rank scan's model coordinates take each satellite's chips off
+        its host: the one vertex in its row, by a double edge, with one
+        satellite per unit of weight and per loop at each vertex."""
         gb, _ = bullet_model(g)
         n = len(g.vertices)
-        assert len(g._hosts) == len(gb.vertices) - n
-        for t, host in enumerate(g._hosts):
-            assert gb._rows[n + t] == ((host, 2),)
+        dests = importlib.import_module("chipfire.rank")._coords(g, 1, gb)[0]
+        assert len(dests) == len(gb.vertices)
+        hosts = []
+        for pos, host in zip(gb._lex_indices, dests):
+            if pos < n:
+                assert host == pos
+            else:
+                assert gb._rows[pos] == ((host, 2),)
+                hosts.append(host)
+        assert sorted(hosts) == [i for i in range(n) for _ in range(g._weights[i] + g._loops[i])]
 
 
 class TestPairStore:

@@ -160,34 +160,42 @@ def test_step_without_a_cached_parent_reduces_it_from_scratch():
 
 @pytest.mark.parametrize("name", STEP_GRAPHS)
 def test_cold_walks_store_only_reduced_forms(name):
-    """Walks of degrees 1-3 over g's coordinates, each on an empty cache:
-    every candidate is stored, stepped from whichever parent is cached or
-    from one reduced from scratch, and every entry the walks store is the
-    reduction from scratch of its key.  That is checked as the reduced form
-    is defined, which is faster than reducing from scratch on the longest
-    ladders: the entry is reduced at u (``reference_burn``) and lies in its
-    key's class (the oracle's lattice test), and a class holds one divisor
-    reduced at u."""
+    """Walks of degrees 1-3 over g's coordinates, and on a weighted or
+    looped graph over the model's too, each on an empty cache: every
+    candidate is stored, stepped from whichever parent is cached or from
+    one reduced from scratch, and every entry the walks store is the
+    reduction from scratch of its key.  The model's coordinates include
+    satellites hosted at the base vertex u, whose steps change the walk's
+    chips at u; every key still holds 0 there.  That is checked as the
+    reduced form is defined, which is faster than reducing from scratch on
+    the longest ladders: the entry is reduced at u (``reference_burn``) and
+    lies in its key's class (the oracle's lattice test), and a class holds
+    one divisor reduced at u."""
     rng = random.Random(name)
     for j in (1, 2, 3):
         g = _rotated(STEP_GRAPHS[name], rng.randrange(STEP_GRAPHS[name]._n))
         u = g.vertex_index(g.base_vertex())
         vals = tuple(rng.randint(-1, 3) for _ in range(g._n))
-        dests, costs = rank_module._coords(g, j)
-        rest = dests[1:], costs[1:]
-        assert rank_module._walk_off_base(g, vals, j, rest, float("-inf"))[0] is None
-        for combo in reference_compositions(j, len(rest[0])):
-            target = [0 if i == u else x for i, x in enumerate(vals)]
-            for to, cost, x in zip(*rest, combo):
-                target[to] -= cost[x]
-            assert tuple(target) in g._reduced
-        lattice = rank_module._lattice_data(g)
-        for key, red in g._reduced.items():
-            assert all(x >= 0 for i, x in enumerate(red) if i != u)
-            assert all(reference_burn(g, red, [u])[0])
-            assert rank_module._class_key(lattice, red) == rank_module._class_key(lattice, key)
-            if g._n <= 10:  # from scratch where that is fast
-                assert red == scratch_reduce(g, key, u)
+        model = bullet_model(g)[0]
+        for over in (None, model) if model is not g else (None,):
+            g._reduced.clear()
+            dests, costs = rank_module._coords(g, j, over)
+            rest = dests[1:], costs[1:]
+            assert rank_module._walk_off_base(g, vals, j, rest, float("-inf"))[0] is None
+            for combo in reference_compositions(j, len(rest[0])):
+                target = list(vals)
+                for to, cost, x in zip(*rest, combo):
+                    target[to] -= cost[x]
+                target[u] = 0
+                assert tuple(target) in g._reduced
+            lattice = rank_module._lattice_data(g)
+            for key, red in g._reduced.items():
+                assert key[u] == 0
+                assert all(x >= 0 for i, x in enumerate(red) if i != u)
+                assert all(reference_burn(g, red, [u])[0])
+                assert rank_module._class_key(lattice, red) == rank_module._class_key(lattice, key)
+                if g._n <= 10:  # from scratch where that is fast
+                    assert red == scratch_reduce(g, key, u)
 
 
 def _walk_one_miss(g, vals, p, q, monkeypatch):

@@ -326,7 +326,9 @@ class TestGraphScanMatchesModelScan:
         g = WeightedMultigraph(["a", "a#w0", "a!"], {"a": 1, "a#w0": 1}, edges)
         gb, _ = bullet_model(g)
         assert gb.vertices == ("a", "a#w0", "a!", "a#w0x", "a#w0#w0")
-        assert g._hosts == (0, 1)
+        # in the model's lex order a, a!, a#w0, a#w0#w0, a#w0x: a#w0#w0 is
+        # hosted at a#w0 (index 1), a#w0x at a (index 0)
+        assert importlib.import_module("chipfire.rank")._coords(g, 1, gb)[0] == [0, 2, 1, 1, 0]
         for vals in product(range(-1, 3), repeat=3):
             d = Divisor(g, vals)
             got, want = rank(g, d, shortcuts=False), reference_model_rank(g, d, shortcuts=False)
@@ -368,8 +370,9 @@ class TestGraphScanMatchesModelScan:
         ],
     )
     def test_weight_and_loops_on_the_base_vertex(self, weights, edges):
-        # the model coordinates hosted at the base move only the offset on
-        # the reduced form's value there, never the cache key
+        # the model coordinates hosted at the base move only the walk's
+        # chips at the base, added back to the reduced form's value there,
+        # never the cache key
         rng = random.Random(repr(edges))
         verts = sorted({v for e in edges for v in e})
         for _ in range(25):

@@ -139,6 +139,21 @@ def test_the_rank_scan_starts_from_the_reduced_input(argv, expected, files, unre
     assert len(unreduced_inputs) == expected
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # the class is reduced at g's base vertex, which is effectivize's answer
+        (["effectivize", "golden", "--divisor", "v1=-2,v2=3"], 1),
+        # reduced at v3 for the echo, then at g's base vertex v1
+        (["effectivize", "golden", "--divisor", "v1=-2,v2=3", "--base", "v3"], 2),
+    ],
+)
+def test_effectivize_reuses_the_class_at_the_base_vertex(argv, expected, files, unreduced_inputs, capsys):
+    argv = [argv[0], files[argv[1]], *argv[2:], "--json"]
+    assert main(argv) in (0, 1), capsys.readouterr().err
+    assert len(unreduced_inputs) == expected
+
+
 def test_a_verified_uniform_certificate_costs_no_reduction(reductions):
     g = _loop_graph()
     _, cert = clifford_representative(g, class_of(g, canonical_divisor(g), "a"))
