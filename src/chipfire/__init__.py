@@ -21,7 +21,6 @@ from .divisors import (
 from .enumeration import DEFAULT_BUDGET
 from .errors import BudgetExceededError, DomainError, GraphError, InternalError, ParseError
 from .graph import (
-    EdgeCut,
     StabilityVerdict,
     WeightedMultigraph,
     bridges,
@@ -72,7 +71,6 @@ __all__ = [
     "Divisor",
     "DivisorClass",
     "DomainError",
-    "EdgeCut",
     "GraphError",
     "InternalError",
     "NotCovered",

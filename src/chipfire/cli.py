@@ -41,7 +41,6 @@ import json
 import re
 import sys
 import time
-from typing import NamedTuple
 
 from .divisors import (
     Divisor,
@@ -108,19 +107,10 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-class GraphDocument(NamedTuple):
-    """A parsed graph plus source locations for diagnostics."""
-
-    graph: WeightedMultigraph
-    vertex_lines: dict[str, int]
-
-
-def parse_graph(text: str) -> GraphDocument:
+def parse_graph(text: str) -> WeightedMultigraph:
     """Parse the line-oriented graph format; diagnostics carry line/column."""
-    vertices: list[str] = []
-    weights: dict[str, int] = {}
+    weights: dict[str, int] = {}  # by declared vertex, in declaration order
     edges: list[tuple[str, str, int]] = []
-    vertex_lines: dict[str, int] = {}
     seen_header = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -146,7 +136,7 @@ def parse_graph(text: str) -> GraphDocument:
                 raise ParseError(
                     f"vertex name {name!r} contains ',' or '='", line=lineno, column=tokens[1][1]
                 )
-            if name in vertex_lines:
+            if name in weights:
                 raise ParseError(
                     f"duplicate vertex declaration {name!r}", line=lineno, column=tokens[1][1]
                 )
@@ -160,9 +150,7 @@ def parse_graph(text: str) -> GraphDocument:
                 raise ParseError(
                     f"negative weight at vertex {name!r}", line=lineno, column=tokens[3][1]
                 )
-            vertices.append(name)
             weights[name] = w
-            vertex_lines[name] = lineno
         elif kind in ("edge", "loop"):
             want = 3 if kind == "edge" else 2
             if len(words) not in (want, want + 1):
@@ -173,7 +161,7 @@ def parse_graph(text: str) -> GraphDocument:
                 )
             ends = words[1:want]
             for name, (_, col) in zip(ends, tokens[1:want]):
-                if name not in vertex_lines:
+                if name not in weights:
                     raise ParseError(
                         f"unknown vertex {name!r}", line=lineno, column=col
                     )
@@ -200,13 +188,12 @@ def parse_graph(text: str) -> GraphDocument:
 
     if not seen_header:
         raise ParseError("expected 'graph' header")
-    if not vertices:
+    if not weights:
         raise ParseError("no vertices")
     try:
-        g = WeightedMultigraph(vertices, weights, edges)
+        return WeightedMultigraph(list(weights), weights, edges)
     except GraphError as exc:
         raise ParseError(str(exc)) from None
-    return GraphDocument(graph=g, vertex_lines=vertex_lines)
 
 
 def serialize_graph(g: WeightedMultigraph) -> str:
@@ -367,7 +354,7 @@ def _clifford(g: WeightedMultigraph, c: DivisorClass, rep: _Report, budget: int)
 
 
 def _cmd_info(args, g: WeightedMultigraph, rep: _Report) -> None:
-    bridge_list = bridges(g).bridges
+    bridge_list = bridges(g)
     chain = is_chain_of_2ec(g)
     semi = is_semistable(g)
     stab = is_stable(g)
@@ -602,7 +589,7 @@ def _run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        g = parse_graph(text).graph
+        g = parse_graph(text)
         if args.base is not None and args.base not in set(g.vertices):
             raise ParseError(f"unknown vertex {args.base!r} for --base")
         handler, count = _HANDLERS[args.command]

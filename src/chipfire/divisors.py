@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .enumeration import DEFAULT_BUDGET, box_vectors, check_budget, count_compositions
 from .errors import DomainError
-from .graph import WeightedMultigraph, _bfs_order
+from .graph import WeightedMultigraph, _bfs_order, _vertex_set
 
 
 def _chip_counts(xs: Iterable) -> tuple[int, ...]:
@@ -155,8 +155,8 @@ def t_set(g: WeightedMultigraph, zone: Iterable[str]) -> Divisor:
     lose one per edge out.  Loops move nothing, and the total is always 0.
     """
     member = [False] * g._n
-    for v in zone:
-        member[g.vertex_index(v)] = True
+    for i in _vertex_set(g, zone):
+        member[i] = True
     vals = [0] * g._n
     _fire(g, vals, member)
     return Divisor(g, vals)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import sys
+
 
 class GraphError(ValueError):
     """Invalid multigraph construction (bad weights, unknown endpoints, disconnected)."""
@@ -24,6 +26,15 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def _decimal(x: int) -> str:
+    """x in decimal, or its size in digits where the interpreter's int-to-str
+    digit limit forbids printing it (``.count`` and ``.budget`` stay exact)."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<more than {sys.get_int_max_str_digits()} digits>"
+
+
 class BudgetExceededError(RuntimeError):
     """An enumeration would visit more candidates than the configured budget.
 
@@ -41,7 +52,9 @@ class BudgetExceededError(RuntimeError):
         if level is not None:
             where.append(f"level {level}")
         prefix = f"{' '.join(where)}: " if where else ""
-        super().__init__(f"{prefix}enumeration of {count} candidates exceeds budget {budget}")
+        super().__init__(
+            f"{prefix}enumeration of {_decimal(count)} candidates exceeds budget {_decimal(budget)}"
+        )
 
 
 class InternalError(RuntimeError):

@@ -35,9 +35,8 @@ class WeightedMultigraph:
     of first appearance; a pair ``(v, v)`` counts loops.  An item of
     ``edges`` is ``(a, b)`` or ``(a, b, multiplicity)``.  The :attr:`edges`
     view expands each pair into one entry per parallel copy, the copies of
-    a pair next to each other at the pair's first appearance; an edge's
-    identity is its index into that view.  Instances are immutable after
-    construction.
+    a pair next to each other at the pair's first appearance.  Instances
+    are immutable after construction.
     """
 
     def __init__(
@@ -46,6 +45,8 @@ class WeightedMultigraph:
         weights: Mapping[str, int] | None = None,
         edges: Iterable[Sequence] = (),
     ):
+        if isinstance(vertices, str):
+            raise GraphError(f"vertex list {vertices!r} is a string, not a collection of names")
         verts = tuple(vertices)
         if not verts:
             raise GraphError("graph has no vertices")
@@ -182,25 +183,6 @@ class WeightedMultigraph:
         )
 
 
-class EdgeCut(NamedTuple):
-    """Classification of a graph's edge multiset into bridges and non-bridges."""
-
-    graph: WeightedMultigraph
-    bridge_indices: frozenset[int]
-
-    def is_bridge(self, edge_index: int) -> bool:
-        return edge_index in self.bridge_indices
-
-    @property
-    def bridges(self) -> tuple[tuple[str, str], ...]:
-        names = self.graph._vertices
-        return tuple(
-            (names[i], names[j])
-            for at, i, j, _ in _pair_offsets(self.graph)
-            if at in self.bridge_indices
-        )
-
-
 class StabilityVerdict(NamedTuple):
     """Boolean verdict plus an applicability diagnostic for genus < 2 inputs."""
 
@@ -228,6 +210,14 @@ def _bfs_order(g: WeightedMultigraph, sources: Sequence[int]) -> tuple[int, ...]
                 seen[w] = True
                 out.append(w)
     return tuple(out)
+
+
+def _vertex_set(g: WeightedMultigraph, zone: Iterable[str]) -> set[int]:
+    """Indices of a set of vertex names; a str is refused rather than split
+    into its characters."""
+    if isinstance(zone, str):
+        raise DomainError(f"vertex set {zone!r} is a string, not a collection of names")
+    return {g.vertex_index(v) for v in zone}
 
 
 def genus(g: WeightedMultigraph) -> int:
@@ -259,73 +249,62 @@ def is_stable(g: WeightedMultigraph) -> StabilityVerdict:
     return _stability(g, 3)
 
 
-def _pair_offsets(g: WeightedMultigraph):
-    """(index of the pair's first copy in ``g.edges``, i, j, multiplicity) per pair."""
-    at = 0
-    for i, j, m in g._pairs:
-        yield at, i, j, m
-        at += m
-
-
 def _two_edge_connected(g: WeightedMultigraph):
     """Bridges and 2-edge-connected components, by one low-link DFS over
-    vertex pairs.
+    the neighbour rows.
 
-    Returns the indices in ``g.edges`` of the bridges, each vertex's
-    component named after its lexicographically smallest member, and the
-    components at the ends of each bridge, in edge order.  Only a pair of
-    multiplicity 1 can be a bridge: a second parallel copy acts as a back
-    edge, and removing a loop never disconnects anything.  Leaving v across
-    a bridge, or leaving the root, closes v's component: v and the vertices
+    Returns the bridges as index pairs ``(i, j)`` in ``g._pairs`` order and
+    each vertex's component, named after its lexicographically smallest
+    member.  The rows leave loops out, since removing a loop never
+    disconnects anything, and hold one entry per neighbour, so the DFS
+    skips the neighbour it came from only when that pair has multiplicity
+    1: a second parallel copy acts as a back edge.  Leaving v across a
+    bridge, or leaving the root, closes v's component: v and the vertices
     found after it that no component has taken yet.
     """
     n = g._n
-    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for at, i, j, m in _pair_offsets(g):
-        if i != j:  # loops never participate
-            incident[i].append((j, at, m))
-            incident[j].append((i, at, m))
+    rows = g._rows
     disc = [-1] * n
     low = [0] * n
-    bridge_idx: set[int] = set()
+    cut: set[tuple[int, int]] = set()
     component = [""] * n
     root = 0
     disc[root] = low[root] = 0
     pending = [root]  # found, in no closed component yet, in DFS order
     time = 1
-    # vertex, entry pair, its incident pairs left, its place in pending
-    stack = [(root, -1, iter(incident[root]), 0)]
+    # vertex, the vertex it was found from, its row entries left, its place in pending
+    stack = [(root, -1, iter(rows[root]), 0)]
     while stack:
-        v, pe, rest, start = stack[-1]
-        for w, at, m in rest:
-            if at == pe and m == 1:
-                continue  # the edge we entered on; a parallel copy is a back edge
+        v, parent, rest, start = stack[-1]
+        for w, m in rest:
+            if w == parent and m == 1:
+                continue  # the edge we entered on
             if disc[w] == -1:
                 disc[w] = low[w] = time
                 time += 1
-                stack.append((w, at, iter(incident[w]), len(pending)))
+                stack.append((w, v, iter(rows[w]), len(pending)))
                 pending.append(w)
                 break
             low[v] = min(low[v], disc[w])
         else:
             stack.pop()
             if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] <= disc[u]:
+                low[parent] = min(low[parent], low[v])
+                if low[v] <= disc[parent]:
                     continue
-                bridge_idx.add(pe)
+                cut.add((min(parent, v), max(parent, v)))
             name = min(g._vertices[w] for w in pending[start:])
             for w in pending[start:]:
                 component[w] = name
             del pending[start:]
-    links = [(component[i], component[j]) for at, i, j, _ in _pair_offsets(g) if at in bridge_idx]
-    return frozenset(bridge_idx), component, links
+    return [(i, j) for i, j, _ in g._pairs if (i, j) in cut], component
 
 
-def bridges(g: WeightedMultigraph) -> EdgeCut:
-    """Exact bridge classification (see :func:`_two_edge_connected`)."""
-    return EdgeCut(graph=g, bridge_indices=_two_edge_connected(g)[0])
+def bridges(g: WeightedMultigraph) -> tuple[tuple[str, str], ...]:
+    """The bridges as ``(a, b)`` name pairs, in the order of the graph's
+    vertex pairs (see :func:`_two_edge_connected`)."""
+    names = g._vertices
+    return tuple((names[i], names[j]) for i, j in _two_edge_connected(g)[0])
 
 
 def contract_non_bridges(
@@ -337,7 +316,8 @@ def contract_non_bridges(
     their component; weights on the tree are set to 0 (nothing downstream
     reads them).
     """
-    _, component, links = _two_edge_connected(g)
+    cut, component = _two_edge_connected(g)
+    links = [(component[i], component[j]) for i, j in cut]
     tree = WeightedMultigraph(sorted(set(component)), {}, links)
     return tree, dict(zip(g._vertices, component))
 
@@ -345,8 +325,8 @@ def contract_non_bridges(
 def is_chain_of_2ec(g: WeightedMultigraph) -> bool:
     """True iff the bridge-contraction tree is a path: no 2-edge-connected
     component meets more than two bridges."""
-    links = _two_edge_connected(g)[2]
-    return max(Counter(end for link in links for end in link).values(), default=0) <= 2
+    cut, component = _two_edge_connected(g)
+    return max(Counter(component[v] for pair in cut for v in pair).values(), default=0) <= 2
 
 
 def _fresh_name(base: str, used: set[str]) -> str:
@@ -367,26 +347,22 @@ def bullet_model_size(g: WeightedMultigraph) -> tuple[int, int]:
     return g._n + satellites, g._edge_count - sum(g._loops) + 2 * satellites
 
 
-def bullet_model(
-    g: WeightedMultigraph,
-) -> tuple[WeightedMultigraph, dict[str, str]]:
+def bullet_model(g: WeightedMultigraph) -> WeightedMultigraph:
     """Loopless, weightless model with the same genus.
 
     Each unit of vertex weight becomes a subdivided loop: a fresh degree-2
     satellite joined to the vertex by two parallel edges.  Pre-existing
     loops are subdivided the same way, so the result has no loops at all.
     The model's vertices are g's, in g's order, then the satellites; a
-    satellite's row is ``((host, 2),)``.  Returns the model and the
-    (injective) embedding of original vertices.  The model is built once
-    per graph instance, published by one store, and then reused, so the
-    oracle's lattice data and key sets kept on it (``rank._lattice_data``)
-    are too.
+    satellite's row is ``((host, 2),)``.  A graph without weights or loops
+    is its own model.  The model is built once per graph instance,
+    published by one store, and then reused, so the oracle's lattice data
+    and key sets kept on it (``rank._lattice_data``) are too.
     """
-    embed = {v: v for v in g._vertices}
     if all(w == 0 for w in g._weights) and all(l == 0 for l in g._loops):
-        return g, embed
+        return g
     if g._model is not None:
-        return g._model, embed
+        return g._model
 
     used = set(g._vertices)
     verts = list(g._vertices)
@@ -398,4 +374,4 @@ def bullet_model(
             verts.append(s)
             edges.append((v, s, 2))
     g._model = WeightedMultigraph(verts, {}, edges)
-    return g._model, embed
+    return g._model

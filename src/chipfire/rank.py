@@ -387,7 +387,7 @@ def rank(
     model = g
     if not on_g:  # state the witness on the model
         check_budget(n_model, budget, "witness", k)
-        model, _ = bullet_model(g)
+        model = bullet_model(g)
         failed = _uncovered(g, vals, k, _coords(g, k, model), _Minima())
         if failed is None:
             raise InternalError(f"level {k} fails on the graph but on no model candidate")
@@ -496,7 +496,7 @@ def rank_oracle(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDG
         raise DomainError("divisor lives on a different graph")
     n_model, _ = bullet_model_size(g)
     check_budget(max(n_model, count_compositions(d.degree, n_model)), budget, "oracle", 0)
-    gb, _ = bullet_model(g)
+    gb = bullet_model(g)
     by_name = d.as_dict()  # carried onto the model, 0 at its new vertices
     base_vals = [by_name.get(v, 0) for v in gb.vertices]
     deg = sum(base_vals)

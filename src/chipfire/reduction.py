@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple
 
 from .divisors import Divisor, _fire
 from .errors import DomainError, InternalError
-from .graph import WeightedMultigraph, _bfs_order
+from .graph import WeightedMultigraph, _bfs_order, _vertex_set
 
 
 class DharResult(NamedTuple):
@@ -99,7 +99,7 @@ def _seeds(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> list[int]:
     every seeded computation deterministic; d must live on g."""
     if d.graph != g:
         raise DomainError("divisor lives on a different graph")
-    seeds = sorted({g.vertex_index(v) for v in zone}, key=g._vertices.__getitem__)
+    seeds = sorted(_vertex_set(g, zone), key=g._vertices.__getitem__)
     if not seeds:
         raise DomainError("seed set must be nonempty")
     return seeds
@@ -260,12 +260,20 @@ def reduce_to(g: WeightedMultigraph, d: Divisor, u: str) -> Divisor:
 
 
 def reduce_to_set(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> Divisor:
-    """A reduced divisor with respect to a vertex set, equivalent to d.
+    """The reduced divisor with respect to a vertex set A that d reaches by
+    firings moving A as one block.
 
-    The two-phase routine, seeded at the set in name order.  A singleton
-    set gives the canonical reduced form of :func:`reduce_to`; for larger
-    sets the output is one valid reduced form (effective off the set and
-    burning-stable), not a canonical one.
+    The two-phase routine, seeded at A in name order.  Every prefix firing
+    of phase 1 fires all of A, and every firing of phase 2 fires part of
+    the unburnt side, so none of A: each firing holds all of A or none of
+    it.  Such firings are the firings of G/A, the graph with A merged into
+    one vertex a, and the burn from A on G is the burn from a on G/A.  So
+    the output, read on G/A, is the reduced form at a of d's image, unique
+    in its class; and the firing script that reaches it is unique up to a
+    constant, which fixes the chips inside A too.  The output is thus the
+    reduced form at a lifted back to G: canonical for the class of d under
+    block firings, whatever routine computes it.  A singleton set gives
+    :func:`reduce_to`.
     """
     return Divisor(g, _reduce_off(g, d.values, _seeds(g, d, zone)))
 

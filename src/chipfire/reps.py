@@ -25,7 +25,7 @@ from .divisors import (
 )
 from .enumeration import DEFAULT_BUDGET, check_budget, count_box_vectors
 from .errors import DomainError, InternalError
-from .graph import WeightedMultigraph, is_chain_of_2ec, is_semistable
+from .graph import WeightedMultigraph, _vertex_set, is_chain_of_2ec, is_semistable
 from .reduction import is_reduced, reduce_to
 
 if TYPE_CHECKING:
@@ -86,15 +86,15 @@ def balance_bounds(
     # imported here: fractions loads decimal, which no other path needs
     from fractions import Fraction
 
-    zone = set(zone)
+    zone = _vertex_set(g, zone)
     if not zone or len(zone) >= g._n:
         raise DomainError("set must be a nonempty proper subset of the vertices")
     gen = g.genus
     if gen < 2:
         raise DomainError("balance bounds require genus >= 2")
     member = [False] * g._n
-    for v in zone:
-        member[g.vertex_index(v)] = True
+    for i in zone:
+        member[i] = True
     k_zone, cross = _zone_sums(g, canonical_divisor(g).values, member)
     center = Fraction(d_total * k_zone, 2 * gen - 2)
     half = Fraction(cross, 2)

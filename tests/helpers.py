@@ -317,7 +317,7 @@ def reference_model_rank(
             return RankReport(-1, None, METHOD_SHORTCUT)
         if deg > 2 * g.genus - 2:
             return RankReport(deg - g.genus, None, METHOD_SHORTCUT)
-    gb, _ = bullet_model(g)
+    gb = bullet_model(g)
     by_name = d.as_dict()
     base_vals = [by_name.get(v, 0) for v in gb.vertices]
     u = gb.vertex_index(gb.base_vertex())

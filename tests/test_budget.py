@@ -1,5 +1,7 @@
 """A budget error names the search stage and level that tripped it."""
 
+import sys
+
 import pytest
 
 from chipfire import (
@@ -16,6 +18,7 @@ from chipfire import (
     uniform_representative,
 )
 from chipfire.cli import main, serialize_graph
+from chipfire.enumeration import count_compositions
 from helpers import golden_graph
 
 # golden graph: 3 vertices, model of 3 + 4 satellites = 7 vertices
@@ -51,6 +54,35 @@ def test_plain_error_keeps_its_message():
     exc = BudgetExceededError(12, 10)
     assert (exc.count, exc.budget, exc.stage, exc.level) == (12, 10, None, None)
     assert str(exc) == "enumeration of 12 candidates exceeds budget 10"
+
+
+@pytest.fixture
+def digit_limit():
+    """CPython's default int-to-str digit limit, restored afterwards."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+def test_count_past_the_digit_limit_is_stated_by_its_size(digit_limit):
+    exc = BudgetExceededError(10**5000, 10)
+    assert exc.count == 10**5000
+    assert str(exc) == f"enumeration of <more than {digit_limit} digits> candidates exceeds budget 10"
+
+
+def test_oracle_budget_error_past_the_digit_limit(digit_limit):
+    """A triangle with weight 10^4 at a: the oracle's level-0 count for
+    2 * 10^4 chips has more digits than CPython prints by default."""
+    g = WeightedMultigraph(["a", "b", "c"], {"a": 10**4}, [("a", "b"), ("b", "c"), ("c", "a")])
+    with pytest.raises(BudgetExceededError) as excinfo:
+        rank_oracle(g, Divisor(g, {"a": 2 * 10**4}))
+    exc = excinfo.value
+    assert exc.count == count_compositions(2 * 10**4, 3 + 10**4)
+    assert str(exc) == (
+        f"oracle level 0: enumeration of <more than {digit_limit} digits> candidates"
+        f" exceeds budget {exc.budget}"
+    )
 
 
 def test_box_error_on_a_million_wide_box_comes_at_once(tmp_path, capsys):

@@ -32,11 +32,11 @@ rank_module = importlib.import_module("chipfire.rank")
 class TestLifetime:
     def test_model_built_once_per_graph(self):
         g = golden_graph()
-        assert bullet_model(g)[0] is bullet_model(g)[0]
+        assert bullet_model(g) is bullet_model(g)
 
     def test_weightless_loopless_graph_is_its_own_model(self):
         g = WeightedMultigraph(["a", "b"], {}, [("a", "b")])
-        assert bullet_model(g)[0] is g
+        assert bullet_model(g) is g
         assert g._model is None
 
     def test_second_rank_call_reuses_the_warm_cache(self):
@@ -51,9 +51,9 @@ class TestLifetime:
     def test_rank_on_a_weighted_graph_reduces_on_the_graph(self):
         g = golden_graph()
         report = rank(g, canonical_divisor(g))
-        assert report.witness.graph is bullet_model(g)[0]
+        assert report.witness.graph is bullet_model(g)
         assert len(g._reduced) > 0
-        assert len(bullet_model(g)[0]._reduced) == 0
+        assert len(bullet_model(g)._reduced) == 0
 
     def test_reductions_outside_the_scan_store_nothing(self):
         g = golden_graph()
@@ -127,16 +127,16 @@ class TestLifetime:
         assert len(g2._reduced) == 0
         rank(g2, canonical_divisor(g2))
         assert g1._reduced is not g2._reduced
-        assert bullet_model(g1)[0] is not bullet_model(g2)[0]
-        assert bullet_model(g1)[0]._reduced is not bullet_model(g2)[0]._reduced
+        assert bullet_model(g1) is not bullet_model(g2)
+        assert bullet_model(g1)._reduced is not bullet_model(g2)._reduced
 
     def test_oracle_cache_is_per_instance_and_apart_from_rank(self):
         g1, g2 = golden_graph(), golden_graph()
         rank_oracle(g1, canonical_divisor(g1))
-        model = bullet_model(g1)[0]
+        model = bullet_model(g1)
         assert set(model._oracle) == {"lattice", "keys"}
         assert len(model._reduced) == 0
-        assert bullet_model(g2)[0]._oracle == {}
+        assert bullet_model(g2)._oracle == {}
 
 
 def _watch_sizes(monkeypatch):

@@ -37,20 +37,18 @@ def golden_file(tmp_path):
 
 class TestParseGraph:
     def test_golden_document(self):
-        doc = parse_graph(GOLDEN_TEXT)
-        g = doc.graph
+        g = parse_graph(GOLDEN_TEXT)
         assert g.vertices == ("v1", "v2", "v3")
         assert len(g.edges) == 4
         assert g.weights == {"v1": 0, "v2": 3, "v3": 1}
-        assert doc.vertex_lines["v2"] == 4
 
     def test_duplicate_edge_lines_accumulate(self):
         text = "graph\nvertex a weight 0\nvertex b weight 0\nedge a b\nedge a b\n"
-        assert len(parse_graph(text).graph.edges) == 2
+        assert len(parse_graph(text).edges) == 2
 
     def test_loops_parse(self):
         text = "graph\nvertex a weight 0\nloop a x2\n"
-        g = parse_graph(text).graph
+        g = parse_graph(text)
         assert g.edges == (("a", "a"), ("a", "a"))
 
     def test_missing_header(self):
@@ -98,7 +96,7 @@ class TestParseGraph:
 
     def test_signed_integer_tokens_parse(self):
         text = "graph\nvertex a weight +1\nvertex b weight 2\nedge a b x+2\n"
-        g = parse_graph(text).graph
+        g = parse_graph(text)
         assert (g.weights, len(g.edges)) == ({"a": 1, "b": 2}, 2)
 
     @pytest.mark.parametrize("name", ["a,b", "c=d"])
@@ -115,12 +113,12 @@ class TestParseGraph:
 
     def test_round_trip(self):
         g = golden_graph()
-        assert parse_graph(serialize_graph(g)).graph == g
+        assert parse_graph(serialize_graph(g)) == g
 
     def test_round_trip_with_loops(self):
         text = "graph\nvertex b weight 2\nvertex a weight 0\nedge b a x2\nloop b\n"
-        g = parse_graph(text).graph
-        assert parse_graph(serialize_graph(g)).graph == g
+        g = parse_graph(text)
+        assert parse_graph(serialize_graph(g)) == g
 
 
 class TestParseDivisor:

@@ -47,8 +47,9 @@ def test_two_edge_connected_structure_matches_networkx(seed):
         g = random_multigraph(rng)
         cut, components = networkx_view(g)
 
-        assert {frozenset(e) for e in bridges(g).bridges} == cut
-        assert len(bridges(g).bridges) == len(cut)
+        assert {frozenset(e) for e in bridges(g)} == cut
+        assert len(bridges(g)) == len(cut)
+        assert bridges(g) == tuple(e for e in dict.fromkeys(g.edges) if frozenset(e) in cut)
 
         tree, vertex_map = contract_non_bridges(g)
         blocks = {}

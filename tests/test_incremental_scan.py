@@ -176,7 +176,7 @@ def test_cold_walks_store_only_reduced_forms(name):
         g = _rotated(STEP_GRAPHS[name], rng.randrange(STEP_GRAPHS[name]._n))
         u = g.vertex_index(g.base_vertex())
         vals = tuple(rng.randint(-1, 3) for _ in range(g._n))
-        model = bullet_model(g)[0]
+        model = bullet_model(g)
         for over in (None, model) if model is not g else (None,):
             g._reduced.clear()
             dests, costs = rank_module._coords(g, j, over)
@@ -294,7 +294,7 @@ def test_witness_walk_steps_from_cached_parents(monkeypatch, moved):
         monkeypatch.setattr(module, "_reduce_off", lambda *a: calls.append(1) or reduce_off(*a))
     got = rank(g, d, shortcuts=False)
     assert (got.rank, got.witness.values) == (want.rank, want.witness.values)
-    assert got.witness.graph is bullet_model(g)[0]
+    assert got.witness.graph is bullet_model(g)
     assert len(calls) == 1
 
 
@@ -458,7 +458,7 @@ def test_scan_and_its_minima_match_the_scratch_scan(case, on_model):
     spec, vals, _, _, limit = case
     g, scratch = WeightedMultigraph(*spec), WeightedMultigraph(*spec)
     u = g.vertex_index(g.base_vertex())
-    coords = rank_module._coords(g, 4, bullet_model(g)[0] if on_model else None)
+    coords = rank_module._coords(g, 4, bullet_model(g) if on_model else None)
     dests, costs = coords
     with pytest.MonkeyPatch.context() as mp:
         if limit is not None:

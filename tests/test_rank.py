@@ -313,7 +313,7 @@ class TestGraphScanMatchesModelScan:
         g, d, shortcuts = case
         got = _outcome(lambda: rank(g, d, shortcuts=shortcuts, budget=budget))
         want = _outcome(lambda: reference_model_rank(g, d, shortcuts=shortcuts, budget=budget))
-        n_model = bullet_model(g)[0]._n
+        n_model = bullet_model(g)._n
         if want[0] == -1 and want[2] == METHOD_DEFINITION and n_model > budget:
             # the scan failed at level 0; the model is too large to build
             assert got == ("budget", n_model, budget)
@@ -324,7 +324,7 @@ class TestGraphScanMatchesModelScan:
         # a triangle: moving two chips between vertices changes the class
         edges = [("a", "a#w0"), ("a#w0", "a!"), ("a!", "a")]
         g = WeightedMultigraph(["a", "a#w0", "a!"], {"a": 1, "a#w0": 1}, edges)
-        gb, _ = bullet_model(g)
+        gb = bullet_model(g)
         assert gb.vertices == ("a", "a#w0", "a!", "a#w0x", "a#w0#w0")
         # in the model's lex order a, a!, a#w0, a#w0#w0, a#w0x: a#w0#w0 is
         # hosted at a#w0 (index 1), a#w0x at a (index 0)
@@ -344,7 +344,7 @@ class TestGraphScanMatchesModelScan:
         # failure, and with none later the target was already covered at
         # level k - 1.
         g = WeightedMultigraph(["a", "b"], {"a": 1, "b": 1}, [("a", "b"), ("a", "b")])
-        model = bullet_model(g)[0]
+        model = bullet_model(g)
         satellites = {i for i, pos in enumerate(model._lex_indices) if pos >= g._n}
         d = Divisor(g, [4, 3])
         got = rank(g, d, shortcuts=False)

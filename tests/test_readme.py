@@ -4,6 +4,7 @@ import ast
 import re
 from pathlib import Path
 
+import chipfire
 from chipfire import NotCovered
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -46,3 +47,21 @@ def test_quickstart_values():
     value, note = shown["clifford_representative(g, c)"]
     expected = NotCovered(special=True, chain_of_2ec=True, loop_hypothesis=False)
     assert value == expected and note == repr(expected)
+
+
+def test_records_sentence_names_every_record():
+    """The records sentence names exactly the named tuples that the package
+    exports, so a deleted record cannot stay in the docs."""
+    import chipfire
+
+    text = README.read_text(encoding="utf-8")
+    sentence = re.search(r"The result records \((.*?)\) are named\s+tuples", text, re.S).group(1)
+    named = set(re.findall(r"`(\w+)`", sentence))
+    records = {
+        name
+        for name in chipfire.__all__
+        if isinstance(getattr(chipfire, name), type)
+        and issubclass(getattr(chipfire, name), tuple)
+        and hasattr(getattr(chipfire, name), "_fields")
+    }
+    assert named == records

@@ -12,12 +12,10 @@ from chipfire import (
     DharResult,
     Divisor,
     DivisorClass,
-    EdgeCut,
     NotCovered,
     RankReport,
     StabilityVerdict,
 )
-from chipfire.cli import GraphDocument
 from helpers import golden_graph
 
 G = golden_graph()
@@ -25,7 +23,6 @@ D = Divisor(G, [3, 2, 0])
 
 # (record type, field values, one field with another value)
 CASES = [
-    (EdgeCut, {"graph": G, "bridge_indices": frozenset({3})}, ("bridge_indices", frozenset())),
     (StabilityVerdict, {"value": True, "applicable": True}, ("value", False)),
     (DivisorClass, {"graph": G, "base_vertex": "v1", "canonical": D}, ("base_vertex", "v2")),
     (
@@ -44,10 +41,9 @@ CASES = [
         ("evidence", {"vertex": "v2"}),
     ),
     (NotCovered, {"special": True, "chain_of_2ec": True, "loop_hypothesis": False}, ("special", False)),
-    (GraphDocument, {"graph": G, "vertex_lines": {"v1": 3}}, ("vertex_lines", {})),
 ]
 IDS = [case[0].__name__ for case in CASES]
-HOLDS_A_DICT = {CliffordCertificate, GraphDocument}
+HOLDS_A_DICT = {CliffordCertificate}
 
 
 @pytest.mark.parametrize("cls, fields, other", CASES, ids=IDS)

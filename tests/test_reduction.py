@@ -5,8 +5,10 @@ import pytest
 from chipfire import (
     Divisor,
     DomainError,
+    GraphError,
     InternalError,
     WeightedMultigraph,
+    balance_bounds,
     dhar,
     effectivize,
     equivalent,
@@ -24,6 +26,7 @@ from helpers import (
     random_connected_graph,
     random_divisor,
     random_principal_shift,
+    rational_firing,
     reference_superstabilize,
 )
 from test_sparse_reduction import GRAPHS
@@ -189,6 +192,95 @@ class TestReduceToSet:
             out = reduce_to_set(graph, d, zone)
             assert is_reduced(graph, out, zone)
             assert equivalent(graph, out, d)
+
+
+def contract(graph: WeightedMultigraph, zone: set[str]) -> WeightedMultigraph:
+    """graph / zone: the zone merged into one vertex, named "*", declared
+    first; edges inside the zone are dropped, since loops move no chips."""
+    merged = {v: "*" if v in zone else v for v in graph.vertices}
+    rest = [v for v in graph.vertices if v not in zone]
+    edges = [(merged[a], merged[b]) for a, b in graph.edges if merged[a] != merged[b]]
+    return WeightedMultigraph(["*", *rest], {}, edges)
+
+
+def block_firing(rng: random.Random, graph: WeightedMultigraph, zone: set[str]) -> Divisor:
+    """A random sum of firings of sets that hold all of the zone or none of it."""
+    out = Divisor.zero(graph)
+    rest = [v for v in graph.vertices if v not in zone]
+    for _ in range(rng.randint(1, 4)):
+        part = rng.sample(rest, rng.randint(0, len(rest) - 1))
+        fired = [*zone, *part] if rng.random() < 0.5 else part or rest[:1]
+        out = out + rng.choice([1, 2, -1]) * t_set(graph, fired)
+    return out
+
+
+class TestReduceToSetIsCanonical:
+    """Every firing of the reduction holds all of the set or none of it, so
+    the output is the reduced form at the merged vertex of graph / set,
+    lifted back along the same firing script."""
+
+    @staticmethod
+    def draw(rng):
+        graph = random_connected_graph(rng, max_vertices=7, max_extra_edges=5)
+        while len(graph.vertices) < 3:
+            graph = random_connected_graph(rng, max_vertices=7, max_extra_edges=5)
+        zone = set(rng.sample(graph.vertices, rng.randint(2, len(graph.vertices) - 1)))
+        return graph, zone, random_divisor(rng, graph)
+
+    def test_matches_reduce_to_on_the_contraction(self):
+        rng = random.Random(2406)
+        for _ in range(400):
+            graph, zone, d = self.draw(rng)
+            small = contract(graph, zone)
+            by_name = d.as_dict()
+            vals = [sum(by_name[v] for v in zone)] + [by_name[v] for v in small.vertices[1:]]
+            reduced = reduce_to(small, Divisor(small, vals), "*")
+            script = rational_firing(small, [x - y for x, y in zip(vals, reduced.values)])
+            assert all(x.denominator == 1 for x in script)
+            at = {v: int(script[small.vertex_index("*" if v in zone else v)]) for v in graph.vertices}
+            lifted = dict(by_name)
+            for a, b in graph.edges:
+                lifted[a] -= at[a] - at[b]
+                lifted[b] -= at[b] - at[a]
+            assert reduce_to_set(graph, d, sorted(zone)).as_dict() == lifted
+
+    def test_block_firings_do_not_move_it(self):
+        rng = random.Random(3987)
+        for _ in range(300):
+            graph, zone, d = self.draw(rng)
+            moved = d + block_firing(rng, graph, zone)
+            assert reduce_to_set(graph, moved, zone) == reduce_to_set(graph, d, zone)
+
+
+class TestVertexSetIsNotAString:
+    """A str names one vertex, and here its characters name vertices too:
+    each call refuses it rather than split it."""
+
+    G = WeightedMultigraph(["a", "b", "ab"], {}, [("a", "b", 2), ("b", "ab"), ("ab", "a")])
+    D = Divisor(G, [1, 1, 0])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, d, zone: reduce_to_set(g, d, zone),
+            lambda g, d, zone: t_set(g, zone),
+            lambda g, d, zone: dhar(g, d, zone),
+            lambda g, d, zone: is_reduced(g, d, zone),
+            lambda g, d, zone: balance_bounds(g, d.degree, zone),
+        ],
+        ids=["reduce_to_set", "t_set", "dhar", "is_reduced", "balance_bounds"],
+    )
+    def test_refused(self, call):
+        with pytest.raises(DomainError, match="'ab' is a string"):
+            call(self.G, self.D, "ab")
+        call(self.G, self.D, ["ab"])
+
+    def test_reduce_to_set_of_the_one_vertex(self):
+        assert reduce_to_set(self.G, self.D, ["ab"]).values == (0, 0, 2)
+
+    def test_constructor_refuses_a_string_of_names(self):
+        with pytest.raises(GraphError, match="'ab' is a string"):
+            WeightedMultigraph("ab", {}, [("a", "b")])
 
 
 class TestSuperstabilize:
