@@ -16,9 +16,9 @@ from math import gcd
 from operator import index
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .enumeration import DEFAULT_BUDGET, box_vectors, check_budget, count_compositions
+from .enumeration import DEFAULT_BUDGET, box_vectors, check_budget, count_box_vectors
 from .errors import DomainError
-from .graph import WeightedMultigraph, _bfs_order, _vertex_set
+from .graph import WeightedMultigraph, _bfs_order, _same_graph, _vertex_set
 
 
 def _chip_counts(xs: Iterable) -> tuple[int, ...]:
@@ -85,20 +85,16 @@ class Divisor:
         """Values listed in canonical vertex order; the package-wide lex key."""
         return tuple(self._values[i] for i in self.graph._lex_indices)
 
-    def _check_same_graph(self, other: "Divisor") -> None:
-        if self.graph != other.graph:
-            raise DomainError("divisors live on different graphs")
-
     def __add__(self, other: "Divisor") -> "Divisor":
         if not isinstance(other, Divisor):
             return NotImplemented
-        self._check_same_graph(other)
+        _same_graph(self.graph, other)
         return Divisor(self.graph, [a + b for a, b in zip(self._values, other._values)])
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         if not isinstance(other, Divisor):
             return NotImplemented
-        self._check_same_graph(other)
+        _same_graph(self.graph, other)
         return Divisor(self.graph, [a - b for a, b in zip(self._values, other._values)])
 
     def __neg__(self) -> "Divisor":
@@ -181,16 +177,14 @@ def _fire(g: WeightedMultigraph, vals: list[int], member: list[bool], k: int = 1
 def intersection(g: WeightedMultigraph, d1: Divisor, d2: Divisor) -> int:
     """Bilinear pairing: distinct vertices pair to their edge count, and
     v.v = -(non-loop valence of v)."""
-    if d1.graph != g or d2.graph != g:
-        raise DomainError("divisors live on different graphs")
+    _same_graph(g, d1, d2)
     a, b = d1._values, d2._values
     return -sum(m * (a[i] - a[j]) * (b[i] - b[j]) for i, j, m in g._pairs)
 
 
 def residual(g: WeightedMultigraph, d: Divisor) -> Divisor:
     """Canonical divisor minus d; applying it twice gives back d."""
-    if d.graph != g:
-        raise DomainError("divisor lives on a different graph")
+    _same_graph(g, d)
     return canonical_divisor(g) - d
 
 
@@ -205,8 +199,7 @@ def equivalent(g: WeightedMultigraph, d1: Divisor, d2: Divisor) -> bool:
     each firing count for exact divisibility.  Nothing is reduced, so the
     cost is polynomial in the graph and the bit size of the chips.
     """
-    if d1.graph != g or d2.graph != g:
-        raise DomainError("divisors live on different graphs")
+    _same_graph(g, d1, d2)
     if d1.degree != d2.degree:
         return False
     return _principal(g, [a - b for a, b in zip(d1._values, d2._values)])
@@ -233,7 +226,13 @@ def _principal(g: WeightedMultigraph, z) -> bool:
     the current Schur complement, which the determinant of the eliminated
     block makes integral (Cramer's rule): its bit size stays polynomial.
     The Schur complements of a positive definite matrix are positive
-    definite, so no pivot is ever zero.  Back-substitution from u's side
+    definite, so no pivot is ever zero.  Nor does any stored entry become
+    zero: eliminating p from row r adds -bk * prow[w] with bk < 0, and off
+    the diagonal prow[w] < 0 and row[w] <= 0, so fill-in only adds negative
+    mass there (each Schur complement is again an M-matrix), while the
+    diagonal entry is a positive multiple of a positive definite Schur
+    complement's diagonal.  A zero entry would do no harm anyway: it
+    eliminates as a no-op.  Back-substitution from u's side
     then finds each firing count from integral later ones: it is integral
     iff the pivot divides what is left of its right-hand side exactly, and
     the first remainder answers False.
@@ -260,11 +259,7 @@ def _principal(g: WeightedMultigraph, z) -> bool:
                 for w in row:
                     row[w] *= ak
             for w, e in prow.items():
-                y = row.get(w, 0) - bk * e
-                if y:
-                    row[w] = y
-                else:
-                    del row[w]
+                row[w] = row.get(w, 0) - bk * e
             t = rhs[r] * ak - bk * c
             k = gcd(t, *row.values())
             if k > 1:
@@ -297,23 +292,26 @@ def _placed(lex, combo, n) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def _members(g: WeightedMultigraph, c: DivisorClass, lows, highs):
-    """Yield, in lex order, the vectors of the class in the box [lows,
-    highs], both listed in canonical vertex order.
+def _members(g: WeightedMultigraph, c: DivisorClass, lows, highs, budget: int, stage: str):
+    """The vectors of the class in the box [lows, highs], both listed in
+    canonical vertex order, as an iterator in lex order.
 
-    The box is walked at the class degree (:func:`.enumeration.box_vectors`).
-    v lies in the class iff v - c.canonical is principal, which
-    :func:`_principal` decides by one exact solve per vector: the unique
-    rational firing vector with the base vertex unfired must be integral.
-    The reduced Laplacian is positive definite, so its elimination meets no
-    zero pivot, and back-substitution checks each division for exactness.
+    The box is walked at the class degree (:func:`.enumeration.box_vectors`);
+    its count there is checked against the budget, under ``stage``, when
+    this is called, before any vector is walked.  v lies in the class iff
+    v - c.canonical is principal, which :func:`_principal` decides by one
+    exact solve per vector: the unique rational firing vector with the base
+    vertex unfired must be integral.  The reduced Laplacian is positive
+    definite, so its elimination meets no zero pivot, and back-substitution
+    checks each division for exactness.
     """
+    check_budget(count_box_vectors(lows, highs, c.degree), budget, stage)
     lex, n = g._lex_indices, g._n
     target = c.canonical.values
-    for combo in box_vectors(lows, highs, c.degree):
-        vals = _placed(lex, combo, n)
-        if _principal(g, [a - b for a, b in zip(vals, target)]):
-            yield Divisor(g, vals)
+    box = (_placed(lex, combo, n) for combo in box_vectors(lows, highs, c.degree))
+    return (
+        Divisor(g, vals) for vals in box if _principal(g, [a - b for a, b in zip(vals, target)])
+    )
 
 
 def effective_representatives(
@@ -329,13 +327,12 @@ def effective_representatives(
     (reporting the candidate count) when the composition count is out of
     budget.
     """
-    if c.graph != g:
-        raise DomainError("class lives on a different graph")
+    _same_graph(g, c)
     deg = c.degree
     if deg < 0:
         return []
-    check_budget(count_compositions(deg, g._n), budget, "effective_representatives")
-    return list(_members(g, c, [0] * g._n, [deg] * g._n))
+    n = g._n
+    return list(_members(g, c, [0] * n, [deg] * n, budget, "effective_representatives"))
 
 
 def e_deg(g: WeightedMultigraph, e: Divisor) -> Divisor:
@@ -344,8 +341,7 @@ def e_deg(g: WeightedMultigraph, e: Divisor) -> Divisor:
     Each value e(v) grows by min(e(v), weight(v) + loops(v)); on a
     weightless, loopless graph the divisor is returned unchanged.
     """
-    if e.graph != g:
-        raise DomainError("divisor lives on a different graph")
+    _same_graph(g, e)
     if not e.is_effective:
         raise DomainError("divisor must be effective")
     vals = [

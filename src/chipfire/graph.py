@@ -220,6 +220,14 @@ def _vertex_set(g: WeightedMultigraph, zone: Iterable[str]) -> set[int]:
     return {g.vertex_index(v) for v in zone}
 
 
+def _same_graph(g: WeightedMultigraph, *items) -> None:
+    """Refuse a divisor or class whose graph is not g, by value, with a
+    DomainError naming its kind; the one check of its sort in the package."""
+    for x in items:
+        if x.graph != g:
+            raise DomainError(f"{type(x).__name__} lives on a different graph")
+
+
 def genus(g: WeightedMultigraph) -> int:
     """First Betti number plus total vertex weight of a connected graph."""
     return g.genus

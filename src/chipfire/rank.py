@@ -47,7 +47,7 @@ from typing import NamedTuple
 from .divisors import Divisor, _placed, residual
 from .enumeration import DEFAULT_BUDGET, box_vectors, check_budget, count_compositions
 from .errors import DomainError, InternalError
-from .graph import WeightedMultigraph, bullet_model, bullet_model_size
+from .graph import WeightedMultigraph, _same_graph, bullet_model, bullet_model_size
 from .reduction import _borrow, _reduce_off
 
 METHOD_DEFINITION = "definition"
@@ -361,8 +361,7 @@ def rank(
     k with N the model's vertex count, as the scan on the model would;
     N itself is checked against it before the model is built.
     """
-    if d.graph != g:
-        raise DomainError("divisor lives on a different graph")
+    _same_graph(g, d)
     deg = d.degree
     gen = g.genus
     if shortcuts:
@@ -492,8 +491,7 @@ def rank_oracle(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDG
     count, or level 0's key count if larger, is checked against the budget
     before the model is built.
     """
-    if d.graph != g:
-        raise DomainError("divisor lives on a different graph")
+    _same_graph(g, d)
     n_model, _ = bullet_model_size(g)
     check_budget(max(n_model, count_compositions(d.degree, n_model)), budget, "oracle", 0)
     gb = bullet_model(g)
@@ -545,8 +543,7 @@ def rank_lower_bound_edeg(
     down, in the cache, so unless the cache is emptied meanwhile only the
     zero divisor is reduced from scratch.
     """
-    if d.graph != g:
-        raise DomainError("divisor lives on a different graph")
+    _same_graph(g, d)
     if s < 0:
         raise DomainError("s must be nonnegative")
     check_budget(count_compositions(s, g._n), budget, "rank_lower_bound_edeg", s)

@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple
 
 from .divisors import Divisor, _fire
 from .errors import DomainError, InternalError
-from .graph import WeightedMultigraph, _bfs_order, _vertex_set
+from .graph import WeightedMultigraph, _bfs_order, _same_graph, _vertex_set
 
 
 class DharResult(NamedTuple):
@@ -97,8 +97,7 @@ def _burn(g: WeightedMultigraph, vals, seed: Iterable[int]):
 def _seeds(g: WeightedMultigraph, d: Divisor, zone: Iterable[str]) -> list[int]:
     """Indices of the distinct seed vertices in name order, which keeps
     every seeded computation deterministic; d must live on g."""
-    if d.graph != g:
-        raise DomainError("divisor lives on a different graph")
+    _same_graph(g, d)
     seeds = sorted(_vertex_set(g, zone), key=g._vertices.__getitem__)
     if not seeds:
         raise DomainError("seed set must be nonempty")
@@ -287,8 +286,7 @@ def effectivize(g: WeightedMultigraph, d: Divisor) -> Divisor | None:
     without losing chips at the base), so the form is the answer when it
     is effective and shows the class has none when it is not.
     """
-    if d.graph != g:
-        raise DomainError("divisor lives on a different graph")
+    _same_graph(g, d)
     if d.is_effective:
         return d
     reduced = reduce_to(g, d, g.base_vertex())

@@ -23,9 +23,9 @@ from .divisors import (
     canonical_divisor,
     residual,
 )
-from .enumeration import DEFAULT_BUDGET, check_budget, count_box_vectors
+from .enumeration import DEFAULT_BUDGET
 from .errors import DomainError, InternalError
-from .graph import WeightedMultigraph, _vertex_set, is_chain_of_2ec, is_semistable
+from .graph import WeightedMultigraph, _same_graph, _vertex_set, is_chain_of_2ec, is_semistable
 from .reduction import is_reduced, reduce_to
 
 if TYPE_CHECKING:
@@ -169,8 +169,7 @@ def _balanced(g: WeightedMultigraph, k_values, vals) -> bool:
 def is_semibalanced(g: WeightedMultigraph, d: Divisor) -> bool:
     """Whether d lies in the balance window of every proper vertex subset,
     decided in integer arithmetic by one maximum flow (see _balanced)."""
-    if d.graph != g:
-        raise DomainError("divisor lives on a different graph")
+    _same_graph(g, d)
     _require_semistable(g)
     return _balanced(g, canonical_divisor(g).values, d.values)
 
@@ -187,8 +186,7 @@ def semibalanced_representative(
     member; the budget counts the box, and each member is checked by
     one maximum flow.
     """
-    if c.graph != g:
-        raise DomainError("class lives on a different graph")
+    _same_graph(g, c)
     _require_semistable(g)
     deg = c.degree
     top = 2 * g.genus - 2
@@ -198,8 +196,7 @@ def semibalanced_representative(
         _window(top, deg, k_values[v], g._loopless_degree[v])
         for v in g._lex_indices
     ))
-    check_budget(count_box_vectors(lows, highs, deg), budget, "box")
-    for cand in _members(g, c, lows, highs):
+    for cand in _members(g, c, lows, highs, budget, "box"):
         if _balanced(g, k_values, cand.values):
             return cand
     raise InternalError("semistable graphs always admit a semibalanced representative")
@@ -208,16 +205,14 @@ def semibalanced_representative(
 def is_uniform(g: WeightedMultigraph, d: Divisor) -> bool:
     """True iff both d and its residual are effective, i.e. every value sits
     in [0, canonical value]."""
-    if d.graph != g:
-        raise DomainError("divisor lives on a different graph")
+    _same_graph(g, d)
     return all(0 <= x <= k for x, k in zip(d.values, canonical_divisor(g).values))
 
 
 def is_special_class(g: WeightedMultigraph, c: DivisorClass) -> bool:
     """True iff both the class and its residual class contain an effective
     divisor (decided by reduced-form effectivity)."""
-    if c.graph != g:
-        raise DomainError("class lives on a different graph")
+    _same_graph(g, c)
     if not c.canonical.is_effective:
         return False
     res = reduce_to(g, residual(g, c.canonical), c.base_vertex)
@@ -234,13 +229,11 @@ def uniform_representative(
     negative.  A hit is guaranteed when the class is special and every
     weight-0 vertex carries a loop.
     """
-    if c.graph != g:
-        raise DomainError("class lives on a different graph")
+    _same_graph(g, c)
     k_values = canonical_divisor(g).values
     highs = [k_values[i] for i in g._lex_indices]
     lows = [0] * g._n
-    check_budget(count_box_vectors(lows, highs, c.degree), budget, "box")
-    return next(_members(g, c, lows, highs), None)
+    return next(_members(g, c, lows, highs, budget, "box"), None)
 
 
 def _loop_hypothesis(g: WeightedMultigraph) -> bool:
@@ -266,8 +259,7 @@ def clifford_representative(
     Returns ``(representative, certificate)`` or a :class:`NotCovered`
     carrying both hypothesis evaluations.
     """
-    if c.graph != g:
-        raise DomainError("class lives on a different graph")
+    _same_graph(g, c)
     deg = c.degree
     top = 2 * g.genus - 2
     if deg < 0:

@@ -376,6 +376,30 @@ class TestCommands:
     def test_zero_budget_is_accepted(self, golden_file):
         assert build_parser().parse_args(["rank", golden_file, "--budget", "0"]).budget == 0
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("graph\nvertex a weight\n", "expected 'vertex NAME weight K' (line 2, column 1)"),
+            ("graph\nvertex a weight 0\nedge a\n", "expected 'edge A B [xK]' (line 3, column 1)"),
+            ("graph\nvertex a weight 0\nloop a a x2\n", "expected 'loop V [xK]' (line 3, column 1)"),
+            (
+                "graph\nvertex a weight 0\nvertex b weight 0\nedge a b 3\n",
+                "expected multiplicity 'xK', got '3' (line 4, column 10)",
+            ),
+            ("graph\nvertex a weight 0\n  node b\n", "unknown directive 'node' (line 3, column 3)"),
+            ("# no header\n\n   # only comments and blank lines\n", "expected 'graph' header"),
+        ],
+    )
+    def test_a_malformed_graph_line_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.graph"
+        path.write_text(text, encoding="utf-8")
+        assert main(["info", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_an_empty_divisor_entry_exits_2(self, golden_file, capsys):
+        assert main(["rank", golden_file, "--divisor", "v1=1,,v2=2"]) == 2
+        assert capsys.readouterr() == ("", "error: empty divisor entry (column 6)\n")
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["info", "/nonexistent/path.graph"]) == 2
 

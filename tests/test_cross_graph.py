@@ -5,10 +5,14 @@ The other graph has the golden graph's vertex names, so a lookup by name
 would succeed and only the graph check can raise.
 """
 
+import inspect
+
 import pytest
 
+import chipfire
 from chipfire import (
     Divisor,
+    DivisorClass,
     DomainError,
     WeightedMultigraph,
     class_of,
@@ -69,3 +73,14 @@ def test_a_divisor_or_class_from_another_graph_is_refused(name):
     c = class_of(other, d, "v1")
     with pytest.raises(DomainError, match="different graph"):
         CALLS[name](golden_graph(), d, c)
+
+
+def test_every_public_function_taking_a_divisor_or_class_is_called():
+    kinds = ("Divisor", "DivisorClass", Divisor, DivisorClass)
+    taking = {
+        name
+        for name in chipfire.__all__
+        if inspect.isfunction(fn := getattr(chipfire, name))
+        and any(p.annotation in kinds for p in inspect.signature(fn).parameters.values())
+    }
+    assert taking == set(CALLS)

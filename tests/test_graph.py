@@ -69,6 +69,14 @@ class TestConstruction:
         with pytest.raises(GraphError):
             WeightedMultigraph(["a"], {}, [("a", "b")])
 
+    def test_rejects_a_weight_at_an_unknown_vertex(self):
+        with pytest.raises(GraphError, match=r"^weight given for unknown vertex 'b'$"):
+            WeightedMultigraph(["a"], {"b": 1}, [])
+
+    def test_rejects_an_unknown_first_endpoint(self):
+        with pytest.raises(GraphError, match=r"^edge endpoint 'b' is not a declared vertex$"):
+            WeightedMultigraph(["a"], {}, [("b", "a")])
+
     def test_rejects_disconnected(self):
         with pytest.raises(GraphError):
             WeightedMultigraph(["a", "b"], {}, [])

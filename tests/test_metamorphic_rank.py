@@ -12,6 +12,11 @@ checked against ``rank_oracle`` vouch for long, sparse ones.
 
 Each pair compares the rank and the method of ``rank(..., shortcuts=False)``;
 the witness lives on another graph.
+
+Above 2g - 2 Riemann-Roch gives the rank without a scan: the residual has
+negative degree, so rank = deg - g.  Chains of cycles, theta graphs and
+K5 subdivided once are checked against it there, with the scan still
+deciding by the definition, where the oracle cannot reach.
 """
 
 import random
@@ -19,6 +24,7 @@ import random
 import pytest
 
 from chipfire import Divisor, WeightedMultigraph, rank, rank_oracle
+from chipfire.rank import METHOD_DEFINITION
 from helpers import random_connected_graph
 
 
@@ -115,4 +121,69 @@ def test_subdivided_k4_keeps_the_rank(k):
     for d in k4_divisors():
         expected = report(K4, d)
         assert expected[0] == rank_oracle(K4, d)
+        assert report(h, carried(d, h)) == expected
+
+
+def cycle_chain(k: int, n: int) -> WeightedMultigraph:
+    """k n-cycles, each joined to the next by a bridge."""
+    verts, edges = [], []
+    for c in range(k):
+        ring = [f"c{c}_{i}" for i in range(n)]
+        verts += ring
+        edges += zip(ring, ring[1:] + ring[:1])
+        if c:
+            edges.append((f"c{c - 1}_{n // 2}", ring[0]))
+    return WeightedMultigraph(verts, {}, edges)
+
+
+def theta_graph(paths: int, inner: int) -> WeightedMultigraph:
+    """Two hubs joined by ``paths`` paths of ``inner`` inner vertices each."""
+    verts, edges = ["h0", "h1"], []
+    for p in range(paths):
+        path = ["h0", *(f"t{p}_{i}" for i in range(inner)), "h1"]
+        verts += path[1:-1]
+        edges += zip(path, path[1:])
+    return WeightedMultigraph(verts, {}, edges)
+
+
+def signed_divisor(rng: random.Random, g: WeightedMultigraph, names, deg: int) -> Divisor:
+    """Chips in [-1, 1] on the named vertices, then piled on one of them up
+    to the degree."""
+    vals = {v: rng.randint(-1, 1) for v in names}
+    vals[rng.choice(names)] += deg - sum(vals.values())
+    return Divisor(g, vals)
+
+
+# graph, and how far above 2g - 2 it is ranked; the 5-cycles stop at 2g,
+# since 2g + 1 alone takes about 1.5 s there
+ABOVE_CANONICAL = {
+    "3 4-cycles": (cycle_chain(3, 4), (1, 2, 3)),
+    "4 5-cycles": (cycle_chain(4, 5), (1, 2)),
+    "theta 3x3": (theta_graph(3, 3), (1, 2, 3)),
+    "theta 4x4": (theta_graph(4, 4), (1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", ABOVE_CANONICAL)
+def test_above_the_canonical_degree_the_rank_is_degree_minus_genus(name):
+    g, offsets = ABOVE_CANONICAL[name]
+    rng = random.Random(name)
+    for off in offsets:
+        deg = 2 * g.genus - 2 + off
+        d = signed_divisor(rng, g, g.vertices, deg)
+        assert report(g, d) == (deg - g.genus, METHOD_DEFINITION), d
+
+
+K5 = WeightedMultigraph(
+    list("abcde"), {}, [(x, y) for i, x in enumerate("abcde") for y in "abcde"[i + 1 :]]
+)
+
+
+def test_subdivided_k5_above_the_canonical_degree():
+    h = subdivided(K5, 1)
+    rng = random.Random(5)
+    for deg in range(2 * K5.genus - 1, 2 * K5.genus + 2):
+        d = signed_divisor(rng, K5, K5.vertices, deg)
+        expected = report(K5, d)
+        assert expected == (deg - K5.genus, METHOD_DEFINITION)
         assert report(h, carried(d, h)) == expected

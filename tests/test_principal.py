@@ -16,6 +16,7 @@ import time
 import pytest
 
 from chipfire import (
+    BudgetExceededError,
     Divisor,
     WeightedMultigraph,
     canonical_divisor,
@@ -25,6 +26,7 @@ from chipfire import (
     t_set,
 )
 from chipfire.divisors import _members
+from chipfire.enumeration import DEFAULT_BUDGET
 from helpers import (
     chain_blob_graph,
     golden_graph,
@@ -125,7 +127,7 @@ def test_equivalent_and_members_reduce_nothing(monkeypatch):
     for name in ("_reduce_off", "_burn", "_make_effective_off", "_superstabilize"):
         monkeypatch.setattr(f"chipfire.reduction.{name}", refuse)
     assert equivalent(g, d1, d2)
-    assert len(list(_members(c.graph, c, [0] * 3, [5] * 3))) == 9
+    assert len(list(_members(c.graph, c, [0] * 3, [5] * 3, DEFAULT_BUDGET, "box"))) == 9
 
 
 @pytest.mark.parametrize("make", [golden_graph, chain_blob_graph, star_blob_graph])
@@ -142,6 +144,17 @@ def test_members_keeps_the_reference_box_members(make):
         canon = [c.canonical.value(v) for v in g.vertices_sorted]
         for lows, highs in (([0] * len(k), k), ([x - 1 for x in canon], [x + 1 for x in canon])):
             want = reference_box_members(g, c, lows, highs)
-            assert list(_members(g, c, lows, highs)) == want
+            assert list(_members(g, c, lows, highs, DEFAULT_BUDGET, "box")) == want
             found += len(want)
     assert found
+
+
+def test_members_checks_the_box_budget_when_called():
+    """The box of 21 vectors, [0, 5]^3 at sum 5, trips a budget of 20
+    before any vector is walked, and names the stage it is given."""
+    g = golden_graph()
+    c = class_of(g, Divisor(g, [0, 3, 2]), "v1")
+    with pytest.raises(BudgetExceededError) as excinfo:
+        _members(g, c, [0] * 3, [5] * 3, 20, "effective_representatives")
+    assert (excinfo.value.count, excinfo.value.stage) == (21, "effective_representatives")
+    assert len(list(_members(g, c, [0] * 3, [5] * 3, 21, "box"))) == 9

@@ -104,6 +104,13 @@ class TestIsSemibalanced:
         with pytest.raises(DomainError):
             is_semibalanced(g, Divisor.zero(g))
 
+    @pytest.mark.parametrize("call", [is_semibalanced, semibalanced_representative])
+    def test_requires_genus_two(self, call):
+        g = WeightedMultigraph(["a", "b"], {}, [("a", "b"), ("a", "b")])
+        arg = Divisor.zero(g) if call is is_semibalanced else class_of(g, Divisor.zero(g), "a")
+        with pytest.raises(DomainError, match=r"^semibalance requires genus >= 2$"):
+            call(g, arg)
+
     def test_long_cycle_with_a_chord(self):
         """C_26 plus the chord v00-v02, genus 2: each edge carries at most
         g - 1 = 1 unit of flow.  In e_v00 + e_v01 the surplus 2 at v01
@@ -475,6 +482,12 @@ class TestCliffordRepresentative:
             clifford_representative(g, class_of(g, Divisor(g, [-1, 0, 0]), "v1"))
         with pytest.raises(DomainError):
             clifford_representative(g, class_of(g, Divisor(g, [11, 0, 0]), "v1"))
+
+    def test_a_certificate_from_another_graph_fails(self, g):
+        other = WeightedMultigraph(["v1", "v2", "v3"], {}, [("v1", "v2"), ("v2", "v3"), ("v3", "v1")])
+        _, cert = clifford_representative(other, class_of(other, Divisor(other, [1, -1, 0]), "v1"))
+        assert verify_certificate(other, cert)
+        assert verify_certificate(g, cert) is False
 
     def test_tampered_certificate_fails(self, g):
         c = class_of(g, Divisor(g, [1, -1, 0]), "v1")
