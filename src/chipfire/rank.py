@@ -463,15 +463,18 @@ def _class_key(data, vals) -> tuple[int, ...]:
     return tuple(sum(row[c] * z[c] for c in range(len(z))) % det for row in adj)
 
 
-def _effective_keys(g: WeightedMultigraph, m: int, budget: int, level: int) -> frozenset:
-    """Class keys of every effective divisor of degree m on g (needed at
-    the oracle's scan level ``level``)."""
+def _effective_keys(g: WeightedMultigraph, m: int) -> frozenset:
+    """Class keys of every effective divisor of degree m on g.
+
+    Its C(m + N - 1, N - 1) divisors, N = g._n, need no budget check of
+    their own: :func:`rank_oracle` asks for m = deg - k <= deg on its model,
+    the count does not decrease as m grows, and its prologue has checked it
+    at m = deg."""
     cache = g._oracle
     keysets = cache.setdefault("keys", {})
     hit = keysets.get(m)
     if hit is not None:
         return hit
-    check_budget(count_compositions(m, g._n), budget, "oracle", level)
     data = cache["lattice"]
     n = g._n
     keys = frozenset(_class_key(data, combo) for combo in box_vectors((0,) * n, (m,) * n, m))
@@ -495,9 +498,9 @@ def rank_oracle(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDG
     n_model, _ = bullet_model_size(g)
     check_budget(max(n_model, count_compositions(d.degree, n_model)), budget, "oracle", 0)
     gb = bullet_model(g)
-    by_name = d.as_dict()  # carried onto the model, 0 at its new vertices
-    base_vals = [by_name.get(v, 0) for v in gb.vertices]
-    deg = sum(base_vals)
+    # the model's first n vertices are g's, in g's order; 0 at the rest
+    base_vals = [*d.values, *(0,) * (gb._n - g._n)]
+    deg = d.degree
     data = _lattice_data(gb)
     nb = gb._n
     k = 0
@@ -506,7 +509,7 @@ def rank_oracle(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDG
         m = deg - k
         if m < 0:
             return k - 1  # nothing effective has negative degree
-        keys = _effective_keys(gb, m, budget, k)
+        keys = _effective_keys(gb, m)
         for combo in box_vectors((0,) * nb, (k,) * nb, k):
             target = [a - b for a, b in zip(base_vals, combo)]
             if _class_key(data, target) not in keys:

@@ -1,5 +1,20 @@
 """Shared fixtures, generators, and brute-force oracles for the test suite.
 
+This is the one module that test modules import from; none imports
+another.  It holds:
+
+- the fixture graphs: ``golden_graph``, ``chain_blob_graph``,
+  ``star_blob_graph``, ``loop_chain_graph``, ``complete``, ``petersen``,
+  and the long sparse ``cycle``, ``theta`` and ``ladder`` (``GRAPHS``
+  names their sizes), all built by ``named_graph`` where the names are
+  indexed;
+- ``graph_file``, which writes a graph file for the CLI;
+- ``spy``, which wraps package functions and records their calls;
+- ``SOURCES``, the package's source files, for the AST checks, and
+  ``child_env``, for tests that run chipfire in a child interpreter;
+- random graphs and divisors;
+- the independent references below.
+
 The brute-force routines here intentionally avoid the package's burning
 machinery so they can serve as independent cross-checks: reducedness is
 checked against the raw subset definition, and equivalence by bounded
@@ -20,11 +35,14 @@ no cache with the rank scan under test.
 
 from __future__ import annotations
 
+import importlib
 import math
+import os
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from pathlib import Path
 
 from chipfire import (
     Divisor,
@@ -35,6 +53,7 @@ from chipfire import (
     reduce_to,
     t_set,
 )
+from chipfire.cli import serialize_graph
 from chipfire.enumeration import DEFAULT_BUDGET, check_budget, count_compositions
 from chipfire.rank import METHOD_DEFINITION, METHOD_SHORTCUT, RankReport
 from chipfire.reduction import _reduce_off
@@ -92,6 +111,112 @@ def star_blob_graph() -> WeightedMultigraph:
             ("c3", "z1"), ("z1", "z2"), ("z1", "z2"),
         ],
     )
+
+
+def loop_chain_graph() -> WeightedMultigraph:
+    """A chain of 2-edge-connected components with a loop at every weight-0
+    vertex: the Uniform branch's hypotheses hold."""
+    return WeightedMultigraph(
+        ["a", "b", "c"],
+        {"b": 1},
+        [("a", "b"), ("a", "b"), ("b", "c"), ("a", "a"), ("c", "c")],
+    )
+
+
+def named_graph(prefix: str, n: int, pairs, weights=(), width: int = 1) -> WeightedMultigraph:
+    """The graph on vertices prefix + i for i < n, i zero-padded to width
+    digits, with an edge for each index pair and the weights in vertex
+    order (0 past their end)."""
+    verts = [f"{prefix}{i:0{width}d}" for i in range(n)]
+    return WeightedMultigraph(
+        verts, dict(zip(verts, weights)), [(verts[i], verts[j]) for i, j in pairs]
+    )
+
+
+def complete(n: int) -> WeightedMultigraph:
+    """K_n on k0, k1, ..."""
+    return named_graph("k", n, combinations(range(n), 2))
+
+
+def petersen() -> WeightedMultigraph:
+    """The Petersen graph on p0-p9: an outer 5-cycle, an inner pentagram
+    and five spokes."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return named_graph("p", 10, outer + inner + [(i, 5 + i) for i in range(5)])
+
+
+def cycle(n: int) -> WeightedMultigraph:
+    """C_n on c00, c01, ..."""
+    return named_graph("c", n, [(i, (i + 1) % n) for i in range(n)], width=2)
+
+
+def theta(n: int) -> WeightedMultigraph:
+    """Two hubs, 0 and 1, joined by three internally disjoint paths."""
+    rest = list(range(2, n))
+    k = len(rest)
+    pairs = []
+    for part in (rest[: k // 3], rest[k // 3: 2 * k // 3], rest[2 * k // 3:]):
+        path = [0] + part + [1]
+        pairs += zip(path, path[1:])
+    return named_graph("t", n, pairs, width=2)
+
+
+def ladder(n: int) -> WeightedMultigraph:
+    """Two rails of n // 2 vertices joined by rungs."""
+    m = n // 2
+    rails = [(i, i + 1) for i in range(m - 1)] + [(m + i, m + i + 1) for i in range(m - 1)]
+    return named_graph("l", 2 * m, rails + [(i, m + i) for i in range(m)], width=2)
+
+
+# Sizes stop where phase 1 of reduce_to blows up: reducing a theta graph at
+# every vertex costs about 3 times as much at 20 vertices as at 18, 4 times
+# as much again at 22 (0.5 s) and over twice that at 24, which would make
+# test_sparse_reduction.py the slowest module in the suite.  theta20 is the
+# benchmark's largest theta graph.
+GRAPHS = {
+    f"{make.__name__}{n}": make(n)
+    for make, sizes in ((cycle, (16, 20, 24)), (theta, (16, 18, 20, 22)), (ladder, (16, 20, 22)))
+    for n in sizes
+}
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "chipfire").glob("*.py"))
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter that imports this checkout's
+    chipfire: os.environ with src first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def graph_file(tmp_path: Path, name: str, graph) -> str:
+    """Write graph, a WeightedMultigraph or the text of a graph file, to
+    tmp_path / (name + ".graph") for the CLI; returns that path."""
+    path = tmp_path / f"{name}.graph"
+    text = graph if isinstance(graph, str) else serialize_graph(graph)
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def spy(monkeypatch, *targets: str, record=lambda args, out: (args, out)) -> list:
+    """Wrap each target, a dotted path such as ``"chipfire.rank._borrow"``,
+    through monkeypatch; returns the list to which each call appends
+    record(positional args, result) as it returns.  A module's own
+    reference to another module's function is a target of its own."""
+    calls = []
+    for target in targets:
+        module_name, _, name = target.rpartition(".")
+        module = importlib.import_module(module_name)
+
+        def wrapper(*args, _fn=getattr(module, name), **kwargs):
+            out = _fn(*args, **kwargs)
+            calls.append(record(args, out))
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 def random_connected_graph(

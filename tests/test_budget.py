@@ -1,6 +1,7 @@
 """A budget error names the search stage and level that tripped it."""
 
 import sys
+import time
 
 import pytest
 
@@ -17,9 +18,9 @@ from chipfire import (
     semibalanced_representative,
     uniform_representative,
 )
-from chipfire.cli import main, serialize_graph
+from chipfire.cli import main
 from chipfire.enumeration import count_compositions
-from helpers import golden_graph
+from helpers import golden_graph, graph_file
 
 # golden graph: 3 vertices, model of 3 + 4 satellites = 7 vertices
 CASES = [
@@ -85,15 +86,28 @@ def test_oracle_budget_error_past_the_digit_limit(digit_limit):
     )
 
 
+def _weighted_cycle5(tmp_path, w):
+    """The file of a 5-cycle with weight w at every vertex."""
+    names = [f"v{i}" for i in range(5)]
+    g = WeightedMultigraph(names, dict.fromkeys(names, w), list(zip(names, names[1:] + names[:1])))
+    return graph_file(tmp_path, "cycle5", g)
+
+
 def test_box_error_on_a_million_wide_box_comes_at_once(tmp_path, capsys):
     """A 5-cycle of weight 10^6 at every vertex: the uniform search's box
     [0, 2 * 10^6]^5 at sum 5 * 10^6 is refused from its exact count, which
     a DP over the sums reached only after filling five lists of 5 * 10^6
     entries."""
-    names = [f"v{i}" for i in range(5)]
-    g = WeightedMultigraph(names, dict.fromkeys(names, 10**6), list(zip(names, names[1:] + names[:1])))
-    path = tmp_path / "cycle5.graph"
-    path.write_text(serialize_graph(g), encoding="utf-8")
-    assert main(["clifford-rep", str(path), "--divisor", "v0=5000000"]) == 2
+    assert main(["clifford-rep", _weighted_cycle5(tmp_path, 10**6), "--divisor", "v0=5000000"]) == 2
     err = capsys.readouterr().err
     assert err == "error: box: enumeration of 9583352500015416672500001 candidates exceeds budget 10000000\n"
+
+
+def test_box_error_on_a_4000_wide_box_comes_at_once(tmp_path, capsys):
+    """The same at weight 4,000: the box [0, 8000]^5 at sum 20,000.  A
+    count quadratic in the chips ran past a minute here."""
+    start = time.perf_counter()
+    assert main(["clifford-rep", _weighted_cycle5(tmp_path, 4000), "--divisor", "v0=20000"]) == 2
+    assert time.perf_counter() - start < 20
+    err = capsys.readouterr().err
+    assert err == "error: box: enumeration of 2454560246690001 candidates exceeds budget 10000000\n"

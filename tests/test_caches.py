@@ -2,7 +2,6 @@
 
 import importlib
 import random
-from itertools import combinations
 
 import pytest
 
@@ -23,7 +22,7 @@ from chipfire import (
     semibalanced_representative,
     uniform_representative,
 )
-from helpers import golden_graph
+from helpers import complete, golden_graph, spy
 
 # the package's ``rank`` function shadows its module as a package attribute
 rank_module = importlib.import_module("chipfire.rank")
@@ -139,36 +138,17 @@ class TestLifetime:
         assert bullet_model(g2)._oracle == {}
 
 
-def _watch_sizes(monkeypatch):
-    """Record the map and its size after every insert into a reduce cache;
-    returns the list of (size, map) pairs."""
-    sizes = []
-    remember = rank_module._remember
-
-    def watched(cache, key, out):
-        out = remember(cache, key, out)
-        sizes.append((len(cache), cache))
-        return out
-
-    monkeypatch.setattr(rank_module, "_remember", watched)
-    return sizes
-
-
-def k5():
-    verts = [f"k{i}" for i in range(5)]
-    return WeightedMultigraph(verts, {}, list(combinations(verts, 2)))
-
-
 def test_cache_bound_keeps_answers(monkeypatch):
     rng = random.Random(5)
     divisors = [[rng.randint(-1, 3) for _ in range(5)] for _ in range(12)]
-    ref = k5()
+    ref = complete(5)
     expected = [rank(ref, Divisor(ref, vals), shortcuts=False) for vals in divisors]
 
     limit = 40
     monkeypatch.setattr(rank_module, "_CACHE_LIMIT", limit)
-    sizes = _watch_sizes(monkeypatch)
-    g = k5()
+    # the map and its size after every insert into a reduce cache
+    sizes = spy(monkeypatch, "chipfire.rank._remember", record=lambda a, _: (len(a[0]), a[0]))
+    g = complete(5)
     got = [rank(g, Divisor(g, vals), shortcuts=False) for vals in divisors]
     assert [(r.rank, r.witness.values) for r in got] == [
         (r.rank, r.witness.values) for r in expected
@@ -192,17 +172,17 @@ def test_chips_at_the_base_reduce_nothing_new(monkeypatch, first, second):
     at the base vertex u finds every candidate off u in the cache, since
     their keys leave out the chips at u: no reduction from scratch, no
     borrowing, no new entry."""
-    reduction = importlib.import_module("chipfire.reduction")
-    want = rank(k5(), Divisor(k5(), second), shortcuts=False)
-    g = k5()
+    want = rank(complete(5), Divisor(complete(5), second), shortcuts=False)
+    g = complete(5)
     rank(g, Divisor(g, first), shortcuts=False)
     size = len(g._reduced)
-    calls = []
-    for name in ("_reduce_off", "_borrow"):
-        fn = getattr(reduction, name)
-        wrapped = lambda *a, fn=fn: calls.append(1) or fn(*a)
-        monkeypatch.setattr(reduction, name, wrapped)
-        monkeypatch.setattr(rank_module, name, wrapped, raising=False)
+    calls = spy(
+        monkeypatch,
+        "chipfire.reduction._reduce_off",
+        "chipfire.reduction._borrow",
+        "chipfire.rank._reduce_off",
+        "chipfire.rank._borrow",
+    )
     got = rank(g, Divisor(g, second), shortcuts=False)
     assert (got.rank, got.witness.values) == (want.rank, want.witness.values)
     assert calls == []
@@ -210,19 +190,14 @@ def test_chips_at_the_base_reduce_nothing_new(monkeypatch, first, second):
 
 
 def test_oracle_key_bound_keeps_answers(monkeypatch):
-    verts = [f"k{i}" for i in range(4)]
-
-    def k4():
-        return WeightedMultigraph(verts, {}, list(combinations(verts, 2)))
-
     rng = random.Random(4)
-    divisors = [[rng.randint(-1, 2) for _ in verts] for _ in range(12)]
-    ref = k4()
+    divisors = [[rng.randint(-1, 2) for _ in range(4)] for _ in range(12)]
+    ref = complete(4)
     expected = [rank_oracle(ref, Divisor(ref, vals)) for vals in divisors]
 
     limit = 20
     monkeypatch.setattr(rank_module, "_KEYS_LIMIT", limit)
-    g = k4()
+    g = complete(4)
     got = []
     for vals in divisors:
         got.append(rank_oracle(g, Divisor(g, vals)))

@@ -15,7 +15,7 @@ from chipfire.cli import (
     parse_graph,
     serialize_graph,
 )
-from helpers import golden_graph
+from helpers import golden_graph, graph_file
 
 GOLDEN_TEXT = """\
 graph
@@ -30,9 +30,7 @@ edge v2 v3
 
 @pytest.fixture
 def golden_file(tmp_path):
-    path = tmp_path / "golden.graph"
-    path.write_text(GOLDEN_TEXT, encoding="utf-8")
-    return str(path)
+    return graph_file(tmp_path, "golden", GOLDEN_TEXT)
 
 
 class TestParseGraph:
@@ -191,10 +189,10 @@ class TestCommands:
         assert obj["result"]["canonical_divisor"] == {"v1": 1, "v2": 8, "v3": 1}
 
     def test_info_counts_a_huge_model_without_building_it(self, tmp_path, capsys):
-        path = tmp_path / "heavy.graph"
-        path.write_text("graph\nvertex a weight 10000000\nvertex b weight 1\nedge a b x3\nloop b\n", encoding="utf-8")
+        text = "graph\nvertex a weight 10000000\nvertex b weight 1\nedge a b x3\nloop b\n"
+        path = graph_file(tmp_path, "heavy", text)
         start = time.perf_counter()
-        assert main(["info", str(path), "--json"]) == 0
+        assert main(["info", path, "--json"]) == 0
         assert time.perf_counter() - start < 5
         model = json.loads(capsys.readouterr().out)["result"]["bullet_model"]
         # a and b, then one satellite per unit of weight and per loop, two edges each
@@ -391,9 +389,7 @@ class TestCommands:
         ],
     )
     def test_a_malformed_graph_line_exits_2(self, tmp_path, capsys, text, message):
-        path = tmp_path / "bad.graph"
-        path.write_text(text, encoding="utf-8")
-        assert main(["info", str(path)]) == 2
+        assert main(["info", graph_file(tmp_path, "bad", text)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_an_empty_divisor_entry_exits_2(self, golden_file, capsys):
@@ -404,16 +400,14 @@ class TestCommands:
         assert main(["info", "/nonexistent/path.graph"]) == 2
 
     def test_parse_error_position_reported(self, tmp_path, capsys):
-        path = tmp_path / "bad.graph"
-        path.write_text("graph\nvertex a weight 0\nedge a b\n", encoding="utf-8")
-        assert main(["info", str(path)]) == 2
+        path = graph_file(tmp_path, "bad", "graph\nvertex a weight 0\nedge a b\n")
+        assert main(["info", path]) == 2
         err = capsys.readouterr().err
         assert "line 3" in err
 
     def test_vertex_name_with_comma_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "comma.graph"
-        path.write_text("graph\nvertex a,b weight 0\n", encoding="utf-8")
-        assert main(["rank", str(path), "--divisor", "a,b=1"]) == 2
+        path = graph_file(tmp_path, "comma", "graph\nvertex a,b weight 0\n")
+        assert main(["rank", path, "--divisor", "a,b=1"]) == 2
         assert "vertex name 'a,b' contains ',' or '=' (line 2, column 8)" in capsys.readouterr().err
 
     def test_clifford_rep_out_of_range_exits_1(self, golden_file, capsys):
@@ -443,9 +437,8 @@ class TestPastTheDigitLimit:
 
     @pytest.fixture
     def edge_file(self, tmp_path):
-        path = tmp_path / "edge.graph"
-        path.write_text("graph\nvertex a weight 0\nvertex b weight 0\nedge a b\n", encoding="utf-8")
-        return str(path)
+        text = "graph\nvertex a weight 0\nvertex b weight 0\nedge a b\n"
+        return graph_file(tmp_path, "edge", text)
 
     def test_rank_json(self, edge_file, capsys):
         code = main(["rank", edge_file, "--divisor", f"a={self.NINES},b={self.NINES}", "--json"])
@@ -477,9 +470,8 @@ class TestPastTheDigitLimit:
         ],
     )
     def test_a_longer_graph_token_exits_2(self, tmp_path, capsys, text, message):
-        path = tmp_path / "long.graph"
-        path.write_text(text.format("1" * (_MAX_DIGITS + 1)), encoding="utf-8")
-        assert main(["info", str(path)]) == 2
+        path = graph_file(tmp_path, "long", text.format("1" * (_MAX_DIGITS + 1)))
+        assert main(["info", path]) == 2
         assert message in capsys.readouterr().err
 
     def test_a_longer_divisor_value_exits_2(self, edge_file, capsys):
@@ -497,13 +489,11 @@ class TestPastTheDigitLimit:
         """A 60,000-digit token makes one short stderr line at every site that
         reads an integer: the message quotes a prefix and gives the length."""
         token = "9" * 60_000
-        graph = tmp_path / "long.graph"
         if site == "weight":
-            graph.write_text(f"graph\nvertex a weight {token}\n", encoding="utf-8")
-            argv = ["info", str(graph)]
+            argv = ["info", graph_file(tmp_path, "long", f"graph\nvertex a weight {token}\n")]
         elif site == "multiplicity":
-            graph.write_text(f"graph\nvertex a weight 0\nloop a x{token}\n", encoding="utf-8")
-            argv = ["info", str(graph)]
+            text = f"graph\nvertex a weight 0\nloop a x{token}\n"
+            argv = ["info", graph_file(tmp_path, "long", text)]
         elif site == "divisor":
             argv = ["reduce", edge_file, "--divisor", f"a={token}"]
         else:

@@ -9,17 +9,13 @@ back onto the import path.  The check runs in a fresh interpreter without
 ``site``, so packages installed next to chipfire cannot load them first.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from chipfire.cli import serialize_graph
-from helpers import golden_graph
+from helpers import child_env, golden_graph, graph_file
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = "import chipfire.cli, sys; print(' '.join(sorted({names!r} & set(sys.modules))))"
 # runs a command, whose JSON goes to stdout first, lists what it loaded and
 # exits with the command's code
@@ -30,12 +26,11 @@ RUN_PROBE = (
 
 
 def _loaded_by_cli_import(names, probe=PROBE, **fields):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe.format(names=set(names), **fields)],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -52,9 +47,7 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
 
 @pytest.mark.parametrize("command", ["report", "semibalanced", "equivalent", "uniform"])
 def test_class_commands_load_neither_fractions_nor_decimal(tmp_path, command):
-    path = tmp_path / "golden.txt"
-    path.write_text(serialize_graph(golden_graph()))
-    argv = [command, str(path), "--divisor", "v2=3,v3=1", "--json"]
+    argv = [command, graph_file(tmp_path, "golden", golden_graph()), "--divisor", "v2=3,v3=1", "--json"]
     if command == "equivalent":
         argv += ["--divisor", "v1=3,v2=1"]
     assert _loaded_by_cli_import({"fractions", "decimal"}, RUN_PROBE, argv=argv) == []

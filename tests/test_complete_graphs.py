@@ -10,17 +10,11 @@ finish.
 
 import random
 from collections import defaultdict
-from itertools import combinations
 
 import pytest
 
-from chipfire import Divisor, WeightedMultigraph, rank, reduce_to
-from helpers import clip_degree, reference_complete_reduce, reference_complete_rank
-
-
-def complete(n):
-    verts = [f"k{i}" for i in range(n)]
-    return WeightedMultigraph(verts, {}, list(combinations(verts, 2)))
+from chipfire import Divisor, rank, reduce_to
+from helpers import clip_degree, complete, reference_complete_reduce, reference_complete_rank
 
 
 @pytest.mark.parametrize("n", range(1, 8))

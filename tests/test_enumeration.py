@@ -14,7 +14,7 @@ from chipfire.enumeration import (
     count_box_vectors,
     count_compositions,
 )
-from helpers import reference_box_count, reference_compositions
+from helpers import graph_file, reference_box_count, reference_compositions
 
 
 def full_box(total, length):
@@ -157,9 +157,8 @@ def test_uniform_on_a_1200_cycle(tmp_path, capsys):
     names = [f"c{i:04d}" for i in range(n)]
     lines = ["graph"] + [f"vertex {v} weight 0" for v in names]
     lines += [f"edge {names[i]} {names[(i + 1) % n]}" for i in range(n)]
-    path = tmp_path / "cycle.graph"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert main(["uniform", str(path), "--divisor", "0", "--json"]) == 0
+    path = graph_file(tmp_path, "cycle", "\n".join(lines) + "\n")
+    assert main(["uniform", path, "--divisor", "0", "--json"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["status"] == "Found"
     assert result["representative"] == dict.fromkeys(names, 0)

@@ -14,7 +14,6 @@ and ladders.
 
 import importlib
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,36 +32,28 @@ from chipfire import (
 )
 from chipfire.enumeration import DEFAULT_BUDGET
 from helpers import (
+    complete,
+    cycle,
+    ladder,
+    named_graph,
+    petersen,
     reference_burn,
     reference_compositions,
     reference_model_rank,
     reference_off_base_min,
     reference_uncovered,
     scratch_reduce,
+    spy,
+    theta,
 )
-from test_sparse_reduction import cycle, ladder, theta
 
 reduction = importlib.import_module("chipfire.reduction")
 rank_module = importlib.import_module("chipfire.rank")
 
 
-def complete(n):
-    verts = [f"k{i}" for i in range(n)]
-    return WeightedMultigraph(verts, {}, list(combinations(verts, 2)))
-
-
-def petersen():
-    verts = [f"p{i}" for i in range(10)]
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return WeightedMultigraph(verts, {}, [(verts[i], verts[j]) for i, j in outer + inner + spokes])
-
-
 def weighted_cycle(n, weights):
-    verts = [f"w{i}" for i in range(n)]
-    edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)] + [(verts[0], verts[0])]
-    return WeightedMultigraph(verts, dict(zip(verts, weights)), edges)
+    """C_n on w0, w1, ... with the given weights and a loop at w0."""
+    return named_graph("w", n, [(i, (i + 1) % n) for i in range(n)] + [(0, 0)], weights)
 
 
 STEP_GRAPHS = {
@@ -139,7 +130,7 @@ def test_step_matches_reduction_from_scratch(name, monkeypatch):
                 vals = tuple(vals)
                 borrowed += p != u and parent[p] < s
                 with monkeypatch.context() as mp:
-                    calls = _count_scratch_reductions(mp)
+                    calls = spy(mp, "chipfire.reduction._make_effective_off")
                     got = _step(g, vals, p, s)
                 assert calls == []  # the parent was cached
                 assert got == scratch_reduce(g, vals, u)
@@ -208,9 +199,7 @@ def _walk_one_miss(g, vals, p, q, monkeypatch):
         target[p] -= at_p
         target[q] -= at_q
         _scan_reduce(g, tuple(target))
-    borrows = []
-    borrow = rank_module._borrow
-    monkeypatch.setattr(rank_module, "_borrow", lambda *a: borrows.append(a[3]) or borrow(*a))
+    borrows = spy(monkeypatch, "chipfire.rank._borrow", record=lambda args, _: args[3])
     rank_module._walk_off_base(g, vals, 2, ([p, q], [[0, 1, 2]] * 2), float("-inf"))
     target = list(vals)
     target[p] -= 1
@@ -245,22 +234,13 @@ def test_miss_borrows_when_no_cached_parent_holds_the_chips(monkeypatch):
     assert len(borrows) == 1
 
 
-def _count_scratch_reductions(monkeypatch):
-    calls = []
-    phase1 = reduction._make_effective_off
-    monkeypatch.setattr(
-        reduction, "_make_effective_off", lambda *args: calls.append(1) or phase1(*args)
-    )
-    return calls
-
-
 @pytest.mark.parametrize(
     "name, vals, r",
     [("K6", [3, 1, 2, 2, 1, 2], 3), ("petersen", [2, 1, 1, 1, 1, 1, 1, 1, 1, 0], 4)],
 )
 def test_each_level_steps_from_the_last(monkeypatch, name, vals, r):
     g = _twin(STEP_GRAPHS[name])
-    calls = _count_scratch_reductions(monkeypatch)
+    calls = spy(monkeypatch, "chipfire.reduction._make_effective_off")
     assert rank(g, Divisor(g, vals), shortcuts=False).rank == r
     assert len(calls) == 1  # level 0's one candidate
 
@@ -268,7 +248,7 @@ def test_each_level_steps_from_the_last(monkeypatch, name, vals, r):
 @pytest.mark.parametrize("name", ["wcycle5", "wcycle6"])
 def test_each_inflated_level_steps_from_the_last(monkeypatch, name):
     g = _twin(STEP_GRAPHS[name])
-    calls = _count_scratch_reductions(monkeypatch)
+    calls = spy(monkeypatch, "chipfire.reduction._make_effective_off")
     d = Divisor(g, [6, 2, 3, 1, 4] + [2] * (g._n - 5))
     assert [rank_lower_bound_edeg(g, d, s) for s in range(4)] == [True] * 4
     assert len(calls) == 1
@@ -288,10 +268,7 @@ def test_witness_walk_steps_from_cached_parents(monkeypatch, moved):
     if moved is not None:
         d = d + Divisor(g, {moved[0]: -1, moved[1]: 1})
     want = reference_model_rank(_twin(g), Divisor(_twin(g), d.values), shortcuts=False)
-    calls = []
-    reduce_off = reduction._reduce_off
-    for module in (reduction, rank_module):
-        monkeypatch.setattr(module, "_reduce_off", lambda *a: calls.append(1) or reduce_off(*a))
+    calls = spy(monkeypatch, "chipfire.reduction._reduce_off", "chipfire.rank._reduce_off")
     got = rank(g, d, shortcuts=False)
     assert (got.rank, got.witness.values) == (want.rank, want.witness.values)
     assert got.witness.graph is bullet_model(g)

@@ -6,9 +6,8 @@ would escape the CLI's documented exit codes.
 """
 
 import ast
-from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "chipfire").glob("*.py"))
+from helpers import SOURCES
 
 
 def _raises_assertion_error(node: ast.Raise) -> bool:

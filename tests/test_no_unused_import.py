@@ -7,13 +7,10 @@ anywhere in the module, annotations included.
 """
 
 import ast
-from pathlib import Path
 
-SOURCES = sorted(
-    path
-    for path in (Path(__file__).resolve().parents[1] / "src" / "chipfire").glob("*.py")
-    if path.name != "__init__.py"
-)
+from helpers import SOURCES
+
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module):
@@ -34,12 +31,12 @@ def _unused(source: str, filename: str) -> list[str]:
 
 
 def test_sources_found():
-    assert len(SOURCES) >= 8
+    assert len(MODULES) >= 8
 
 
 def test_every_import_is_used():
     found = []
-    for path in SOURCES:
+    for path in MODULES:
         found += _unused(path.read_text(encoding="utf-8"), path.name)
     assert found == []
 

@@ -7,7 +7,7 @@ check could drift from it in its message or its test of equality.
 
 import ast
 
-from test_no_assert import SOURCES
+from helpers import SOURCES
 
 
 def test_different_graph_is_raised_from_one_place():

@@ -10,7 +10,10 @@ rank oracle's lattice.  On long sparse graphs with signed chips the
 reduction does not finish, so there only the rational reference runs.
 """
 
+import json
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -29,12 +32,16 @@ from chipfire.divisors import _members
 from chipfire.enumeration import DEFAULT_BUDGET
 from helpers import (
     chain_blob_graph,
+    child_env,
+    cycle,
     golden_graph,
+    graph_file,
+    ladder,
     rational_equivalent,
     reference_box_members,
     star_blob_graph,
+    theta,
 )
-from test_sparse_reduction import cycle, ladder, theta
 
 
 def random_looped_multigraph(rng):
@@ -115,6 +122,25 @@ def test_signed_pairs_answer_within_a_second(make, n):
     start = time.perf_counter()
     assert equivalent(g, d1, d2)
     assert time.perf_counter() - start < 1
+
+
+def test_the_cli_answers_on_a_400_vertex_ladder(tmp_path):
+    """``chipfire equivalent`` in a child interpreter: a signed pair
+    related by a set firing answers true, and false once a chip moves,
+    each within 20 s.  Reducing their difference did not finish in
+    minutes."""
+    g = ladder(400)
+    d1 = Divisor(g, [-1 if i % 97 == 5 else 3 for i in range(400)])
+    d2 = d1 + t_set(g, [v for i, v in enumerate(g.vertices) if i * 37 % 100 < 50])
+    d3 = d2 + Divisor(g, {g.vertices[0]: -1, g.vertices[399]: 1})
+    path = graph_file(tmp_path, "ladder400", g)
+    for other, expected in ((d2, True), (d3, False)):
+        argv = [sys.executable, "-m", "chipfire.cli", "equivalent", path, "--json"]
+        for d in (d1, other):
+            argv += ["--divisor", ",".join(f"{v}={x}" for v, x in zip(g.vertices, d.values))]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=child_env(), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["equivalent"] is expected
 
 
 def test_equivalent_and_members_reduce_nothing(monkeypatch):

@@ -31,6 +31,7 @@ from helpers import (
     random_principal_shift,
     reference_compositions,
     reference_model_rank,
+    spy,
 )
 
 
@@ -212,12 +213,7 @@ class TestRiemannRochAndClifford:
 
     def test_identity_ranks_both_sides_by_definition(self, g, monkeypatch):
         # degree 12 > 2g - 2 = 10: the shortcuts would answer both sides
-        rank_module = importlib.import_module("chipfire.rank")
-        reports = []
-        scan = rank_module.rank
-        monkeypatch.setattr(
-            rank_module, "rank", lambda *a, **kw: reports.append(scan(*a, **kw)) or reports[-1]
-        )
+        reports = spy(monkeypatch, "chipfire.rank.rank", record=lambda _, report: report)
         assert riemann_roch_check(g, Divisor(g, [4, 5, 3]))
         assert [r.method for r in reports] == [METHOD_DEFINITION] * 2
         assert [r.rank for r in reports] == [6, -1]

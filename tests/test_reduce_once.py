@@ -4,14 +4,13 @@
 its canonical form and hands it to the command, so no command reduces its
 input again.  The counts below are calls of the reduction kernel
 ``chipfire.reduction._reduce_off`` (the rank scan keeps its own reference
-to the kernel, which only ``unreduced_inputs`` counts).  Two facts let
+to the kernel, which only ``changed`` counts).  Two facts let
 ``report`` and ``verify_certificate`` skip reductions, and both are
 checked here against ``is_special_class``: a class is special iff
 rank(d) >= 0 and rank(K - d) >= 0, and a uniform divisor's class is
 always special.
 """
 
-import importlib
 import json
 import random
 
@@ -19,7 +18,6 @@ import pytest
 
 from chipfire import (
     Divisor,
-    WeightedMultigraph,
     canonical_divisor,
     class_of,
     clifford_representative,
@@ -27,43 +25,30 @@ from chipfire import (
     is_special_class,
     verify_certificate,
 )
-from chipfire import reduction
-from chipfire.cli import main, serialize_graph
+from chipfire.cli import main
 from chipfire.reps import BRANCH_UNIFORM
-from helpers import clip_degree, golden_graph, random_connected_graph, random_divisor
-
-
-def _loop_graph() -> WeightedMultigraph:
-    """A chain of 2-edge-connected components with a loop at every
-    weight-0 vertex: the Uniform branch's hypotheses hold."""
-    return WeightedMultigraph(
-        ["a", "b", "c"],
-        {"b": 1},
-        [("a", "b"), ("a", "b"), ("b", "c"), ("a", "a"), ("c", "c")],
-    )
+from helpers import (
+    clip_degree,
+    golden_graph,
+    graph_file,
+    loop_chain_graph,
+    random_connected_graph,
+    random_divisor,
+    spy,
+)
 
 
 @pytest.fixture
 def files(tmp_path):
-    paths = {}
-    for name, g in (("golden", golden_graph()), ("loops", _loop_graph())):
-        path = tmp_path / f"{name}.graph"
-        path.write_text(serialize_graph(g), encoding="utf-8")
-        paths[name] = str(path)
-    return paths
+    return {
+        "golden": graph_file(tmp_path, "golden", golden_graph()),
+        "loops": graph_file(tmp_path, "loops", loop_chain_graph()),
+    }
 
 
 @pytest.fixture
 def reductions(monkeypatch):
-    calls = []
-    kernel = reduction._reduce_off
-
-    def counted(g, vals, seeds):
-        calls.append(tuple(vals))
-        return kernel(g, vals, seeds)
-
-    monkeypatch.setattr(reduction, "_reduce_off", counted)
-    return calls
+    return spy(monkeypatch, "chipfire.reduction._reduce_off")
 
 
 @pytest.mark.parametrize(
@@ -101,23 +86,17 @@ def test_each_input_is_reduced_once(argv, expected, files, reductions, capsys):
 
 
 @pytest.fixture
-def unreduced_inputs(monkeypatch):
-    """The inputs of the kernel calls that changed them, counted through
-    ``reduction`` and through the rank scan's own reference in ``rank``: a
-    call whose input is already reduced hands it back unchanged after one
-    burn."""
-    calls = []
-    kernel = reduction._reduce_off
-
-    def counted(g, vals, seeds):
-        out = kernel(g, vals, seeds)
-        if out != list(vals):
-            calls.append(tuple(vals))
-        return out
-
-    for module in (reduction, importlib.import_module("chipfire.rank")):
-        monkeypatch.setattr(module, "_reduce_off", counted)
-    return calls
+def changed(monkeypatch):
+    """One flag per kernel call, counted through ``reduction`` and through
+    the rank scan's own reference in ``rank``: whether the call changed its
+    input.  A call whose input is already reduced hands it back unchanged
+    after one burn."""
+    return spy(
+        monkeypatch,
+        "chipfire.reduction._reduce_off",
+        "chipfire.rank._reduce_off",
+        record=lambda args, out: out != list(args[1]),
+    )
 
 
 @pytest.mark.parametrize(
@@ -130,13 +109,13 @@ def unreduced_inputs(monkeypatch):
         (["rr-check", "golden", "--divisor", "v1=4,v2=-1"], 2),
     ],
 )
-def test_the_rank_scan_starts_from_the_reduced_input(argv, expected, files, unreduced_inputs, capsys):
+def test_the_rank_scan_starts_from_the_reduced_input(argv, expected, files, changed, capsys):
     """The rank commands rank the class's canonical form, so the scan's
     level 0 finds the input already reduced; ranking the input as given
     reduced it from scratch a second time."""
     argv = [argv[0], files[argv[1]], *argv[2:], "--json"]
     assert main(argv) == 0, capsys.readouterr().err
-    assert len(unreduced_inputs) == expected
+    assert sum(changed) == expected
 
 
 @pytest.mark.parametrize(
@@ -148,14 +127,14 @@ def test_the_rank_scan_starts_from_the_reduced_input(argv, expected, files, unre
         (["effectivize", "golden", "--divisor", "v1=-2,v2=3", "--base", "v3"], 2),
     ],
 )
-def test_effectivize_reuses_the_class_at_the_base_vertex(argv, expected, files, unreduced_inputs, capsys):
+def test_effectivize_reuses_the_class_at_the_base_vertex(argv, expected, files, changed, capsys):
     argv = [argv[0], files[argv[1]], *argv[2:], "--json"]
     assert main(argv) in (0, 1), capsys.readouterr().err
-    assert len(unreduced_inputs) == expected
+    assert sum(changed) == expected
 
 
 def test_a_verified_uniform_certificate_costs_no_reduction(reductions):
-    g = _loop_graph()
+    g = loop_chain_graph()
     _, cert = clifford_representative(g, class_of(g, canonical_divisor(g), "a"))
     assert cert.branch == BRANCH_UNIFORM
     reductions.clear()
@@ -170,14 +149,13 @@ def test_report_special_agrees_with_the_class(tmp_path, capsys):
     verdicts = []
     for i in range(220):
         g = random_connected_graph(rng, require_weight=i % 2 == 0)
-        path = tmp_path / f"g{i}.graph"
-        path.write_text(serialize_graph(g), encoding="utf-8")
+        path = graph_file(tmp_path, f"g{i}", g)
         for _ in range(2):
             deg = rng.randint(-2, 2 * genus(g))
             d = clip_degree(rng, random_divisor(rng, g, -2, 3), deg, deg)
             base = rng.choice(g.vertices)
             literal = ",".join(f"{v}={x}" for v, x in zip(g.vertices, d.values))
-            argv = ["report", str(path), "--divisor", literal, "--base", base, "--json"]
+            argv = ["report", path, "--divisor", literal, "--base", base, "--json"]
             if rng.random() < 0.5:
                 argv.append("--no-shortcuts")
             assert main(argv) == 0, capsys.readouterr().err

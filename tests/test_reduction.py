@@ -18,8 +18,9 @@ from chipfire import (
     t_set,
 )
 from chipfire.graph import _bfs_order
-from chipfire.reduction import _burn, _make_effective_off, _superstabilize
+from chipfire.reduction import _make_effective_off, _superstabilize
 from helpers import (
+    GRAPHS,
     brute_equivalent,
     brute_is_reduced,
     golden_graph,
@@ -28,8 +29,8 @@ from helpers import (
     random_principal_shift,
     rational_firing,
     reference_superstabilize,
+    spy,
 )
-from test_sparse_reduction import GRAPHS
 
 
 @pytest.fixture
@@ -290,11 +291,7 @@ class TestSuperstabilize:
     @pytest.fixture
     def burns(self, monkeypatch):
         """One entry per call of ``reduction._burn``."""
-        calls = []
-        monkeypatch.setattr(
-            "chipfire.reduction._burn", lambda *args, **kw: calls.append(1) or _burn(*args, **kw)
-        )
-        return calls
+        return spy(monkeypatch, "chipfire.reduction._burn")
 
     @pytest.mark.parametrize("chips", ["signed_after_phase_1", "nonnegative_to_1e6"])
     def test_matches_whole_set_firing(self, chips, burns):

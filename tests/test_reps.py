@@ -21,6 +21,7 @@ from chipfire import (
     is_special_class,
     is_uniform,
     rank,
+    reduce_to,
     semibalanced_representative,
     uniform_representative,
     verify_certificate,
@@ -537,6 +538,21 @@ class TestMalformedEvidence:
         evidence = {**cert.evidence, "vertex": vertex}
         assert not verify_certificate(g, cert._replace(evidence=evidence))
         assert not verify_certificate(g, cert._replace(evidence=None))
+
+    def test_residual_reduced_at_another_vertex(self, g):
+        """The residual's reduced form at v2, where the evidence names v1: an
+        equivalent divisor, but not the residual's reduced form at v1."""
+        cert = self.certificate(g, {"v2": 9, "v3": 1}, BRANCH_RESIDUAL)
+        assert cert.evidence["vertex"] == "v1"
+        other = reduce_to(g, cert.evidence["residual_reduced"], "v2")
+        evidence = {**cert.evidence, "residual_reduced": other}
+        assert not verify_certificate(g, cert._replace(evidence=evidence))
+
+    def test_unknown_branch(self, g):
+        """Evidence that a known branch would accept, under a branch name
+        the checker does not know."""
+        cert = self.certificate(g, {"v1": 1, "v2": -1}, BRANCH_V_REDUCED)
+        assert not verify_certificate(g, cert._replace(branch="Unknown"))
 
     @pytest.mark.parametrize(
         "bounds",

@@ -12,53 +12,17 @@ import random
 
 import pytest
 
-from chipfire import Divisor, WeightedMultigraph, dhar, effectivize, is_reduced, reduce_to
+from chipfire import Divisor, dhar, effectivize, is_reduced, reduce_to
 from chipfire.reduction import _burn
 from helpers import (
+    GRAPHS,
     clip_degree,
+    cycle,
     random_divisor,
     rational_equivalent,
     reference_burn,
+    spy,
 )
-
-
-def _named(prefix, n, pairs):
-    verts = [f"{prefix}{i:02d}" for i in range(n)]
-    return WeightedMultigraph(verts, {}, [(verts[i], verts[j]) for i, j in pairs])
-
-
-def cycle(n):
-    return _named("c", n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def theta(n):
-    """Two hubs, 0 and 1, joined by three internally disjoint paths."""
-    rest = list(range(2, n))
-    k = len(rest)
-    pairs = []
-    for part in (rest[: k // 3], rest[k // 3: 2 * k // 3], rest[2 * k // 3:]):
-        path = [0] + part + [1]
-        pairs += zip(path, path[1:])
-    return _named("t", n, pairs)
-
-
-def ladder(n):
-    """Two rails of n // 2 vertices joined by rungs."""
-    m = n // 2
-    rails = [(i, i + 1) for i in range(m - 1)] + [(m + i, m + i + 1) for i in range(m - 1)]
-    return _named("l", 2 * m, rails + [(i, m + i) for i in range(m)])
-
-
-# Sizes stop where phase 1 of reduce_to blows up: reducing a theta graph at
-# every vertex costs about 3 times as much at 20 vertices as at 18, 4 times
-# as much again at 22 (0.5 s) and over twice that at 24, which would make
-# this module the slowest in the suite.  theta20 is the benchmark's largest
-# theta graph.
-GRAPHS = {
-    f"{make.__name__}{n}": make(n)
-    for make, sizes in ((cycle, (16, 20, 24)), (theta, (16, 18, 20, 22)), (ladder, (16, 20, 22)))
-    for n in sizes
-}
 
 
 def reference_cut(burnt, inflow):
@@ -155,10 +119,7 @@ def test_effectivize_matches_references(name):
 def test_effectivize_burns_do_not_grow_with_the_chips(monkeypatch):
     """On C_4 with (-N, 0, 2N, 0) the answer is the base-reduced form
     (N, 0, 0, 0), reached in the same number of burns at every N."""
-    calls = []
-    monkeypatch.setattr(
-        "chipfire.reduction._burn", lambda *args, **kw: calls.append(1) or _burn(*args, **kw)
-    )
+    calls = spy(monkeypatch, "chipfire.reduction._burn")
     counts = []
     for n in (10**2, 10**4, 10**30):
         g = cycle(4)
