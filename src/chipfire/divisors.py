@@ -11,14 +11,20 @@ arbitrary precision, so chip counts never overflow.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import compress
 from math import gcd
 from operator import index
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .enumeration import DEFAULT_BUDGET, box_vectors, check_budget, count_box_vectors
 from .errors import DomainError
 from .graph import WeightedMultigraph, _bfs_order, _same_graph, _vertex_set
+
+__all__ = [
+    "Divisor", "DivisorClass", "canonical_divisor", "class_of", "e_deg",
+    "effective_representatives", "equivalent", "intersection", "residual", "t_set",
+]
 
 
 def _chip_counts(xs: Iterable) -> tuple[int, ...]:
@@ -344,8 +350,4 @@ def e_deg(g: WeightedMultigraph, e: Divisor) -> Divisor:
     _same_graph(g, e)
     if not e.is_effective:
         raise DomainError("divisor must be effective")
-    vals = [
-        x + min(x, w + l)
-        for x, w, l in zip(e._values, g._weights, g._loops)
-    ]
-    return Divisor(g, vals)
+    return Divisor(g, [x + min(x, s) for x, s in zip(e._values, g._satellites)])

@@ -16,6 +16,8 @@ from math import comb
 
 from .errors import BudgetExceededError
 
+__all__ = ["DEFAULT_BUDGET"]
+
 DEFAULT_BUDGET = 10_000_000
 
 

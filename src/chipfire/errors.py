@@ -2,6 +2,8 @@
 
 import sys
 
+__all__ = ["BudgetExceededError", "DomainError", "GraphError", "InternalError", "ParseError"]
+
 
 class GraphError(ValueError):
     """Invalid multigraph construction (bad weights, unknown endpoints, disconnected)."""

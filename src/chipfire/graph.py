@@ -14,7 +14,13 @@ import operator
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .enumeration import DEFAULT_BUDGET, check_budget
 from .errors import DomainError, GraphError
+
+__all__ = [
+    "StabilityVerdict", "WeightedMultigraph", "bridges", "bullet_model", "contract_non_bridges",
+    "genus", "is_chain_of_2ec", "is_semistable", "is_stable", "valence",
+]
 
 
 def _count(x, least: int, what: str) -> int:
@@ -98,6 +104,8 @@ class WeightedMultigraph:
         self._pairs = pairs
         self._n = n
         self._loops = loops
+        # a vertex's satellites in the model: one per unit of weight and per loop
+        self._satellites = tuple(w + l for w, l in zip(weight_list, loops))
         self._rows = rows
         self._lex_indices = lex_indices
         # edge endpoints at each vertex with its loops left out: a singleton's cut
@@ -351,11 +359,11 @@ def bullet_model_size(g: WeightedMultigraph) -> tuple[int, int]:
     Each unit of weight and each loop becomes one satellite joined to its
     vertex by two edges; the non-loop edges are kept.
     """
-    satellites = sum(g._weights) + sum(g._loops)
+    satellites = sum(g._satellites)
     return g._n + satellites, g._edge_count - sum(g._loops) + 2 * satellites
 
 
-def bullet_model(g: WeightedMultigraph) -> WeightedMultigraph:
+def bullet_model(g: WeightedMultigraph, *, budget: int = DEFAULT_BUDGET) -> WeightedMultigraph:
     """Loopless, weightless model with the same genus.
 
     Each unit of vertex weight becomes a subdivided loop: a fresh degree-2
@@ -363,11 +371,14 @@ def bullet_model(g: WeightedMultigraph) -> WeightedMultigraph:
     loops are subdivided the same way, so the result has no loops at all.
     The model's vertices are g's, in g's order, then the satellites; a
     satellite's row is ``((host, 2),)``.  A graph without weights or loops
-    is its own model.  The model is built once per graph instance,
-    published by one store, and then reused, so the oracle's lattice data
-    and key sets kept on it (``rank._lattice_data``) are too.
+    is its own model.  The model's vertex count is checked against the
+    budget, under stage ``model``, before anything else.  The model is
+    built once per graph instance, published by one store, and then
+    reused, so the oracle's lattice data and key sets kept on it
+    (``rank._lattice_data``) are too.
     """
-    if all(w == 0 for w in g._weights) and all(l == 0 for l in g._loops):
+    check_budget(bullet_model_size(g)[0], budget, "model")
+    if not any(g._satellites):
         return g
     if g._model is not None:
         return g._model

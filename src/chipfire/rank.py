@@ -44,11 +44,16 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import reduction
 from .divisors import Divisor, _placed, residual
 from .enumeration import DEFAULT_BUDGET, box_vectors, check_budget, count_compositions
 from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, _same_graph, bullet_model, bullet_model_size
-from .reduction import _borrow, _reduce_off
+
+__all__ = [
+    "RankReport", "clifford_check", "rank", "rank_lower_bound_edeg", "rank_oracle",
+    "riemann_roch_check",
+]
 
 METHOD_DEFINITION = "definition"
 METHOD_SHORTCUT = "regime_shortcut"
@@ -79,13 +84,11 @@ def _remember(cache: dict, key: tuple[int, ...], out: tuple[int, ...]):
     return out
 
 
-def _lookup(g, cache: dict, key: tuple[int, ...], u: int) -> tuple[int, ...]:
-    """The reduced form at u, g's base index, of key, which holds 0 at u:
-    from cache, g's reduce map, or reduced from scratch and stored there."""
-    red = cache.get(key)
-    if red is None:
-        red = _remember(cache, key, tuple(_reduce_off(g, key, [u])))
-    return red
+def _from_scratch(g, cache: dict, key: tuple[int, ...], u: int) -> tuple[int, ...]:
+    """The reduced form at u, g's base index, of key, which holds 0 at u and
+    is missing from cache, g's reduce map: reduced from scratch and stored
+    there.  The scan's one call of the kernel."""
+    return _remember(cache, key, tuple(reduction._reduce_off(g, key, [u])))
 
 
 class RankReport(NamedTuple):
@@ -119,7 +122,7 @@ def _coords(g, top, model=None):
         return kept
     if model is None:
         lex = g._lex_indices
-        caps = [min(g._weights[i] + g._loops[i], top) for i in lex]
+        caps = [min(g._satellites[i], top) for i in lex]
         # 2x up to the cap, then x + cap
         tables = {c: [*range(0, 2 * c + 1, 2), *range(2 * c + 1, top + c + 1)] for c in set(caps)}
         coords = lex, [tables[c] for c in caps]
@@ -249,14 +252,14 @@ def _reduce_missing(g, key, target, vec, coords, z):
             first = red, to, s
     if first is None:
         if scratch is None:
-            return _lookup(g, cache, key, u)
+            return _from_scratch(g, cache, key, u)
         parent, to, s = scratch
-        first = _lookup(g, cache, parent, u), to, s
+        first = _from_scratch(g, cache, parent, u), to, s
     red, to, s = first
     work = list(red)
     work[to] -= s
     if work[to] < 0:
-        _borrow(g, work, u, to)
+        reduction._borrow(g, work, u, to)
     return _remember(cache, key, tuple(work))
 
 
@@ -309,7 +312,7 @@ def _uncovered(g, vals, k, coords, mins, lex=True):
     cost_u, rest = costs[0], (dests[1:], costs[1:])
     # a: the chips at u, ascending in lex order, descending by degree
     last = k if mins.fails_at <= k else k - len(mins)
-    cap = g._weights[u] + g._loops[u]
+    cap = g._satellites[u]
     for a in range(last + 1) if lex else range(last, -1, -1):
         j, floor = k - a, cost_u[a]
         least = mins.get(j)
@@ -386,7 +389,7 @@ def rank(
     model = g
     if not on_g:  # state the witness on the model
         check_budget(n_model, budget, "witness", k)
-        model = bullet_model(g)
+        model = bullet_model(g, budget=budget)
         failed = _uncovered(g, vals, k, _coords(g, k, model), _Minima())
         if failed is None:
             raise InternalError(f"level {k} fails on the graph but on no model candidate")
@@ -497,7 +500,7 @@ def rank_oracle(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDG
     _same_graph(g, d)
     n_model, _ = bullet_model_size(g)
     check_budget(max(n_model, count_compositions(d.degree, n_model)), budget, "oracle", 0)
-    gb = bullet_model(g)
+    gb = bullet_model(g, budget=budget)
     # the model's first n vertices are g's, in g's order; 0 at the rest
     base_vals = [*d.values, *(0,) * (gb._n - g._n)]
     deg = d.degree

@@ -33,6 +33,8 @@ from .divisors import Divisor, _fire
 from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, _bfs_order, _same_graph, _vertex_set
 
+__all__ = ["DharResult", "dhar", "effectivize", "is_reduced", "reduce_to", "reduce_to_set"]
+
 
 class DharResult(NamedTuple):
     """Outcome of the burning iteration from a seed set.

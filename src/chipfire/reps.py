@@ -28,6 +28,12 @@ from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, _same_graph, _vertex_set, is_chain_of_2ec, is_semistable
 from .reduction import is_reduced, reduce_to
 
+__all__ = [
+    "CliffordCertificate", "NotCovered", "balance_bounds", "clifford_representative",
+    "is_semibalanced", "is_special_class", "is_uniform", "semibalanced_representative",
+    "uniform_representative", "verify_certificate",
+]
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -237,7 +243,7 @@ def uniform_representative(
 
 
 def _loop_hypothesis(g: WeightedMultigraph) -> bool:
-    return all(w > 0 or l > 0 for w, l in zip(g._weights, g._loops))
+    return all(g._satellites)
 
 
 def clifford_representative(

@@ -201,7 +201,7 @@ def graph_file(tmp_path: Path, name: str, graph) -> str:
 
 
 def spy(monkeypatch, *targets: str, record=lambda args, out: (args, out)) -> list:
-    """Wrap each target, a dotted path such as ``"chipfire.rank._borrow"``,
+    """Wrap each target, a dotted path such as ``"chipfire.reduction._borrow"``,
     through monkeypatch; returns the list to which each call appends
     record(positional args, result) as it returns.  A module's own
     reference to another module's function is a target of its own."""

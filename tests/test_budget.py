@@ -9,6 +9,7 @@ from chipfire import (
     BudgetExceededError,
     Divisor,
     WeightedMultigraph,
+    bullet_model,
     canonical_divisor,
     class_of,
     effective_representatives,
@@ -24,6 +25,8 @@ from helpers import golden_graph, graph_file
 
 # golden graph: 3 vertices, model of 3 + 4 satellites = 7 vertices
 CASES = [
+    # the model's 7 vertices, counted before any is built
+    ("model", None, 7, lambda g: bullet_model(g, budget=6)),
     # level 1 of the model scan counts C(7, 6) = 7 candidates
     ("rank", 1, 7, lambda g: rank(g, Divisor(g, [0, 3, 2]), budget=5)),
     # v1 - v3 is not effective, so the scan fails at level 0; the model
@@ -84,6 +87,19 @@ def test_oracle_budget_error_past_the_digit_limit(digit_limit):
         f"oracle level 0: enumeration of <more than {digit_limit} digits> candidates"
         f" exceeds budget {exc.budget}"
     )
+
+
+def test_a_model_past_the_budget_is_refused_before_it_is_built():
+    """Weight 10^7 on one vertex: a model of 10^7 + 1 vertices, one past
+    the default budget.  Building it took about 5 us a satellite, close to
+    a minute in all."""
+    g = WeightedMultigraph(["a"], {"a": 10**7}, [])
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as excinfo:
+        bullet_model(g)
+    assert time.perf_counter() - start < 1
+    assert (excinfo.value.stage, excinfo.value.count) == ("model", 10**7 + 1)
+    assert g._model is None
 
 
 def _weighted_cycle5(tmp_path, w):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from chipfire import ParseError
+from chipfire import ParseError, RankReport
 from chipfire.cli import (
     _COMMANDS,
     _MAX_DIGITS,
@@ -302,6 +302,12 @@ class TestCommands:
         assert obj["result"]["rank"] == 0
         assert obj["result"]["residual_rank"] == 5
 
+    def test_rr_check_exits_1_when_the_identity_fails(self, golden_file, capsys, monkeypatch):
+        # both ranks read 0, so rank(d) - rank(K - d) = 0 against 0 - 6 + 1
+        monkeypatch.setattr("chipfire.cli.rank", lambda g, d, **options: RankReport(0, None, "definition"))
+        assert main(["rr-check", golden_file, "--divisor", "0"]) == 1
+        assert capsys.readouterr().out.endswith("identity holds: False\n")
+
     def test_clifford_rep_golden_not_covered(self, golden_file, capsys):
         code = main(
             ["clifford-rep", golden_file, "--divisor", "v2=3,v3=2", "--json"]
@@ -322,6 +328,11 @@ class TestCommands:
         assert obj["result"]["branch"] == "VReducedNonEffective"
         assert obj["result"]["verified"] is True
         assert obj["certificate"]["branch"] == "VReducedNonEffective"
+
+    def test_clifford_rep_exits_1_when_the_certificate_fails(self, golden_file, capsys, monkeypatch):
+        monkeypatch.setattr("chipfire.cli.verify_certificate", lambda g, cert: False)
+        assert main(["clifford-rep", golden_file, "--divisor", "v1=1,v2=-1"]) == 1
+        assert capsys.readouterr().out.endswith("certificate verified: False\n")
 
     def test_semibalanced(self, golden_file, capsys):
         code = main(["semibalanced", golden_file, "--divisor", "v2=3,v3=2", "--json"])
@@ -507,6 +518,13 @@ class TestPastTheDigitLimit:
         assert "9" * 31 + "'... (60,00" in err
         assert max(map(len, err.splitlines())) <= 200
 
+    def test_an_interpreter_without_the_limit_runs_the_command(self, edge_file, capsys, monkeypatch):
+        """CPython before 3.11 has no int-to-str digit limit and no functions to set it."""
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        assert main(["effectivize", edge_file, "--divisor", "a=-1"]) == 1
+        assert capsys.readouterr().out == "NotEffective: the class contains no effective divisor\n"
+
     def test_callers_limit_is_restored(self, edge_file, capsys):
         if not hasattr(sys, "set_int_max_str_digits"):
             pytest.skip("this CPython has no limit on int-to-str digits")
@@ -519,6 +537,11 @@ class TestPastTheDigitLimit:
             assert sys.get_int_max_str_digits() == 5000
         finally:
             sys.set_int_max_str_digits(before)
+
+
+def test_a_parse_error_with_a_line_and_no_column_names_the_line():
+    exc = ParseError("bad token", line=3)
+    assert (str(exc), exc.line, exc.column) == ("bad token (line 3)", 3, None)
 
 
 class TestJsonEncoding:

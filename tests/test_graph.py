@@ -86,6 +86,11 @@ class TestConstruction:
         g2 = golden_graph()
         assert g1 == g2 and hash(g1) == hash(g2)
 
+    def test_a_graph_is_unequal_to_what_is_not_a_graph(self):
+        g = golden_graph()
+        assert g.__eq__(g._key) is NotImplemented
+        assert g != g._key and g != "golden"
+
 
 class TestGenus:
     def test_single_vertex(self):

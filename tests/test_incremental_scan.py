@@ -199,7 +199,7 @@ def _walk_one_miss(g, vals, p, q, monkeypatch):
         target[p] -= at_p
         target[q] -= at_q
         _scan_reduce(g, tuple(target))
-    borrows = spy(monkeypatch, "chipfire.rank._borrow", record=lambda args, _: args[3])
+    borrows = spy(monkeypatch, "chipfire.reduction._borrow", record=lambda args, _: args[3])
     rank_module._walk_off_base(g, vals, 2, ([p, q], [[0, 1, 2]] * 2), float("-inf"))
     target = list(vals)
     target[p] -= 1
@@ -268,7 +268,7 @@ def test_witness_walk_steps_from_cached_parents(monkeypatch, moved):
     if moved is not None:
         d = d + Divisor(g, {moved[0]: -1, moved[1]: 1})
     want = reference_model_rank(_twin(g), Divisor(_twin(g), d.values), shortcuts=False)
-    calls = spy(monkeypatch, "chipfire.reduction._reduce_off", "chipfire.rank._reduce_off")
+    calls = spy(monkeypatch, "chipfire.reduction._reduce_off")
     got = rank(g, d, shortcuts=False)
     assert (got.rank, got.witness.values) == (want.rank, want.witness.values)
     assert got.witness.graph is bullet_model(g)

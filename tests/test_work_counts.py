@@ -6,7 +6,9 @@ arguments, signed reductions, and three rounds of the CLI as cli-report
 runs it: ``report`` and ``clifford-rep``; ``semibalanced`` and
 ``uniform`` on the chain and star fixtures with a loop at every vertex;
 and ``info``, ``equivalent`` and ``reduce`` on a file of large
-multiplicities.  The counts depend on neither the machine nor the
+multiplicities.  ``levels`` counts the rank module's budget checks by
+stage: one per level a rank scan enters (``rank``) and one per witness
+walk on the model (``witness``).  The counts depend on neither the machine nor the
 interpreter's flags, so a change that makes a kernel do more work fails
 here even where wall time cannot resolve the loss.  Every round builds its
 graphs afresh, so no cache carries over from another test.  A change that
@@ -14,6 +16,7 @@ lowers a count updates its pin and says so in CHANGES.md.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -42,11 +45,10 @@ from helpers import (
     theta,
 )
 
-# count name -> the functions whose calls it counts; the rank scan keeps
-# its own references to the reduction kernel and to _borrow
+# count name -> the functions whose calls it counts
 COUNTED = {
-    "from_scratch": ["chipfire.reduction._reduce_off", "chipfire.rank._reduce_off"],
-    "borrows": ["chipfire.rank._borrow"],
+    "from_scratch": ["chipfire.reduction._reduce_off"],
+    "borrows": ["chipfire.reduction._borrow"],
     "burns": ["chipfire.reduction._burn"],
     "principal": ["chipfire.divisors._principal"],
     "misses": ["chipfire.rank._reduce_missing"],
@@ -178,19 +180,24 @@ def cli_round(tmp_path, graphs, commands):
 
 PINS = {
     "ranks": {
-        "from_scratch": 29, "borrows": 2002, "burns": 194, "principal": 0, "misses": 6605, "walks": 382
+        "from_scratch": 29, "borrows": 2002, "burns": 194, "principal": 0, "misses": 6605, "walks": 382,
+        "levels": {"rank": 350, "witness": 27},
     },
     "reductions": {
-        "from_scratch": 30, "borrows": 0, "burns": 8644, "principal": 15, "misses": 0, "walks": 0
+        "from_scratch": 30, "borrows": 0, "burns": 8644, "principal": 15, "misses": 0, "walks": 0,
+        "levels": {},
     },
     "cli": {
-        "from_scratch": 32, "borrows": 68, "burns": 92, "principal": 15, "misses": 103, "walks": 45
+        "from_scratch": 32, "borrows": 68, "burns": 92, "principal": 15, "misses": 103, "walks": 45,
+        "levels": {"rank": 34, "witness": 10},
     },
     "reps": {
-        "from_scratch": 16, "borrows": 0, "burns": 106, "principal": 8978, "misses": 0, "walks": 0
+        "from_scratch": 16, "borrows": 0, "burns": 106, "principal": 8978, "misses": 0, "walks": 0,
+        "levels": {},
     },
     "large": {
-        "from_scratch": 9, "borrows": 0, "burns": 15, "principal": 3, "misses": 0, "walks": 0
+        "from_scratch": 9, "borrows": 0, "burns": 15, "principal": 3, "misses": 0, "walks": 0,
+        "levels": {},
     },
 }
 
@@ -198,6 +205,7 @@ PINS = {
 @pytest.mark.parametrize("kind", PINS)
 def test_kernel_work_is_pinned(kind, monkeypatch, tmp_path, capsys):
     calls = {key: spy(monkeypatch, *targets) for key, targets in COUNTED.items()}
+    stages = spy(monkeypatch, "chipfire.rank.check_budget", record=lambda args, _: args[2])
     if kind == "ranks":
         rank_round()
     elif kind == "reductions":
@@ -205,4 +213,5 @@ def test_kernel_work_is_pinned(kind, monkeypatch, tmp_path, capsys):
     else:
         cli_round(tmp_path, *CLI_ROUNDS[kind])
     capsys.readouterr()
-    assert {key: len(made) for key, made in calls.items()} == PINS[kind]
+    counts = {key: len(made) for key, made in calls.items()}
+    assert {**counts, "levels": dict(Counter(stages))} == PINS[kind]
