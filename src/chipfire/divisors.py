@@ -150,6 +150,17 @@ def canonical_divisor(g: WeightedMultigraph) -> Divisor:
     return Divisor(g, vals)
 
 
+def _require_clifford_degree(g: WeightedMultigraph, deg: int, noun: str) -> None:
+    """Refuse a degree outside [0, 2*genus - 2], the canonical divisor's
+    range, where Clifford's bound and representatives live; the error
+    names the degree by ``noun``."""
+    top = 2 * g.genus - 2
+    if deg < 0:
+        raise DomainError(f"{noun} {deg} is below the lower bound 0")
+    if deg > top:
+        raise DomainError(f"{noun} {deg} exceeds the upper bound 2*genus-2 = {top}")
+
+
 def t_set(g: WeightedMultigraph, zone: Iterable[str]) -> Divisor:
     """Principal divisor of simultaneously firing every vertex in the set.
 

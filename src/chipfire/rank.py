@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import reduction
-from .divisors import Divisor, _placed, residual
+from .divisors import Divisor, _placed, _require_clifford_degree, residual
 from .enumeration import DEFAULT_BUDGET, box_vectors, check_budget, count_compositions
 from .errors import DomainError, InternalError
 from .graph import WeightedMultigraph, _same_graph, bullet_model, bullet_model_size
@@ -572,10 +572,6 @@ def riemann_roch_check(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAU
 def clifford_check(g: WeightedMultigraph, d: Divisor, *, budget: int = DEFAULT_BUDGET) -> bool:
     """Self-audit that rank is at most half the degree, in the valid range."""
     deg = d.degree
-    top = 2 * g.genus - 2
-    if deg < 0:
-        raise DomainError(f"degree {deg} is below the lower bound 0")
-    if deg > top:
-        raise DomainError(f"degree {deg} exceeds the upper bound 2*genus-2 = {top}")
+    _require_clifford_degree(g, deg, "degree")
     r = rank(g, d, budget=budget).rank
     return 2 * r <= deg

@@ -20,6 +20,7 @@ from .divisors import (
     Divisor,
     DivisorClass,
     _members,
+    _require_clifford_degree,
     canonical_divisor,
     residual,
 )
@@ -266,63 +267,62 @@ def clifford_representative(
     carrying both hypothesis evaluations.
     """
     _same_graph(g, c)
-    deg = c.degree
-    top = 2 * g.genus - 2
-    if deg < 0:
-        raise DomainError(f"class degree {deg} is below the lower bound 0")
-    if deg > top:
-        raise DomainError(f"class degree {deg} exceeds the upper bound 2*genus-2 = {top}")
-    v0 = g.base_vertex()
+    _require_clifford_degree(g, c.degree, "class degree")
+    found = _clifford_branch(g, c, budget)
+    if isinstance(found, NotCovered):
+        return found
+    return found[1], CliffordCertificate(*found)
 
+
+def _clifford_branch(g: WeightedMultigraph, c: DivisorClass, budget: int):
+    """The case split of :func:`clifford_representative`: (branch,
+    representative, evidence) for the first branch that applies, or
+    NotCovered.  A class held at g's base vertex v0 is held by its reduced
+    form there, so a non-effective one is its own representative."""
+    v0 = g.base_vertex()
     if not c.canonical.is_effective:
-        rep = reduce_to(g, c.canonical, v0)
-        cert = CliffordCertificate(
-            branch=BRANCH_V_REDUCED,
-            representative=rep,
-            evidence={"vertex": v0, "value": rep.value(v0)},
-        )
-        return rep, cert
+        rep = c.canonical if c.base_vertex == v0 else reduce_to(g, c.canonical, v0)
+        return BRANCH_V_REDUCED, rep, {"vertex": v0, "value": rep.value(v0)}
 
     res_reduced = reduce_to(g, residual(g, c.canonical), v0)
     if not res_reduced.is_effective:
         rep = canonical_divisor(g) - res_reduced
-        cert = CliffordCertificate(
-            branch=BRANCH_RESIDUAL,
-            representative=rep,
-            evidence={"vertex": v0, "residual_reduced": res_reduced},
-        )
-        return rep, cert
+        return BRANCH_RESIDUAL, rep, {"vertex": v0, "residual_reduced": res_reduced}
 
     chain = is_chain_of_2ec(g)
     loops_ok = _loop_hypothesis(g)
-    if chain and loops_ok:
-        rep = uniform_representative(g, c, budget=budget)
-        if rep is None:
-            raise InternalError(
-                "special class under the loop hypothesis must have a uniform representative"
-            )
-        k = canonical_divisor(g)
-        bounds = {v: (rep.value(v), k.value(v)) for v in g.vertices}
-        cert = CliffordCertificate(
-            branch=BRANCH_UNIFORM, representative=rep, evidence={"bounds": bounds}
+    if not (chain and loops_ok):
+        return NotCovered(special=True, chain_of_2ec=chain, loop_hypothesis=loops_ok)
+    rep = uniform_representative(g, c, budget=budget)
+    if rep is None:
+        raise InternalError(
+            "special class under the loop hypothesis must have a uniform representative"
         )
-        return rep, cert
-    return NotCovered(special=True, chain_of_2ec=chain, loop_hypothesis=loops_ok)
+    k = canonical_divisor(g)
+    return BRANCH_UNIFORM, rep, {"bounds": {v: (rep.value(v), k.value(v)) for v in g.vertices}}
 
 
 def verify_certificate(g: WeightedMultigraph, cert: CliffordCertificate) -> bool:
-    """Re-check a certificate from its own evidence, independently of how the
-    representative was constructed.  Evidence that is malformed or
-    inconsistent with the representative fails verification, and never
-    raises.  A Uniform certificate is checked by the hypotheses under which
-    a uniform divisor of a special class is a Clifford representative (a
-    chain of 2-edge-connected components, a loop at every weight-0 vertex),
-    its bounds, which must map each vertex to the pair (its value, its
-    canonical value), and uniformity itself."""
-    rep, evidence = cert.representative, cert.evidence
-    if rep.graph != g or not isinstance(evidence, dict):
+    """Re-check a certificate, or a plain tuple (branch, representative,
+    evidence) of its fields, from its own evidence, independently of how
+    the representative was constructed.  It never raises: anything that
+    does not unpack to three items, a representative that is not a
+    :class:`Divisor` on g, and evidence that is malformed or inconsistent
+    with the representative fail verification.  A Uniform certificate is
+    checked by the hypotheses under which a uniform divisor of a special
+    class is a Clifford representative (a chain of 2-edge-connected
+    components, a loop at every weight-0 vertex), its bounds, which must map
+    each vertex to the pair (its value, its canonical value), and uniformity
+    itself.  The other two branches each name one divisor, the
+    representative or its residual, which must be reduced at the evidence's
+    vertex and negative there."""
+    try:
+        branch, rep, evidence = cert
+    except (TypeError, ValueError):
         return False
-    if cert.branch == BRANCH_UNIFORM:
+    if not isinstance(rep, Divisor) or rep.graph != g or not isinstance(evidence, dict):
+        return False
+    if branch == BRANCH_UNIFORM:
         if not (is_chain_of_2ec(g) and _loop_hypothesis(g)):
             return False
         k = canonical_divisor(g)
@@ -333,13 +333,14 @@ def verify_certificate(g: WeightedMultigraph, cert: CliffordCertificate) -> bool
     v = evidence.get("vertex")
     if v not in g.vertices:
         return False
-    if cert.branch == BRANCH_V_REDUCED:
+    if branch == BRANCH_V_REDUCED:
+        reduced = rep
         if evidence.get("value") != rep.value(v):
             return False
-        return is_reduced(g, rep, [v]) and rep.value(v) < 0
-    if cert.branch == BRANCH_RESIDUAL:
-        res = residual(g, rep)
-        if evidence.get("residual_reduced") != res:
+    elif branch == BRANCH_RESIDUAL:
+        reduced = residual(g, rep)
+        if evidence.get("residual_reduced") != reduced:
             return False
-        return is_reduced(g, res, [v]) and res.value(v) < 0
-    return False
+    else:
+        return False
+    return is_reduced(g, reduced, [v]) and reduced.value(v) < 0

@@ -149,23 +149,15 @@ def test_step_without_a_cached_parent_reduces_it_from_scratch():
     assert len(g._reduced) == 2
 
 
-@pytest.mark.parametrize("name", STEP_GRAPHS)
-def test_cold_walks_store_only_reduced_forms(name):
-    """Walks of degrees 1-3 over g's coordinates, and on a weighted or
-    looped graph over the model's too, each on an empty cache: every
-    candidate is stored, stepped from whichever parent is cached or from
-    one reduced from scratch, and every entry the walks store is the
-    reduction from scratch of its key.  The model's coordinates include
-    satellites hosted at the base vertex u, whose steps change the walk's
-    chips at u; every key still holds 0 there.  That is checked as the
-    reduced form is defined, which is faster than reducing from scratch on
-    the longest ladders: the entry is reduced at u (``reference_burn``) and
-    lies in its key's class (the oracle's lattice test), and a class holds
-    one divisor reduced at u."""
+def _cold_walks(name):
+    """Walks of degrees 1-3 over the coordinates of a rotated copy g of the
+    named graph, and on a weighted or looped graph over the model's too,
+    each on an empty cache with a floor no candidate fails.  Yields
+    (g, vals, j, rest) after each walk: its chips, degree and off-base
+    coordinates."""
     rng = random.Random(name)
     for j in (1, 2, 3):
         g = _rotated(STEP_GRAPHS[name], rng.randrange(STEP_GRAPHS[name]._n))
-        u = g.vertex_index(g.base_vertex())
         vals = tuple(rng.randint(-1, 3) for _ in range(g._n))
         model = bullet_model(g)
         for over in (None, model) if model is not g else (None,):
@@ -173,20 +165,55 @@ def test_cold_walks_store_only_reduced_forms(name):
             dests, costs = rank_module._coords(g, j, over)
             rest = dests[1:], costs[1:]
             assert rank_module._walk_off_base(g, vals, j, rest, float("-inf"))[0] is None
-            for combo in reference_compositions(j, len(rest[0])):
-                target = list(vals)
-                for to, cost, x in zip(*rest, combo):
-                    target[to] -= cost[x]
-                target[u] = 0
-                assert tuple(target) in g._reduced
-            lattice = rank_module._lattice_data(g)
-            for key, red in g._reduced.items():
-                assert key[u] == 0
-                assert all(x >= 0 for i, x in enumerate(red) if i != u)
-                assert all(reference_burn(g, red, [u])[0])
-                assert rank_module._class_key(lattice, red) == rank_module._class_key(lattice, key)
-                if g._n <= 10:  # from scratch where that is fast
-                    assert red == scratch_reduce(g, key, u)
+            yield g, vals, j, rest
+
+
+@pytest.mark.parametrize("name", STEP_GRAPHS)
+def test_cold_walks_store_only_reduced_forms(name):
+    """Every candidate of a cold walk is stored, stepped from whichever
+    parent is cached or from one reduced from scratch, and every entry the
+    walks store is the reduction from scratch of its key.  The model's
+    coordinates include satellites hosted at the base vertex u, whose steps
+    change the walk's chips at u; every key still holds 0 there.  That is
+    checked as the reduced form is defined, which is faster than reducing
+    from scratch on the longest ladders: the entry is reduced at u
+    (``reference_burn``) and lies in its key's class (the oracle's lattice
+    test), and a class holds one divisor reduced at u."""
+    for g, vals, j, rest in _cold_walks(name):
+        u = g.vertex_index(g.base_vertex())
+        for combo in reference_compositions(j, len(rest[0])):
+            target = list(vals)
+            for to, cost, x in zip(*rest, combo):
+                target[to] -= cost[x]
+            target[u] = 0
+            assert tuple(target) in g._reduced
+        lattice = rank_module._lattice_data(g)
+        for key, red in g._reduced.items():
+            assert key[u] == 0
+            assert all(x >= 0 for i, x in enumerate(red) if i != u)
+            assert all(reference_burn(g, red, [u])[0])
+            assert rank_module._class_key(lattice, red) == rank_module._class_key(lattice, key)
+            if g._n <= 10:  # from scratch where that is fast
+                assert red == scratch_reduce(g, key, u)
+
+
+# kernel calls over the cold walks of a long sparse graph; without the
+# re-seeding of a parentless miss from its parent at z they were 2,599 on
+# cycle24 and ladder24 and 1,539 on theta20
+COLD_WALK_KERNEL_CALLS = {"cycle24": 278, "ladder24": 278, "theta20": 192}
+
+
+@pytest.mark.parametrize("name", COLD_WALK_KERNEL_CALLS)
+def test_cold_walks_reseed_from_a_parent(name, monkeypatch):
+    """A miss with no cached parent reduces its parent at z from scratch
+    (``rank._reduce_missing``) and steps from it, so the next candidates
+    find that parent cached.  Rank-scan rounds seldom reach this tier, but
+    a cold walk on a long cycle, ladder or theta graph reduces about ten
+    times as often from scratch without it."""
+    kernel = spy(monkeypatch, "chipfire.reduction._reduce_off")
+    for _ in _cold_walks(name):
+        pass
+    assert len(kernel) == COLD_WALK_KERNEL_CALLS[name]
 
 
 def _walk_one_miss(g, vals, p, q, monkeypatch):

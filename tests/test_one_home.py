@@ -6,14 +6,22 @@
   a spy there sees every call.
 - A vertex's satellite count, weight plus loops, is worked out once, in
   the graph: no other module reads ``_loops``.
+- The Clifford degree window [0, 2*genus - 2] is gated, with its two
+  messages, in one function that ``clifford_check`` and
+  ``clifford_representative`` share, and ``reps.py`` builds a
+  ``CliffordCertificate`` in one place.
 """
 
 import ast
 import importlib
 import inspect
+import re
+
+import pytest
 
 import chipfire
-from helpers import SOURCES
+from chipfire import Divisor, DomainError, class_of, clifford_check, clifford_representative
+from helpers import SOURCES, golden_graph
 
 # every package module but the CLI's lists its public names
 MODULES = [path.stem for path in SOURCES if path.stem not in ("__init__", "cli")]
@@ -51,3 +59,36 @@ def test_the_rank_module_binds_no_kernel_step():
     rank_module = importlib.import_module("chipfire.rank")
     assert not hasattr(rank_module, "_reduce_off")
     assert not hasattr(rank_module, "_borrow")
+
+
+def test_the_degree_window_is_worded_once():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    for message in ("is below the lower bound 0", "exceeds the upper bound 2*genus-2"):
+        assert sum(text.count(message) for text in sources) == 1, message
+
+
+@pytest.mark.parametrize(
+    "chips, message",
+    [
+        ({"v1": -1}, "degree -1 is below the lower bound 0"),
+        ({"v2": 11}, "degree 11 exceeds the upper bound 2*genus-2 = 10"),
+    ],
+    ids=["below", "above"],
+)
+def test_the_degree_gate_names_its_degree(chips, message):
+    g = golden_graph()
+    d = Divisor(g, chips)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        clifford_check(g, d)
+    with pytest.raises(DomainError, match=f"^class {re.escape(message)}$"):
+        clifford_representative(g, class_of(g, d, "v1"))
+
+
+def test_reps_builds_a_certificate_in_one_place():
+    path = next(path for path in SOURCES if path.name == "reps.py")
+    calls = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CliffordCertificate"
+    ]
+    assert len(calls) == 1

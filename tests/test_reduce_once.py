@@ -65,16 +65,17 @@ def reductions(monkeypatch):
         (["uniform", "golden", "--divisor", "v2=4,v3=1"], 1),
         (["uniform", "golden", "--divisor", "v1=1,v2=-1"], 1),
         (["equivalent", "golden", "--divisor", "v1=3", "--divisor", "v2=3"], 2),
-        # the input once, plus once in the case split, in every branch
-        (["clifford-rep", "golden", "--divisor", "v1=1,v2=-1"], 2),
+        # the input once, plus once in the case split, except that a
+        # non-effective class held at the base vertex is its own answer
+        (["clifford-rep", "golden", "--divisor", "v1=1,v2=-1"], 1),
         (["clifford-rep", "golden", "--divisor", "v2=4,v3=6"], 2),
         (["clifford-rep", "loops", "--divisor", "a=1,c=5"], 2),
         (["clifford-rep", "loops", "--divisor", "a=2,b=3,c=1"], 2),
         (["clifford-rep", "loops", "--divisor", "a=5", "--base", "c"], 2),
         (["clifford-rep", "golden", "--divisor", "v2=4,v3=1"], 2),
-        # report: twice in [0, 2g - 2], once outside it
+        # report: as clifford-rep in [0, 2g - 2], once outside it
         (["report", "golden", "--divisor", "v2=4,v3=1"], 2),
-        (["report", "golden", "--divisor", "v1=1,v2=-1", "--no-shortcuts"], 2),
+        (["report", "golden", "--divisor", "v1=1,v2=-1", "--no-shortcuts"], 1),
         (["report", "loops", "--divisor", "a=2,b=3,c=1"], 2),
         (["report", "loops", "--divisor", "a=1,c=5", "--base", "c"], 2),
         (["report", "golden", "--divisor", "v1=-1"], 1),

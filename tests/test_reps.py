@@ -502,9 +502,13 @@ class TestCliffordRepresentative:
 
 
 class TestMalformedEvidence:
-    """Malformed evidence fails verification instead of raising.  Each case
-    takes a certificate the constructor made, which verifies, and replaces
-    its evidence."""
+    """Malformed certificates fail verification instead of raising.  Each
+    case takes a certificate the constructor made, which verifies, and
+    replaces its evidence or its representative, or passes something that
+    is not a certificate at all."""
+
+    # golden-graph chips whose certificate the constructor makes, per branch
+    VERIFIED = [({"v1": 1, "v2": -1}, BRANCH_V_REDUCED), ({"v2": 9, "v3": 1}, BRANCH_RESIDUAL)]
 
     @staticmethod
     def certificate(graph, chips, branch):
@@ -567,3 +571,28 @@ class TestMalformedEvidence:
         cert = self.certificate(pair, {"a": 1, "b": 1}, BRANCH_UNIFORM)
         assert not verify_certificate(pair, cert._replace(evidence={"bounds": bounds}))
         assert not verify_certificate(pair, cert._replace(evidence=None))
+
+    @pytest.mark.parametrize("representative", [None, (1, 2), "x"])
+    @pytest.mark.parametrize("chips, branch", VERIFIED)
+    def test_representative_not_a_divisor(self, g, representative, chips, branch):
+        cert = self.certificate(g, chips, branch)
+        assert not verify_certificate(g, cert._replace(representative=representative))
+
+    @pytest.mark.parametrize("chips, branch", VERIFIED)
+    def test_plain_tuple(self, g, chips, branch):
+        """A plain tuple of a certificate's fields is checked as the
+        certificate; a tuple that does not unpack to three fields fails."""
+        fields = tuple(self.certificate(g, chips, branch))
+        assert verify_certificate(g, fields)
+        assert not verify_certificate(g, fields[:2])
+        assert not verify_certificate(g, (*fields, None))
+
+    @pytest.mark.parametrize("cert", [None, 3, "abc", (), [BRANCH_V_REDUCED]])
+    def test_not_a_certificate(self, g, cert):
+        assert not verify_certificate(g, cert)
+
+    def test_uniform_plain_tuple_and_representative(self, pair):
+        fields = tuple(self.certificate(pair, {"a": 1, "b": 1}, BRANCH_UNIFORM))
+        assert verify_certificate(pair, fields)
+        for representative in (None, (1, 2), "x"):
+            assert not verify_certificate(pair, (fields[0], representative, fields[2]))

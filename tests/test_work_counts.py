@@ -188,7 +188,7 @@ PINS = {
         "levels": {},
     },
     "cli": {
-        "from_scratch": 32, "borrows": 68, "burns": 92, "principal": 15, "misses": 103, "walks": 45,
+        "from_scratch": 30, "borrows": 68, "burns": 90, "principal": 15, "misses": 103, "walks": 45,
         "levels": {"rank": 34, "witness": 10},
     },
     "reps": {
